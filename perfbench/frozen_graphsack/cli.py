@@ -1,0 +1,352 @@
+"""Command-line entry point and benchmark harness.
+
+Exit codes: 0 success, 2 parse/validation error, 3 unsupported variant or
+known-hardness refusal, 4 exhaustive-oracle scale exceeded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional
+
+from .all_neighbour import (general_undirected_alln_fptas, uniform_directed_alln_ptas,
+                            uniform_undirected_alln)
+from .errors import (GraphsackError, OracleScaleError, ParseError,
+                     UnsupportedVariantError, ValidationError)
+from .graphs import Instance, is_1_neighbour_set, is_all_neighbour_set
+from .instance_io import parse
+from .one_neighbour import (greedy_1_neighbour, uniform_directed_1n_ptas,
+                            uniform_undirected_1n)
+from .oracle import exact_1n, exact_alln
+from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution
+from .stars import star_partition
+
+CSV_HEADER = ["instance", "variant", "algorithm", "epsilon", "n", "m", "k",
+              "profit", "weight", "feasible", "guarantee", "opt", "ratio",
+              "ms", "error"]
+
+VARIANT_CONSTRAINT = {
+    "greedy-1n": ONE_NEIGHBOUR,
+    "uu1n-linear": ONE_NEIGHBOUR,
+    "ud1n-ptas": ONE_NEIGHBOUR,
+    "exact-1n": ONE_NEIGHBOUR,
+    "uda-ptas": ALL_NEIGHBOUR,
+    "uua-subsetsum": ALL_NEIGHBOUR,
+    "gua-fptas": ALL_NEIGHBOUR,
+    "exact-all": ALL_NEIGHBOUR,
+}
+
+EPSILON_VARIANTS = {"greedy-1n", "ud1n-ptas", "uda-ptas", "gua-fptas"}
+
+CONSTRAINT_NAMES = {"one": ONE_NEIGHBOUR, "all": ALL_NEIGHBOUR}
+
+
+def route_auto(constraint: str, directed: bool, uniform: bool, n: int,
+               oracle_max_n: int) -> str:
+    """Pick the variant for (constraint, direction, uniformity).
+
+    The two classes with no implemented approximation fall back to the
+    exhaustive oracle when small enough and are refused otherwise.
+    """
+    if constraint == ONE_NEIGHBOUR:
+        if not directed:
+            return "uu1n-linear" if uniform else "greedy-1n"
+        if uniform:
+            return "ud1n-ptas"
+        if n <= oracle_max_n:
+            return "exact-1n"
+        raise UnsupportedVariantError(
+            "general directed one-neighbour instances have no approximation "
+            "variant (the problem is 1/Omega(log^(1-eps) n)-hard to "
+            f"approximate); the exhaustive search is limited to n <= {oracle_max_n}")
+    if not directed:
+        return "uua-subsetsum" if uniform else "gua-fptas"
+    if uniform:
+        return "uda-ptas"
+    if n <= oracle_max_n:
+        return "exact-all"
+    raise UnsupportedVariantError(
+        "general directed all-neighbour instances have no approximation "
+        "variant (the problem is 2^(log^d n)-hard to approximate); the "
+        f"exhaustive search is limited to n <= {oracle_max_n}")
+
+
+def run_variant(variant: str, instance: Instance, k: Optional[int], eps: float,
+                oracle_max_n: int) -> Solution:
+    if variant == "greedy-1n":
+        return greedy_1_neighbour(instance, k, eps)
+    if variant == "uu1n-linear":
+        return uniform_undirected_1n(instance, k)
+    if variant == "ud1n-ptas":
+        return uniform_directed_1n_ptas(instance, k, eps)
+    if variant == "uda-ptas":
+        return uniform_directed_alln_ptas(instance, k, eps)
+    if variant == "uua-subsetsum":
+        return uniform_undirected_alln(instance, k)
+    if variant == "gua-fptas":
+        return general_undirected_alln_fptas(instance, k, eps)
+    if variant == "exact-1n":
+        return exact_1n(instance, k, oracle_max_n)
+    if variant == "exact-all":
+        return exact_alln(instance, k, oracle_max_n)
+    raise UnsupportedVariantError(f"unknown variant {variant!r}")
+
+
+def _verify(instance: Instance, solution: Solution, k: int) -> None:
+    """Independent feasibility re-check before anything is emitted."""
+    if solution.constraint == ONE_NEIGHBOUR:
+        ok = is_1_neighbour_set(instance, solution.chosen)
+    else:
+        ok = is_all_neighbour_set(instance, solution.chosen)
+    if not ok or solution.total_weight > k:
+        raise GraphsackError(
+            f"internal error: {solution.algorithm} emitted an infeasible solution")
+
+
+def _read_instance(path: str) -> Instance:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _solution_row(path: str, variant: str, instance: Instance, solution: Solution,
+                  eps: float, opt: Optional[int], ms) -> list[str]:
+    ratio = ""
+    if opt is not None and opt > 0:
+        ratio = f"{solution.total_profit / opt:.6f}"
+    return [path, variant, solution.algorithm,
+            f"{eps:g}" if variant in EPSILON_VARIANTS else "",
+            str(instance.n), str(instance.m), str(instance.budget),
+            str(solution.total_profit), str(solution.total_weight), "true",
+            solution.guarantee, "" if opt is None else str(opt), ratio,
+            str(ms), ""]
+
+
+def cmd_solve(args) -> int:
+    instance = _read_instance(args.input)
+    if args.budget is not None:
+        instance = Instance(instance.directed, instance.n, instance.edges,
+                            instance.weights, instance.profits, args.budget)
+    constraint = CONSTRAINT_NAMES[args.constraint]
+    variant = args.variant
+    if variant == "auto":
+        variant = route_auto(constraint, instance.directed, instance.is_uniform(),
+                             instance.n, args.oracle_max_n)
+    elif VARIANT_CONSTRAINT[variant] != constraint:
+        raise UnsupportedVariantError(
+            f"variant {variant} solves the {VARIANT_CONSTRAINT[variant]} "
+            f"constraint, not {constraint}")
+    solution = run_variant(variant, instance, None, args.epsilon, args.oracle_max_n)
+    _verify(instance, solution, instance.budget)
+
+    if args.format == "csvrow":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_solution_row(args.input, variant, instance, solution,
+                                      args.epsilon, None, 0))
+        sys.stdout.write(buf.getvalue())
+        return 0
+    print(f"instance: {args.input}")
+    print(f"n: {instance.n}")
+    print(f"m: {instance.m}")
+    print(f"k: {instance.budget}")
+    print(f"constraint: {args.constraint}")
+    print(f"variant: {variant}")
+    print(f"algorithm: {solution.algorithm}")
+    if variant in EPSILON_VARIANTS:
+        print(f"epsilon: {args.epsilon:g}")
+    print(f"chosen: {' '.join(map(str, solution.chosen))}")
+    print(f"count: {solution.size}")
+    print(f"profit: {solution.total_profit}")
+    print(f"weight: {solution.total_weight}")
+    print("feasible: true")
+    print(f"guarantee: {solution.guarantee}")
+    return 0
+
+
+def cmd_check(args) -> int:
+    instance = _read_instance(args.input)
+    try:
+        chosen = instance.check_vertices(
+            int(tok) for tok in args.set.replace(",", " ").split())
+    except ValueError as exc:
+        raise ValidationError(f"malformed vertex set {args.set!r}") from exc
+    inside = set(chosen)
+    witness = None
+    missing = None
+    if args.constraint == "one":
+        for v in chosen:
+            if instance.degree(v) > 0 and not any(u in inside for u in instance.adj[v]):
+                witness = v
+                break
+    else:
+        for v in chosen:
+            out = next((u for u in instance.adj[v] if u not in inside), None)
+            if out is not None:
+                witness, missing = v, out
+                break
+    weight = instance.total_weight(chosen)
+    print(f"set: {' '.join(map(str, chosen))}")
+    print(f"constraint: {args.constraint}")
+    print(f"feasible: {'false' if witness is not None else 'true'}")
+    if witness is not None:
+        print(f"witness: {witness}")
+        if missing is not None:
+            print(f"missing: {missing}")
+    print(f"weight: {weight}")
+    print(f"budget: {instance.budget}")
+    print(f"within_budget: {'true' if weight <= instance.budget else 'false'}")
+    return 0
+
+
+def applicable_variants(instance: Instance, oracle_max_n: int) -> list[str]:
+    uniform = instance.is_uniform()
+    out = []
+    if instance.directed:
+        if uniform:
+            out += ["ud1n-ptas", "uda-ptas"]
+        elif all(w == p for w, p in zip(instance.weights, instance.profits)):
+            out.append("uda-ptas")
+        if instance.n <= oracle_max_n:
+            out += ["exact-1n", "exact-all"]
+    else:
+        out += ["greedy-1n", "gua-fptas"]
+        if uniform:
+            out += ["uu1n-linear", "uua-subsetsum"]
+        if instance.n <= oracle_max_n:
+            out += ["exact-1n", "exact-all"]
+    return sorted(out)
+
+
+def _bench_instance(path: str, eps: float, oracle_max_n: int, timing: bool) -> list[list[str]]:
+    rows: list[list[str]] = []
+    try:
+        instance = _read_instance(path)
+    except GraphsackError as exc:
+        return [[path, "", "", "", "", "", "", "", "", "", "", "", "", "", str(exc)]]
+    opts: dict[str, Optional[int]] = {}
+
+    def oracle_opt(constraint: str) -> Optional[int]:
+        if constraint not in opts:
+            if instance.n <= oracle_max_n:
+                solver = exact_1n if constraint == ONE_NEIGHBOUR else exact_alln
+                opts[constraint] = solver(instance, None, oracle_max_n).total_profit
+            else:
+                opts[constraint] = None
+        return opts[constraint]
+
+    for variant in applicable_variants(instance, oracle_max_n):
+        try:
+            start = time.perf_counter()
+            solution = run_variant(variant, instance, None, eps, oracle_max_n)
+            ms = int((time.perf_counter() - start) * 1000) if timing else 0
+            _verify(instance, solution, instance.budget)
+            rows.append(_solution_row(path, variant, instance, solution, eps,
+                                      oracle_opt(solution.constraint), ms))
+        except GraphsackError as exc:
+            rows.append([path, variant, "", "", str(instance.n), str(instance.m),
+                         str(instance.budget), "", "", "", "", "", "", "", str(exc)])
+    return rows
+
+
+def cmd_bench(args) -> int:
+    if not os.path.isdir(args.dir):
+        raise ValidationError(f"not a directory: {args.dir}")
+    paths = sorted(os.path.join(args.dir, name) for name in os.listdir(args.dir)
+                   if os.path.isfile(os.path.join(args.dir, name)))
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            grouped = list(pool.map(
+                lambda p: _bench_instance(p, args.epsilon, args.oracle_max_n,
+                                          args.timing), paths))
+    else:
+        grouped = [_bench_instance(p, args.epsilon, args.oracle_max_n, args.timing)
+                   for p in paths]
+    rows = [row for group in grouped for row in group]
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows for {len(paths)} instances to {args.out}")
+    return 0
+
+
+def cmd_partition_stars(args) -> int:
+    instance = _read_instance(args.input)
+    for star in star_partition(instance):
+        print(f"{star.center}: {' '.join(map(str, star.leaves))}".rstrip())
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="graphsack",
+        description="Knapsack solvers for items with graph dependencies")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    solve = sub.add_parser("solve", help="solve one instance")
+    solve.add_argument("--input", required=True)
+    solve.add_argument("--constraint", required=True, choices=["one", "all"])
+    solve.add_argument("--variant", default="auto",
+                       choices=["auto"] + sorted(VARIANT_CONSTRAINT))
+    solve.add_argument("--epsilon", type=float, default=0.1)
+    solve.add_argument("--budget", type=int, default=None)
+    solve.add_argument("--oracle-max-n", type=int, default=22)
+    solve.add_argument("--format", default="kv", choices=["kv", "csvrow"])
+    solve.set_defaults(func=cmd_solve)
+
+    check = sub.add_parser("check", help="verify feasibility of a vertex set")
+    check.add_argument("--input", required=True)
+    check.add_argument("--constraint", required=True, choices=["one", "all"])
+    check.add_argument("--set", required=True,
+                       help="comma- or space-separated vertex ids")
+    check.set_defaults(func=cmd_check)
+
+    bench = sub.add_parser("bench", help="run every applicable solver on a directory")
+    bench.add_argument("--dir", required=True)
+    bench.add_argument("--epsilon", type=float, default=0.1)
+    bench.add_argument("--oracle-max-n", type=int, default=22)
+    bench.add_argument("--out", required=True)
+    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--timing", action="store_true",
+                       help="record wall time in the ms column (breaks "
+                            "byte-for-byte reproducibility)")
+    bench.set_defaults(func=cmd_bench)
+
+    stars = sub.add_parser("partition-stars", help="print a star partition")
+    stars.add_argument("--input", required=True)
+    stars.set_defaults(func=cmd_partition_stars)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnsupportedVariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OracleScaleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except GraphsackError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,361 @@
+"""Dependency-graph representation and the structure everything else rests on.
+
+An :class:`Instance` couples a directed or undirected graph with per-vertex
+integer weights and profits and a knapsack budget.  This module provides the
+component/SCC analysis (including smallest directed cycles per SCC), boundary
+and descendant computations, and the two feasibility predicates that define
+the selection constraints:
+
+* a *1-neighbour set* may contain a vertex only if at least one of its
+  (out-)neighbours is also in the set (vertices with no neighbours are free);
+* an *all-neighbour set* must be closed under the (out-)neighbour relation.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from .errors import ValidationError
+
+MAX_VALUE = (1 << 63) - 1
+
+
+class Instance:
+    """A dependency graph with vertex weights/profits and a budget.
+
+    Vertices are ``0..n-1``.  ``edges`` are unordered pairs for undirected
+    instances (stored with the smaller endpoint first) and ordered arcs
+    ``(tail, head)`` for directed ones.  Self-loops and duplicate edges are
+    rejected; all weights, profits, and the budget must be non-negative
+    integers below 2**63.
+    """
+
+    __slots__ = ("directed", "n", "weights", "profits", "edges", "budget",
+                 "adj", "radj", "provenance")
+
+    def __init__(self, directed: bool, n: int, edges: Iterable[tuple[int, int]],
+                 weights: Sequence[int], profits: Sequence[int], budget: int,
+                 provenance: str | None = None):
+        self.directed = bool(directed)
+        self.n = n
+        if n < 0:
+            raise ValidationError("vertex count must be non-negative")
+        if len(weights) != n or len(profits) != n:
+            raise ValidationError("weights/profits must have one entry per vertex")
+        for name, values in (("weight", weights), ("profit", profits)):
+            for v, x in enumerate(values):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValidationError(f"{name} of vertex {v} is not an integer")
+                if not 0 <= x <= MAX_VALUE:
+                    raise ValidationError(f"{name} of vertex {v} out of range [0, 2^63)")
+        if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= MAX_VALUE:
+            raise ValidationError("budget out of range [0, 2^63)")
+        self.weights = tuple(weights)
+        self.profits = tuple(profits)
+        self.budget = budget
+
+        norm: list[tuple[int, int]] = []
+        seen: set[tuple[int, int]] = set()
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge ({u}, {v}) names an invalid vertex")
+            if u == v:
+                raise ValidationError(f"self-loop at vertex {u}")
+            key = (u, v) if self.directed else (min(u, v), max(u, v))
+            if key in seen:
+                raise ValidationError(f"duplicate edge ({u}, {v})")
+            seen.add(key)
+            norm.append(key)
+        norm.sort()
+        self.edges = tuple(norm)
+
+        adj: list[list[int]] = [[] for _ in range(n)]
+        radj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            radj[v].append(u)
+            if not self.directed:
+                adj[v].append(u)
+                radj[u].append(v)
+        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.radj = tuple(tuple(sorted(a)) for a in radj)
+        self.provenance = provenance
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    def degree(self, v: int) -> int:
+        """Degree (undirected) or out-degree (directed) of ``v``."""
+        return len(self.adj[v])
+
+    def total_weight(self, vertices: Iterable[int]) -> int:
+        return sum(self.weights[v] for v in vertices)
+
+    def total_profit(self, vertices: Iterable[int]) -> int:
+        return sum(self.profits[v] for v in vertices)
+
+    def check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
+        """Normalize to a strictly increasing vertex tuple, validating ids."""
+        out = sorted(set(vertices))
+        for v in out:
+            if not (isinstance(v, int) and 0 <= v < self.n):
+                raise ValidationError(f"invalid vertex id {v!r}")
+        return tuple(out)
+
+    def induced(self, vertices: Iterable[int]) -> tuple["Instance", tuple[int, ...]]:
+        """Induced sub-instance on ``vertices`` plus the new->old id map."""
+        keep = self.check_vertices(vertices)
+        index = {v: i for i, v in enumerate(keep)}
+        edges = [(index[u], index[v]) for u, v in self.edges if u in index and v in index]
+        sub = Instance(self.directed, len(keep), edges,
+                       [self.weights[v] for v in keep],
+                       [self.profits[v] for v in keep],
+                       self.budget)
+        return sub, keep
+
+    def is_uniform(self) -> bool:
+        """True when every weight and profit equals 1."""
+        return all(w == 1 for w in self.weights) and all(p == 1 for p in self.profits)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.directed == other.directed and self.n == other.n
+                and self.edges == other.edges and self.weights == other.weights
+                and self.profits == other.profits and self.budget == other.budget)
+
+    def __repr__(self) -> str:
+        kind = "directed" if self.directed else "undirected"
+        return f"Instance({kind}, n={self.n}, m={self.m}, k={self.budget})"
+
+
+@dataclass(frozen=True)
+class Condensation:
+    """The DAG of maximal SCCs of a directed instance.
+
+    SCC ids are assigned in a topological order of the DAG (sources first).
+    ``smallest_cycle_len`` is 1 exactly for singleton SCCs; for larger SCCs
+    ``smallest_cycle_vertices`` lists a shortest directed cycle inside it.
+    """
+
+    scc_count: int
+    membership: tuple[int, ...]
+    scc_vertices: tuple[tuple[int, ...], ...]
+    dag_adjacency: tuple[tuple[int, ...], ...]
+    scc_weight: tuple[int, ...]
+    smallest_cycle_len: tuple[int, ...]
+    smallest_cycle_vertices: tuple[tuple[int, ...], ...]
+
+
+def connected_components(instance: Instance) -> list[tuple[int, ...]]:
+    """Connected components of an undirected instance.
+
+    Returned in decreasing order of size, ties broken by smallest contained
+    vertex id; each component is a sorted vertex tuple.
+    """
+    if instance.directed:
+        raise ValidationError("connected_components requires an undirected instance")
+    seen = [False] * instance.n
+    comps: list[tuple[int, ...]] = []
+    for start in range(instance.n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in instance.adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        comps.append(tuple(sorted(comp)))
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
+
+
+def _tarjan_sccs(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan; returns SCCs in reverse topological order."""
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work.pop()
+            if ei == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            for j in range(ei, len(adj[v])):
+                w = adj[v][j]
+                if index[w] == -1:
+                    work.append((v, j + 1))
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if recurse:
+                continue
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
+def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[int, ...]:
+    """Shortest directed cycle within one SCC (assumed strongly connected).
+
+    Ties break toward the lexicographically smallest vertex sequence starting
+    at the smallest id that lies on any shortest cycle.
+    """
+    if len(members) == 1:
+        return (members[0],)
+    inside = set(members)
+    out = {v: [u for u in instance.adj[v] if u in inside] for v in members}
+    into = {v: [u for u in instance.radj[v] if u in inside] for v in members}
+
+    def dists_from(s: int, nbrs) -> dict[int, int]:
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in nbrs[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        return dist
+
+    # Shortest cycle through s = min over in-arcs (u -> s) of dist(s, u) + 1.
+    through: dict[int, int] = {}
+    for s in members:
+        dist = dists_from(s, out)
+        best = min((dist[u] + 1 for u in into[s] if u in dist), default=0)
+        if best:
+            through[s] = best
+    girth = min(through.values())
+    start = min(v for v, g in through.items() if g == girth)
+
+    # Any closed walk of length == girth is a simple cycle, so a greedy
+    # lexicographic walk constrained by distance-to-start is safe.
+    back = dists_from(start, into)  # back[v] = dist(v -> start)
+    cycle = [start]
+    v = start
+    for step in range(1, girth):
+        v = min(u for u in out[v] if back.get(u) == girth - step)
+        cycle.append(v)
+    return tuple(cycle)
+
+
+def condense(instance: Instance) -> Condensation:
+    """Contract maximal SCCs of a directed instance into a DAG."""
+    if not instance.directed:
+        raise ValidationError("condense requires a directed instance")
+    sccs = _tarjan_sccs(instance.n, instance.adj)
+    sccs.reverse()  # topological order: sources first
+    membership = [0] * instance.n
+    for i, comp in enumerate(sccs):
+        for v in comp:
+            membership[v] = i
+    dag: list[set[int]] = [set() for _ in sccs]
+    for u, v in instance.edges:
+        cu, cv = membership[u], membership[v]
+        if cu != cv:
+            dag[cu].add(cv)
+    scc_vertices = tuple(tuple(sorted(comp)) for comp in sccs)
+    cycles = tuple(_smallest_cycle_in_scc(instance, comp) for comp in scc_vertices)
+    return Condensation(
+        scc_count=len(sccs),
+        membership=tuple(membership),
+        scc_vertices=scc_vertices,
+        dag_adjacency=tuple(tuple(sorted(s)) for s in dag),
+        scc_weight=tuple(instance.total_weight(comp) for comp in scc_vertices),
+        smallest_cycle_len=tuple(len(c) for c in cycles),
+        smallest_cycle_vertices=cycles,
+    )
+
+
+def smallest_cycle(instance: Instance, scc_vertices: Iterable[int]) -> tuple[int, ...]:
+    """Shortest directed cycle inside a maximal SCC of ``instance``.
+
+    A singleton SCC yields its single vertex (length 1, not a true cycle).
+    Rejects vertex sets that are not maximal SCCs.
+    """
+    members = instance.check_vertices(scc_vertices)
+    if not members:
+        raise ValidationError("empty set is not an SCC")
+    cond = condense(instance)
+    scc_id = cond.membership[members[0]]
+    if cond.scc_vertices[scc_id] != members:
+        raise ValidationError("vertex set is not a maximal SCC")
+    return cond.smallest_cycle_vertices[scc_id]
+
+
+def in_boundary(instance: Instance, vertices: Iterable[int]) -> tuple[int, ...]:
+    """Vertices outside ``X`` with an edge (or arc pointing) into ``X``."""
+    inside = set(instance.check_vertices(vertices))
+    out: set[int] = set()
+    for v in inside:
+        for u in instance.radj[v]:
+            if u not in inside:
+                out.add(u)
+    return tuple(sorted(out))
+
+
+def descendants(condensation: Condensation, roots: Iterable[int]) -> set[int]:
+    """Reflexive-transitive closure of ``roots`` in the condensation DAG."""
+    todo = list(roots)
+    for u in todo:
+        if not 0 <= u < condensation.scc_count:
+            raise ValidationError(f"invalid SCC id {u!r}")
+    reach = set(todo)
+    while todo:
+        u = todo.pop()
+        for w in condensation.dag_adjacency[u]:
+            if w not in reach:
+                reach.add(w)
+                todo.append(w)
+    return reach
+
+
+def is_1_neighbour_set(instance: Instance, vertices: Iterable[int]) -> bool:
+    """True iff every member with positive (out-)degree has a neighbour inside."""
+    chosen = set(instance.check_vertices(vertices))
+    for v in chosen:
+        if instance.degree(v) == 0:
+            continue
+        if not any(u in chosen for u in instance.adj[v]):
+            return False
+    return True
+
+
+def is_all_neighbour_set(instance: Instance, vertices: Iterable[int]) -> bool:
+    """True iff the set is closed under the (out-)neighbour relation."""
+    chosen = set(instance.check_vertices(vertices))
+    for v in chosen:
+        for u in instance.adj[v]:
+            if u not in chosen:
+                return False
+    return True

@@ -1,0 +1,246 @@
+"""Instance text format, random generation, and reduction-based generators.
+
+File format (UTF-8, line oriented, ``#`` starts a comment anywhere):
+
+    graph <directed|undirected> <n> <m>
+    budget <k>
+    v <id> <weight> <profit>      # exactly n lines, ids 0..n-1 in order
+    e <u> <v>                     # exactly m lines; undirected edges u < v
+
+All numbers are base-10 non-negative integers below 2**63.  ``serialize``
+emits the canonical comment-free form (plus provenance comments when the
+instance carries them), and ``parse(serialize(x)) == x``.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Iterable, Mapping, Optional, Sequence
+
+from .errors import ParseError, ValidationError
+from .graphs import Instance
+
+_VALUE_LIMIT = 1 << 63
+
+
+def _int_token(token: str, line: int, what: str) -> int:
+    if not token.isdigit():
+        raise ParseError(f"{what} must be a non-negative integer, got {token!r}", line)
+    value = int(token)
+    if value >= _VALUE_LIMIT:
+        raise ParseError(f"{what} out of range [0, 2^63)", line)
+    return value
+
+
+def parse(text: str) -> Instance:
+    """Parse instance text, validating every format and graph invariant."""
+    lines: list[tuple[int, list[str]]] = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((no, body.split()))
+    if not lines:
+        raise ParseError("empty instance text")
+
+    cursor = 0
+
+    def take(expect: str, count: int) -> tuple[int, list[str]]:
+        nonlocal cursor
+        if cursor >= len(lines):
+            raise ParseError(f"unexpected end of input, expected {expect!r} line")
+        no, tokens = lines[cursor]
+        cursor += 1
+        if tokens[0] != expect or len(tokens) != count + 1:
+            raise ParseError(
+                f"expected {expect!r} line with {count} fields, got {' '.join(tokens)!r}", no)
+        return no, tokens[1:]
+
+    no, fields = take("graph", 3)
+    if fields[0] not in ("directed", "undirected"):
+        raise ParseError(f"direction must be directed|undirected, got {fields[0]!r}", no)
+    directed = fields[0] == "directed"
+    n = _int_token(fields[1], no, "vertex count")
+    m = _int_token(fields[2], no, "edge count")
+
+    no, fields = take("budget", 1)
+    budget = _int_token(fields[0], no, "budget")
+
+    weights, profits = [], []
+    for i in range(n):
+        no, fields = take("v", 3)
+        vid = _int_token(fields[0], no, "vertex id")
+        if vid != i:
+            raise ParseError(f"vertex ids must be 0..n-1 in order, expected {i} got {vid}", no)
+        weights.append(_int_token(fields[1], no, "weight"))
+        profits.append(_int_token(fields[2], no, "profit"))
+
+    edges = []
+    for _ in range(m):
+        no, fields = take("e", 2)
+        u = _int_token(fields[0], no, "edge endpoint")
+        v = _int_token(fields[1], no, "edge endpoint")
+        if u == v:
+            raise ParseError(f"self-loop at vertex {u}", no)
+        if not directed and u > v:
+            raise ParseError(f"undirected edges must be stored u < v, got {u} {v}", no)
+        edges.append((u, v))
+    if cursor != len(lines):
+        no, tokens = lines[cursor]
+        raise ParseError(f"trailing content {' '.join(tokens)!r}", no)
+
+    try:
+        return Instance(directed, n, edges, weights, profits, budget)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def serialize(instance: Instance) -> str:
+    """Canonical text for an instance; inverse of :func:`parse`."""
+    out = []
+    if instance.provenance:
+        out.extend(f"# {line}" for line in instance.provenance.splitlines())
+    kind = "directed" if instance.directed else "undirected"
+    out.append(f"graph {kind} {instance.n} {instance.m}")
+    out.append(f"budget {instance.budget}")
+    for v in range(instance.n):
+        out.append(f"v {v} {instance.weights[v]} {instance.profits[v]}")
+    for u, v in instance.edges:
+        out.append(f"e {u} {v}")
+    return "\n".join(out) + "\n"
+
+
+def gen_random(n: int, edge_prob: float, directed: bool, w_max: int, p_max: int,
+               k: int, seed: int) -> Instance:
+    """Deterministic G(n, p)-style instance with uniform weights/profits.
+
+    Every (ordered, when directed) vertex pair becomes an edge independently
+    with probability ``edge_prob``; weights/profits are uniform integers in
+    [0, w_max] / [0, p_max].
+    """
+    if not 0 <= edge_prob <= 1:
+        raise ValidationError("edge_prob must lie in [0, 1]")
+    if n < 0 or w_max < 0 or p_max < 0 or k < 0:
+        raise ValidationError("n, w_max, p_max, k must be non-negative")
+    rng = random.Random(seed)
+    edges = []
+    if directed:
+        pairs = ((u, v) for u in range(n) for v in range(n) if u != v)
+    else:
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+    for u, v in pairs:
+        if rng.random() < edge_prob:
+            edges.append((u, v))
+    weights = [rng.randint(0, w_max) for _ in range(n)]
+    profits = [rng.randint(0, p_max) for _ in range(n)]
+    prov = (f"gen_random n={n} edge_prob={edge_prob} directed={directed} "
+            f"w_max={w_max} p_max={p_max} k={k} seed={seed}")
+    return Instance(directed, n, edges, weights, profits, k, provenance=prov)
+
+
+def gen_max_k_cover(n_elements: int, subsets: Sequence[Iterable[int]], k: int,
+                    element_profits: Optional[Sequence[int]] = None,
+                    set_weights: Optional[Sequence[int]] = None) -> Instance:
+    """Bipartite 1-neighbour instance encoding max k-cover.
+
+    Element vertices (ids 0..n_elements-1) carry profit 1 and weight 0; set
+    vertices carry profit 0 and weight 1; edges join elements to the sets
+    containing them; the budget is ``k``.  Covering ``r`` elements with at
+    most ``k`` sets is exactly collecting profit ``r``.  The budgeted-
+    coverage generalization passes element profits and set costs through.
+    """
+    if not subsets:
+        raise ValidationError("at least one covering set is required")
+    if n_elements < 0:
+        raise ValidationError("n_elements must be non-negative")
+    n_sets = len(subsets)
+    if element_profits is None:
+        element_profits = [1] * n_elements
+    if set_weights is None:
+        set_weights = [1] * n_sets
+    if len(element_profits) != n_elements or len(set_weights) != n_sets:
+        raise ValidationError("profit/weight overrides must match the set system")
+    edges = []
+    for j, subset in enumerate(subsets):
+        for s in sorted(set(subset)):
+            if not 0 <= s < n_elements:
+                raise ValidationError(f"set {j} names invalid element {s}")
+            edges.append((s, n_elements + j))
+    weights = [0] * n_elements + list(set_weights)
+    profits = list(element_profits) + [0] * n_sets
+    prov = f"gen_max_k_cover n_elements={n_elements} n_sets={n_sets} k={k}"
+    return Instance(False, n_elements + n_sets, edges, weights, profits, k,
+                    provenance=prov)
+
+
+def gen_set_cover_cycles(n_elements: int, subsets: Sequence[Iterable[int]],
+                         t: int) -> Instance:
+    """Directed uniform 1-neighbour instance encoding set cover.
+
+    Each covering set becomes a directed cycle of M = n_elements + 1 unit
+    vertices with a marked entry vertex; each element vertex points at the
+    entry of every set containing it; the budget is t*M + n_elements.  A
+    cover of size <= t exists exactly when the optimum fills the budget.
+    """
+    if not subsets:
+        raise ValidationError("at least one covering set is required")
+    if t < 1:
+        raise ValidationError("t must be at least 1")
+    if n_elements < 0:
+        raise ValidationError("n_elements must be non-negative")
+    m_cycle = n_elements + 1
+    n_sets = len(subsets)
+    edges = []
+    for j in range(n_sets):
+        base = j * m_cycle
+        for step in range(m_cycle):
+            edges.append((base + step, base + (step + 1) % m_cycle))
+    element_base = n_sets * m_cycle
+    for j, subset in enumerate(subsets):
+        entry = j * m_cycle
+        for s in sorted(set(subset)):
+            if not 0 <= s < n_elements:
+                raise ValidationError(f"set {j} names invalid element {s}")
+            edges.append((element_base + s, entry))
+    n = element_base + n_elements
+    k = t * m_cycle + n_elements
+    prov = f"gen_set_cover_cycles n_elements={n_elements} n_sets={n_sets} t={t}"
+    return Instance(True, n, edges, [1] * n, [1] * n, k, provenance=prov)
+
+
+def gen_network_budget(n_vertices: int, topology: Sequence[tuple[int, int]],
+                       sink: int, edge_costs: Sequence[int],
+                       customer_profits: Mapping[int, int], k: int) -> Instance:
+    """Edge-activation network instance as a 1-neighbour knapsack.
+
+    Every topology edge gets a mid-edge vertex carrying the activation cost
+    (zero profit); original vertices are weightless, customers carry their
+    profit, and the sink is a plain zero/zero vertex.  Selecting a customer
+    then forces selecting activated structure next to it.
+    """
+    if not 0 <= sink < n_vertices:
+        raise ValidationError("sink must be a topology vertex")
+    if len(edge_costs) != len(topology):
+        raise ValidationError("edge_costs must align with the topology edges")
+    profits = [0] * n_vertices
+    for v, p in customer_profits.items():
+        if not 0 <= v < n_vertices:
+            raise ValidationError(f"customer {v} is not a topology vertex")
+        if v == sink:
+            raise ValidationError("the sink cannot be a customer")
+        if p < 0:
+            raise ValidationError("customer profits must be non-negative")
+        profits[v] = p
+    weights = [0] * n_vertices
+    edges = []
+    for j, (u, v) in enumerate(topology):
+        if edge_costs[j] < 0:
+            raise ValidationError("edge costs must be non-negative")
+        mid = n_vertices + j
+        weights.append(edge_costs[j])
+        profits.append(0)
+        edges.append((min(u, mid), max(u, mid)))
+        edges.append((min(v, mid), max(v, mid)))
+    prov = (f"gen_network_budget n={n_vertices} m={len(topology)} sink={sink} "
+            f"k={k}")
+    return Instance(False, n_vertices + len(topology), edges, weights, profits,
+                    k, provenance=prov)

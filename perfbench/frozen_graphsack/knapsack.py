@@ -1,0 +1,283 @@
+"""Classic 0-1 knapsack primitives built on a min-weight-per-profit table.
+
+All arithmetic is exact: weights/profits are Python ints and every ratio
+comparison goes through :func:`ratio_key`, which orders profit/weight pairs
+by cross-multiplication with explicit conventions for zero weights.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
+
+from .errors import ValidationError
+
+PROFIT_TABLE_BOUND = 1 << 40
+
+
+@dataclass(frozen=True)
+class Item:
+    """One knapsack item.  ``id`` must be unique within an item list."""
+
+    id: int
+    weight: int
+    profit: int
+
+    def __post_init__(self):
+        if self.weight < 0 or self.profit < 0:
+            raise ValidationError(f"item {self.id}: negative weight or profit")
+
+
+def eps_fraction(eps) -> Fraction:
+    """Validate an approximation parameter and return it as an exact Fraction.
+
+    Floats are read through their decimal string form, so ``0.1`` means 1/10.
+    """
+    if isinstance(eps, float):
+        eps = Fraction(str(eps))
+    else:
+        eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
+    return eps
+
+
+def ratio_key(profit: int, weight: int):
+    """Sort key realizing the exact profit-to-weight total order.
+
+    ``(p1,w1) >= (p2,w2)`` iff ``p1*w2 >= p2*w1`` (Fraction comparison), with
+    two conventions on top: any zero-weight positive-profit set outranks all
+    positive-weight sets, and a (0, 0) set outranks (0, w>0) sets.
+    """
+    if weight == 0 and profit > 0:
+        return (2, Fraction(0), 0)
+    if weight == 0:
+        return (1, Fraction(0), 1)
+    return (1, Fraction(profit, weight), 0)
+
+
+def _check_items(items: Sequence[Item]) -> list[Item]:
+    out = sorted(items, key=lambda it: it.id)
+    for a, b in zip(out, out[1:]):
+        if a.id == b.id:
+            raise ValidationError(f"duplicate item id {a.id}")
+    return out
+
+
+class ProfitTable:
+    """Minimum subset weight per exact (adjusted) profit level.
+
+    ``min_weight(p)`` is the least total weight of any subset whose adjusted
+    profit is exactly ``p`` (``None`` if unachievable); ``nonempty_min_weight``
+    restricts to non-empty subsets.  Witness reconstruction returns, per
+    level, the lexicographically smallest id set among minimum-weight
+    witnesses.  With ``eps`` given, profits are scaled by the standard FPTAS
+    divisor ``eps * max_profit / n``; the divisor is clamped to >= 1 so
+    adjusted profits never exceed true profits (the table is then exact).
+    """
+
+    def __init__(self, items: Iterable[Item], eps=None):
+        self.items = _check_items(list(items))
+        n = len(self.items)
+        profits = [it.profit for it in self.items]
+        max_profit = max(profits, default=0)
+        divisor = Fraction(1)
+        if eps is not None and n > 0:
+            divisor = max(Fraction(1), eps_fraction(eps) * max_profit / n)
+        self.divisor = divisor
+        self.adjusted = tuple(
+            p * divisor.denominator // divisor.numerator for p in profits)
+        self.max_adjusted_profit = max(self.adjusted, default=0)
+        self.level_count = sum(self.adjusted) + 1
+
+        width = self.level_count
+        rows: list[list[Optional[int]]] = [[None] * width for _ in range(n + 1)]
+        rows1: list[list[Optional[int]]] = [[None] * width for _ in range(n + 1)]
+        rows[n][0] = 0
+        for i in range(n - 1, -1, -1):
+            a, w = self.adjusted[i], self.items[i].weight
+            nxt, nxt1 = rows[i + 1], rows1[i + 1]
+            cur, cur1 = rows[i], rows1[i]
+            for p in range(width):
+                best = nxt[p]
+                best1 = nxt1[p]
+                if a <= p and nxt[p - a] is not None:
+                    take = w + nxt[p - a]
+                    if best is None or take < best:
+                        best = take
+                    if best1 is None or take < best1:
+                        best1 = take
+                cur[p] = best
+                cur1[p] = best1
+        self._rows = rows
+        self._rows1 = rows1
+
+    def true_profit(self, ids: Iterable[int]) -> int:
+        by_id = {it.id: it.profit for it in self.items}
+        return sum(by_id[i] for i in ids)
+
+    def min_weight(self, p: int) -> Optional[int]:
+        if 0 <= p < self.level_count:
+            return self._rows[0][p]
+        return None
+
+    def nonempty_min_weight(self, p: int) -> Optional[int]:
+        if 0 <= p < self.level_count:
+            return self._rows1[0][p]
+        return None
+
+    def witness(self, p: int) -> Optional[tuple[int, ...]]:
+        """A minimum-weight subset with adjusted profit exactly ``p``."""
+        target = self.min_weight(p)
+        if target is None:
+            return None
+        return self._walk(p, target, nonempty=False)
+
+    def nonempty_witness(self, p: int) -> Optional[tuple[int, ...]]:
+        target = self.nonempty_min_weight(p)
+        if target is None:
+            return None
+        return self._walk(p, target, nonempty=True)
+
+    def _walk(self, rem_p: int, rem_w: int, nonempty: bool) -> tuple[int, ...]:
+        ids: list[int] = []
+        taken = not nonempty
+        for i, it in enumerate(self.items):
+            if taken and rem_p == 0 and rem_w == 0:
+                break
+            a = self.adjusted[i]
+            if a <= rem_p:
+                rest = self._rows[i + 1][rem_p - a]
+                if rest is not None and it.weight + rest == rem_w:
+                    ids.append(it.id)
+                    rem_p -= a
+                    rem_w -= it.weight
+                    taken = True
+                    continue
+        assert rem_p == 0 and rem_w == 0 and taken, "table walk out of sync"
+        return tuple(ids)
+
+
+def knapsack_exact(items: Sequence[Item], capacity: int) -> tuple[tuple[int, ...], int]:
+    """Maximum-profit subset of weight <= capacity, computed exactly.
+
+    Ties break toward smaller weight, then the lexicographically smallest id
+    set.  Callers must keep the total profit within 2**40 (table bound).
+    """
+    if capacity < 0:
+        raise ValidationError("capacity must be non-negative")
+    items = _check_items(items)
+    if sum(it.profit for it in items) >= PROFIT_TABLE_BOUND:
+        raise ValidationError("total profit exceeds the DP table bound (2^40)")
+    table = ProfitTable(items)
+    best_p = 0
+    for p in range(table.level_count):
+        w = table.min_weight(p)
+        if w is not None and w <= capacity:
+            best_p = max(best_p, p)
+    return table.witness(best_p), best_p
+
+
+def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int, ...], int]:
+    """Feasible subset with profit >= (1 - eps) * optimum.
+
+    Runs the profit-scaled min-weight DP; every feasible profit level is
+    reconstructed and compared by true profit, so the result is never worse
+    than the classic pick-highest-level rule.
+    """
+    eps = eps_fraction(eps)
+    if capacity < 0:
+        raise ValidationError("capacity must be non-negative")
+    fitting = [it for it in _check_items(items) if it.weight <= capacity]
+    if not fitting or max(it.profit for it in fitting) == 0:
+        return (), 0
+    table = ProfitTable(fitting, eps)
+    if table.divisor == 1:
+        best_p = max(p for p in range(table.level_count)
+                     if table.min_weight(p) is not None
+                     and table.min_weight(p) <= capacity)
+        return table.witness(best_p), best_p
+    best: Optional[tuple[int, tuple[int, ...], int]] = None
+    for p in range(table.level_count):
+        w = table.min_weight(p)
+        if w is None or w > capacity:
+            continue
+        ids = table.witness(p)
+        cand = (table.true_profit(ids), ids, w)
+        if best is None or (cand[0], -cand[2], cand[1]) > (best[0], -best[2], best[1]):
+            best = cand
+    assert best is not None
+    return best[1], best[0]
+
+
+def ratio_fptas(items: Sequence[Item], capacity: int, eps):
+    """Non-empty subset whose profit/weight ratio is >= (1 - eps) * best.
+
+    Returns ``(ids, profit, weight)`` or ``None`` when no single item fits.
+    Candidates come from the scaled non-empty min-weight table plus every
+    fitting single item; since a set's ratio never exceeds its best member's,
+    the single-item candidates already pin the guarantee, and the table scan
+    can only improve the reported set.  Comparison is by :func:`ratio_key`,
+    then higher profit, then smaller weight, then smaller id set.
+    """
+    eps = eps_fraction(eps)
+    if capacity < 0:
+        raise ValidationError("capacity must be non-negative")
+    fitting = [it for it in _check_items(items) if it.weight <= capacity]
+    if not fitting:
+        return None
+
+    best: Optional[tuple[tuple[int, ...], int, int]] = None
+
+    def offer(ids: tuple[int, ...], profit: int, weight: int):
+        nonlocal best
+        if best is None:
+            best = (ids, profit, weight)
+            return
+        new = (ratio_key(profit, weight), profit, -weight)
+        old = (ratio_key(best[1], best[2]), best[1], -best[2])
+        if new > old or (new == old and ids < best[0]):
+            best = (ids, profit, weight)
+
+    for it in fitting:
+        offer((it.id,), it.profit, it.weight)
+    table = ProfitTable(fitting, eps)
+    for p in range(table.level_count):
+        w = table.nonempty_min_weight(p)
+        if w is None or w > capacity:
+            continue
+        ids = table.nonempty_witness(p)
+        offer(ids, table.true_profit(ids), w)
+    return best
+
+
+def subset_sum_max(sizes: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:
+    """Index subset of ``sizes`` with maximum total not exceeding ``k``.
+
+    Ties break toward the lexicographically smallest index set.  Achievable
+    sums are tracked as bitmasks, one suffix mask per position, which also
+    drives the witness walk.
+    """
+    if k < 0:
+        raise ValidationError("k must be non-negative")
+    for s in sizes:
+        if not isinstance(s, int) or s <= 0:
+            raise ValidationError("sizes must be positive integers")
+    n = len(sizes)
+    cap = min(k, sum(sizes))
+    mask = (1 << (cap + 1)) - 1
+    suffix = [0] * (n + 1)
+    suffix[n] = 1
+    for i in range(n - 1, -1, -1):
+        suffix[i] = (suffix[i + 1] | (suffix[i + 1] << sizes[i])) & mask
+    total = suffix[0].bit_length() - 1
+    ids: list[int] = []
+    rem = total
+    for i in range(n):
+        if rem == 0:
+            break
+        if sizes[i] <= rem and (suffix[i + 1] >> (rem - sizes[i])) & 1:
+            ids.append(i)
+            rem -= sizes[i]
+    return tuple(ids), total

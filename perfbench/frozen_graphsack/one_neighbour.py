@@ -1,0 +1,284 @@
+"""Solvers for the 1-neighbour constraint.
+
+Three routes, by instance class:
+
+* :func:`greedy_1_neighbour` - general undirected instances, via the star
+  oracles; profit guarantee ((1-eps)/2) * (1 - e^-(1-eps)).
+* :func:`uniform_undirected_1n` - unit weights/profits, undirected; exact in
+  linear time via a component counting argument.
+* :func:`uniform_directed_1n_ptas` - unit weights/profits, directed; size
+  guarantee (1-eps), built on the condensation and smallest cycles per SCC.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
+from typing import Callable, Optional
+
+from .errors import UnsupportedVariantError, ValidationError
+from .graphs import (Instance, condense, connected_components, in_boundary,
+                     is_1_neighbour_set)
+from .knapsack import eps_fraction, ratio_key
+from .solution import ONE_NEIGHBOUR, Solution, make_solution
+from .stars import Star, best_profit_viable_star, best_ratio_viable_star
+
+StarOracle = Callable[[Instance, int, Fraction], Optional[Star]]
+
+
+@dataclass
+class GreedyState:
+    """Mutable state of one greedy run (exposed for inspection in tests)."""
+
+    chosen: set[int] = field(default_factory=set)          # U
+    remaining: int = 0                                     # K
+    boundary: tuple[int, ...] = ()                         # Z = N^-(U)
+    alive: set[int] = field(default_factory=set)           # V(G')
+    best_profit_star: Optional[Star] = None                # S_max
+    iteration: int = 0
+
+
+def _require_budget(instance: Instance, k) -> int:
+    k = instance.budget if k is None else k
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValidationError("budget must be a non-negative integer")
+    return k
+
+
+def _require_uniform(instance: Instance, algorithm: str) -> None:
+    if not instance.is_uniform():
+        raise UnsupportedVariantError(
+            f"{algorithm} requires unit weights and profits everywhere")
+
+
+def greedy_guarantee(eps: Fraction) -> str:
+    half_alpha = float((1 - eps) / 2)
+    return f"({half_alpha:g})(1-e^-{float(1 - eps):g})"
+
+
+def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
+                       profit_oracle: StarOracle = best_profit_viable_star,
+                       ratio_oracle: StarOracle = best_ratio_viable_star,
+                       ) -> Solution:
+    """Greedy selection of viable stars and boundary vertices.
+
+    Each round takes the better (by exact ratio order) of the best-ratio
+    feasible star of the remaining graph and the best-ratio vertex that
+    already has a neighbour in the knapsack; the final answer is the better
+    of the accumulated set and the best-profit star of the whole instance.
+    Alternative oracle pairs over other viable families can be plugged in.
+    """
+    if instance.directed:
+        raise UnsupportedVariantError(
+            "greedy-1n supports undirected instances only (no viable-family "
+            "oracles exist for directed graphs)")
+    eps = eps_fraction(eps)
+    k = _require_budget(instance, k)
+
+    state = GreedyState(remaining=k, alive=set(range(instance.n)),
+                        best_profit_star=profit_oracle(instance, k, eps))
+    iterations: list[dict] = []
+    while True:
+        sub, ids = instance.induced(state.alive)
+        star = ratio_oracle(sub, state.remaining, eps)
+        if star is not None:
+            star = Star(ids[star.center], tuple(sorted(ids[u] for u in star.leaves)))
+        node = None
+        for v in state.boundary:
+            if instance.weights[v] > state.remaining:
+                continue
+            if node is None or ratio_key(instance.profits[v], instance.weights[v]) \
+                    > ratio_key(instance.profits[node], instance.weights[node]):
+                node = v
+        if star is None and node is None:
+            break
+        if star is None:
+            pick, kind = (node,), "vertex"
+        elif node is None:
+            pick, kind = star.vertices, "star"
+        else:
+            star_p = instance.total_profit(star.vertices)
+            star_w = instance.total_weight(star.vertices)
+            if ratio_key(instance.profits[node], instance.weights[node]) \
+                    > ratio_key(star_p, star_w):
+                pick, kind = (node,), "vertex"
+            else:
+                pick, kind = star.vertices, "star"
+        state.iteration += 1
+        state.chosen.update(pick)
+        state.remaining -= instance.total_weight(pick)
+        state.alive.difference_update(pick)
+        state.boundary = in_boundary(instance, state.chosen)
+        iterations.append({"index": state.iteration, "kind": kind,
+                           "vertices": tuple(sorted(pick))})
+
+    chosen = sorted(state.chosen)
+    returned = "greedy-set"
+    s_max = state.best_profit_star
+    if s_max is not None and \
+            instance.total_profit(s_max.vertices) > instance.total_profit(chosen):
+        chosen = list(s_max.vertices)
+        returned = "best-profit-star"
+    trace = {"iterations": iterations, "returned": returned,
+             "best_profit_star": None if s_max is None else s_max.vertices}
+    return make_solution(instance, chosen, ONE_NEIGHBOUR, "greedy-1n",
+                         greedy_guarantee(eps), k, trace)
+
+
+def _bfs_order(instance: Instance, start: int) -> list[int]:
+    order = [start]
+    seen = {start}
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        for u in instance.adj[v]:
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    return order
+
+
+def uniform_undirected_1n(instance: Instance, k: Optional[int] = None) -> Solution:
+    """Exact linear-time solver for unit weights/profits on undirected graphs.
+
+    Whole components are taken greedily by decreasing size; the first
+    component that does not fit contributes a breadth-first prefix, with
+    three corrective cases when that prefix would be a single vertex.
+    """
+    if instance.directed:
+        raise UnsupportedVariantError("uu1n-linear requires an undirected instance")
+    _require_uniform(instance, "uu1n-linear")
+    k = _require_budget(instance, k)
+
+    def done(vertices) -> Solution:
+        return make_solution(instance, vertices, ONE_NEIGHBOUR, "uu1n-linear",
+                             "exact", k)
+
+    comps = connected_components(instance)
+    if instance.n <= k:
+        return done(range(instance.n))
+    if k % 2 == 1 and all(len(c) == 2 for c in comps):
+        return done([v for c in comps[:k // 2] for v in c])
+
+    prefix = 0
+    i = 0  # first index whose component overflows the budget
+    for i, comp in enumerate(comps):
+        if prefix + len(comp) > k:
+            break
+        prefix += len(comp)
+    taken = [v for c in comps[:i] for v in c]
+    if prefix == k:
+        return done(taken)
+
+    order = _bfs_order(instance, comps[i][0])
+    r = k - prefix
+    if r > 1:
+        return done(taken + order[:r])
+    if len(comps[-1]) == 1:
+        return done(taken + [comps[-1][0]])
+    if k == 1:
+        return done(())
+    # Some component has >= 3 vertices; shrink the first one by a BFS-tree
+    # leaf (the last BFS vertex), freeing budget for an adjacent pair here.
+    first = _bfs_order(instance, comps[0][0])
+    shrunk = first[:-1]
+    rest = [v for c in comps[1:i] for v in c]
+    return done(shrunk + rest + order[:2])
+
+
+def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
+                             eps=0.25) -> Solution:
+    """(1-eps)-approximation for unit weights/profits on directed graphs.
+
+    Classifies SCCs by smallest-cycle length into large / petite / tiny,
+    guesses every small set of large SCCs, seeds the knapsack with smallest
+    cycles of the guessed SCCs plus affordable sink SCCs, and grows it by a
+    backwards search.  Falls back to the exhaustive search when eps <= 1/k.
+    The trace records, per guess, whether every candidate sink was taken
+    (the branch where the result is provably optimal).
+    """
+    if not instance.directed:
+        raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
+    _require_uniform(instance, "ud1n-ptas")
+    eps = eps_fraction(eps)
+    k = _require_budget(instance, k)
+    if k == 0:
+        return make_solution(instance, (), ONE_NEIGHBOUR, "ud1n-ptas",
+                             "exact", k, {"fallback": "trivial"})
+    if eps <= Fraction(1, k):
+        # k < 1/eps, so trying every vertex subset of size <= k stays
+        # polynomial for fixed eps; sizes descend, so the first feasible
+        # combination (lexicographically smallest at its size) is optimal.
+        chosen: tuple[int, ...] = ()
+        for size in range(min(k, instance.n), 0, -1):
+            found = next((c for c in combinations(range(instance.n), size)
+                          if is_1_neighbour_set(instance, c)), None)
+            if found is not None:
+                chosen = found
+                break
+        return make_solution(instance, chosen, ONE_NEIGHBOUR, "ud1n-ptas",
+                             "exact", k, {"fallback": "exhaustive"})
+
+    cond = condense(instance)
+    eps_k = eps * k
+    large = [u for u in range(cond.scc_count) if cond.smallest_cycle_len[u] > eps_k]
+    petite = {u for u in range(cond.scc_count)
+              if 1 < cond.smallest_cycle_len[u] <= eps_k}
+    tiny_sinks = [u for u in range(cond.scc_count)
+                  if cond.smallest_cycle_len[u] == 1 and not cond.dag_adjacency[u]]
+
+    best: Optional[tuple[int, ...]] = None
+    best_entry: Optional[dict] = None
+    entries: list[dict] = []
+    for size in range(0, int(1 / eps) + 1):
+        for guess in combinations(large, size):
+            cost = sum(cond.smallest_cycle_len[u] for u in guess)
+            if cost > k:
+                continue
+            in_dx = petite | set(guess)
+            petite_sinks = [u for u in sorted(petite)
+                            if not any(w in in_dx for w in cond.dag_adjacency[u])]
+            zset = sorted(set(tiny_sinks) | set(petite_sinks))
+            taken = []
+            budget = k - cost
+            for u in sorted(zset, key=lambda u: (cond.smallest_cycle_len[u], u)):
+                c = cond.smallest_cycle_len[u]
+                if c <= budget:
+                    taken.append(u)
+                    budget -= c
+            chosen = set()
+            for u in list(guess) + taken:
+                chosen.update(cond.smallest_cycle_vertices[u])
+            _grow_1n(instance, chosen, k)
+            entry = {"guess": guess, "candidate_sinks": tuple(zset),
+                     "taken_sinks": tuple(sorted(taken)),
+                     "complete": len(taken) == len(zset),
+                     "size": len(chosen)}
+            entries.append(entry)
+            verts = tuple(sorted(chosen))
+            if best is None or len(verts) > len(best) or \
+                    (len(verts) == len(best) and verts < best):
+                best, best_entry = verts, entry
+
+    trace = {"guesses": entries, "winner": best_entry,
+             "complete": bool(best_entry and best_entry["complete"])}
+    return make_solution(instance, best or (), ONE_NEIGHBOUR, "ud1n-ptas",
+                         f"{float(1 - eps):g}", k, trace)
+
+
+def _grow_1n(instance: Instance, chosen: set[int], k: int) -> None:
+    """Extend a feasible seed by any vertex it can support, up to k vertices."""
+    while len(chosen) < k:
+        added = False
+        for v in range(instance.n):
+            if v in chosen:
+                continue
+            if instance.degree(v) == 0 or any(u in chosen for u in instance.adj[v]):
+                chosen.add(v)
+                added = True
+                if len(chosen) == k:
+                    return
+        if not added:
+            return

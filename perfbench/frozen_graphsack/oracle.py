@@ -1,0 +1,143 @@
+"""Exhaustive optimizers for both constraint kinds, at desk scale.
+
+These are the ground truth the approximation solvers are tested against, and
+the only route for the variants where no approximation is implemented.  The
+1-neighbour search branches over vertices with support/profit pruning; the
+all-neighbour search enumerates unions of SCC descendant closures instead of
+raw vertex subsets, so the two optimizers share no code path and can
+cross-validate each other.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .errors import OracleScaleError, ValidationError
+from .graphs import Instance, condense, connected_components
+from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
+
+DEFAULT_MAX_N = 22
+
+
+def _check_scale(instance: Instance, k, max_n: int) -> int:
+    if instance.n > max_n:
+        raise OracleScaleError(
+            f"oracle-scale-exceeded: n={instance.n} above the bound {max_n}")
+    k = instance.budget if k is None else k
+    if not isinstance(k, int) or k < 0:
+        raise ValidationError("budget must be a non-negative integer")
+    return k
+
+
+def exact_1n(instance: Instance, k: Optional[int] = None,
+             max_n: int = DEFAULT_MAX_N) -> Solution:
+    """Maximum-profit 1-neighbour set of weight <= k, by pruned search.
+
+    Ties break toward smaller weight, then the lexicographically smallest
+    vertex tuple.
+    """
+    k = _check_scale(instance, k, max_n)
+    n = instance.n
+    adj_mask = [0] * n
+    radj_mask = [0] * n
+    for v in range(n):
+        for u in instance.adj[v]:
+            adj_mask[v] |= 1 << u
+        for u in instance.radj[v]:
+            radj_mask[v] |= 1 << u
+    suffix_profit = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_profit[i] = suffix_profit[i + 1] + instance.profits[i]
+    future = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        future[i] = future[i + 1] | (1 << i)
+
+    best: list = [0, 0, ()]  # profit, weight, sorted vertex tuple
+
+    def consider(mask: int, profit: int, weight: int):
+        if profit < best[0]:
+            return
+        verts = tuple(v for v in range(n) if mask >> v & 1)
+        if (profit, -weight) > (best[0], -best[1]) or \
+                ((profit, weight) == (best[0], best[1]) and verts < best[2]):
+            best[0], best[1], best[2] = profit, weight, verts
+
+    def search(i: int, mask: int, profit: int, weight: int, unsupported: int):
+        if profit + suffix_profit[i] < best[0]:
+            return
+        u = unsupported
+        while u:
+            v = (u & -u).bit_length() - 1
+            if not adj_mask[v] & future[i]:
+                return  # v can never gain a neighbour
+            u &= u - 1
+        if i == n:
+            if not unsupported:
+                consider(mask, profit, weight)
+            return
+        w = instance.weights[i]
+        if weight + w <= k:
+            new_unsupported = unsupported & ~radj_mask[i]
+            if adj_mask[i] and not adj_mask[i] & mask:
+                new_unsupported |= 1 << i
+            search(i + 1, mask | (1 << i), profit + instance.profits[i],
+                   weight + w, new_unsupported)
+        search(i + 1, mask, profit, weight, unsupported)
+
+    search(0, 0, 0, 0, 0)
+    return make_solution(instance, best[2], ONE_NEIGHBOUR, "exact-1n", "exact", k)
+
+
+def exact_alln(instance: Instance, k: Optional[int] = None,
+               max_n: int = DEFAULT_MAX_N) -> Solution:
+    """Maximum-profit all-neighbour set of weight <= k.
+
+    Feasible sets are exactly unions of descendant closures in the
+    condensation (connected components in the undirected case), so the
+    enumeration runs over closed SCC subsets, not vertex subsets.
+    """
+    k = _check_scale(instance, k, max_n)
+    if instance.directed:
+        cond = condense(instance)
+        units = list(cond.scc_vertices)
+        succ = [0] * cond.scc_count
+        for u, nbrs in enumerate(cond.dag_adjacency):
+            for w in nbrs:
+                succ[u] |= 1 << w
+    else:
+        units = connected_components(instance)
+        succ = [0] * len(units)
+    weights = [instance.total_weight(c) for c in units]
+    profits = [instance.total_profit(c) for c in units]
+    s = len(units)
+
+    best_profit, best_weight, best_verts = 0, 0, ()
+    for mask in range(1 << s):
+        weight = 0
+        profit = 0
+        closed = True
+        m = mask
+        while m:
+            u = (m & -m).bit_length() - 1
+            if succ[u] & ~mask:
+                closed = False
+                break
+            weight += weights[u]
+            profit += profits[u]
+            m &= m - 1
+        if not closed or weight > k or profit < best_profit:
+            continue
+        if (profit, -weight) > (best_profit, -best_weight):
+            verts = None
+        elif (profit, weight) == (best_profit, best_weight):
+            verts = tuple(sorted(v for u in range(s) if mask >> u & 1
+                                 for v in units[u]))
+            if verts >= best_verts:
+                continue
+        else:
+            continue
+        if verts is None:
+            verts = tuple(sorted(v for u in range(s) if mask >> u & 1
+                                 for v in units[u]))
+        best_profit, best_weight, best_verts = profit, weight, verts
+    return make_solution(instance, best_verts, ALL_NEIGHBOUR, "exact-all", "exact", k)
