@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import UnsupportedVariantError, ValidationError
+from .errors import UnsupportedVariantError
 from .graphs import Condensation, Instance, condense, connected_components, descendants
 from .knapsack import Item, eps_fraction, knapsack_fptas, subset_sum_max
 from .solution import ALL_NEIGHBOUR, Solution, make_solution
@@ -67,7 +67,7 @@ def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
             raise UnsupportedVariantError(
                 "uda-ptas requires weight(v) == profit(v) for every vertex")
     eps = eps_fraction(eps)
-    k = _require_budget(instance, k)
+    k = instance.solver_budget(k)
 
     cond = condense(instance)
     catalog = closure_catalog(instance, cond, eps, k)
@@ -115,7 +115,7 @@ def uniform_undirected_alln(instance: Instance, k: Optional[int] = None) -> Solu
         raise UnsupportedVariantError("uua-subsetsum requires an undirected instance")
     if not instance.is_uniform():
         raise UnsupportedVariantError("uua-subsetsum requires unit weights and profits")
-    k = _require_budget(instance, k)
+    k = instance.solver_budget(k)
     comps = connected_components(instance)
     indices, _total = subset_sum_max([len(c) for c in comps], k)
     chosen = sorted(v for i in indices for v in comps[i])
@@ -133,7 +133,7 @@ def general_undirected_alln_fptas(instance: Instance, k: Optional[int] = None,
     if instance.directed:
         raise UnsupportedVariantError("gua-fptas requires an undirected instance")
     eps = eps_fraction(eps)
-    k = _require_budget(instance, k)
+    k = instance.solver_budget(k)
     comps = connected_components(instance)
     items = [Item(i, instance.total_weight(c), instance.total_profit(c))
              for i, c in enumerate(comps)]
@@ -143,10 +143,3 @@ def general_undirected_alln_fptas(instance: Instance, k: Optional[int] = None,
     chosen = sorted(v for i in indices for v in comps[i])
     return make_solution(instance, chosen, ALL_NEIGHBOUR, "gua-fptas",
                          f"{float(1 - eps):g}", k)
-
-
-def _require_budget(instance: Instance, k) -> int:
-    k = instance.budget if k is None else k
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValidationError("budget must be a non-negative integer")
-    return k

@@ -115,6 +115,13 @@ class Instance:
                        self.budget)
         return sub, keep
 
+    def solver_budget(self, k) -> int:
+        """``k`` checked as a solver budget; the instance's own budget if None."""
+        k = self.budget if k is None else k
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise ValidationError("budget must be a non-negative integer")
+        return k
+
     def is_uniform(self) -> bool:
         """True when every weight and profit equals 1."""
         return all(w == 1 for w in self.weights) and all(p == 1 for p in self.profits)

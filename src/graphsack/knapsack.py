@@ -75,87 +75,87 @@ class ProfitTable:
     witnesses.  With ``eps`` given, profits are scaled by the standard FPTAS
     divisor ``eps * max_profit / n``; the divisor is clamped to >= 1 so
     adjusted profits never exceed true profits (the table is then exact).
+
+    One table answers both queries: above level 0 every subset is non-empty,
+    and at level 0 the non-empty minimum is the lightest item of adjusted
+    profit 0, kept as a scalar.  Row ``i`` covers ``items[i:]`` and is
+    trimmed to their adjusted profit sum; it is built from row ``i + 1`` by
+    whole-row list operations.  Unachievable cells hold the sentinel
+    ``sum(weights) + 1`` inside the class and read as ``None`` outside it.
     """
 
     def __init__(self, items: Iterable[Item], eps=None):
         self.items = _check_items(list(items))
         n = len(self.items)
         profits = [it.profit for it in self.items]
-        max_profit = max(profits, default=0)
-        divisor = Fraction(1)
+        num = den = 1  # the divisor is num / den
         if eps is not None and n > 0:
-            divisor = max(Fraction(1), eps_fraction(eps) * max_profit / n)
-        self.divisor = divisor
-        self.adjusted = tuple(
-            p * divisor.denominator // divisor.numerator for p in profits)
-        self.max_adjusted_profit = max(self.adjusted, default=0)
+            eps = eps_fraction(eps)
+            num, den = eps.numerator * max(profits), eps.denominator * n
+            if num <= den:
+                num = den = 1
+        self.divisor = Fraction(num, den)
+        self.adjusted = tuple(p * den // num for p in profits)
         self.level_count = sum(self.adjusted) + 1
+        self._profit = {it.id: it.profit for it in self.items}
+        self._zero_weight = min((it.weight for it, a in zip(self.items, self.adjusted)
+                                 if a == 0), default=None)
+        absent = self._absent = sum(it.weight for it in self.items) + 1
 
-        width = self.level_count
-        rows: list[list[Optional[int]]] = [[None] * width for _ in range(n + 1)]
-        rows1: list[list[Optional[int]]] = [[None] * width for _ in range(n + 1)]
-        rows[n][0] = 0
-        for i in range(n - 1, -1, -1):
-            a, w = self.adjusted[i], self.items[i].weight
-            nxt, nxt1 = rows[i + 1], rows1[i + 1]
-            cur, cur1 = rows[i], rows1[i]
-            for p in range(width):
-                best = nxt[p]
-                best1 = nxt1[p]
-                if a <= p and nxt[p - a] is not None:
-                    take = w + nxt[p - a]
-                    if best is None or take < best:
-                        best = take
-                    if best1 is None or take < best1:
-                        best1 = take
-                cur[p] = best
-                cur1[p] = best1
+        rows = [[0]]
+        for it, a in zip(reversed(self.items), reversed(self.adjusted)):
+            nxt, w = rows[-1], it.weight
+            # taking item i moves level q of row i + 1 to level q + a; cells
+            # stay <= absent, since a minimum with x <= absent needs no clamp
+            row = nxt[:a] + [absent] * (a - len(nxt))
+            row += [x if x <= (t := y + w) else t for x, y in zip(nxt[a:], nxt)]
+            row += [y + w if y < absent else absent for y in nxt[len(row) - a:]]
+            rows.append(row)
+        rows.reverse()
         self._rows = rows
-        self._rows1 = rows1
 
     def true_profit(self, ids: Iterable[int]) -> int:
-        by_id = {it.id: it.profit for it in self.items}
-        return sum(by_id[i] for i in ids)
+        return sum(self._profit[i] for i in ids)
 
     def min_weight(self, p: int) -> Optional[int]:
-        if 0 <= p < self.level_count:
+        if 0 <= p < self.level_count and self._rows[0][p] < self._absent:
             return self._rows[0][p]
         return None
 
     def nonempty_min_weight(self, p: int) -> Optional[int]:
-        if 0 <= p < self.level_count:
-            return self._rows1[0][p]
-        return None
+        return self._zero_weight if p == 0 else self.min_weight(p)
 
     def witness(self, p: int) -> Optional[tuple[int, ...]]:
         """A minimum-weight subset with adjusted profit exactly ``p``."""
-        target = self.min_weight(p)
-        if target is None:
-            return None
-        return self._walk(p, target, nonempty=False)
+        return self._walk(p)
 
     def nonempty_witness(self, p: int) -> Optional[tuple[int, ...]]:
-        target = self.nonempty_min_weight(p)
-        if target is None:
-            return None
-        return self._walk(p, target, nonempty=True)
+        if p != 0:
+            return self._walk(p)
+        return next(((it.id,) for it, a in zip(self.items, self.adjusted)
+                     if a == 0 and it.weight == self._zero_weight), None)
 
-    def _walk(self, rem_p: int, rem_w: int, nonempty: bool) -> tuple[int, ...]:
+    def _levels_within(self, capacity: int):
+        """Levels whose minimum weight is at most ``capacity``, highest first."""
+        row, limit = self._rows[0], min(capacity, self._absent - 1)
+        return (p for p in range(self.level_count - 1, -1, -1) if row[p] <= limit)
+
+    def _walk(self, rem_p: int) -> Optional[tuple[int, ...]]:
+        rem_w = self.min_weight(rem_p)
+        if rem_w is None:
+            return None
         ids: list[int] = []
-        taken = not nonempty
+        rows, adjusted = self._rows, self.adjusted
         for i, it in enumerate(self.items):
-            if taken and rem_p == 0 and rem_w == 0:
+            if rem_p == 0 and rem_w == 0:
                 break
-            a = self.adjusted[i]
-            if a <= rem_p:
-                rest = self._rows[i + 1][rem_p - a]
-                if rest is not None and it.weight + rest == rem_w:
-                    ids.append(it.id)
-                    rem_p -= a
-                    rem_w -= it.weight
-                    taken = True
-                    continue
-        assert rem_p == 0 and rem_w == 0 and taken, "table walk out of sync"
+            # rem_p stays within row i's levels, so rem_p - a is within row i + 1's
+            a = adjusted[i]
+            if a <= rem_p and it.weight + rows[i + 1][rem_p - a] == rem_w:
+                ids.append(it.id)
+                rem_p -= a
+                rem_w -= it.weight
+        assert rem_p == 0 and rem_w == 0, "table walk out of sync"
         return tuple(ids)
 
 
@@ -171,20 +171,21 @@ def knapsack_exact(items: Sequence[Item], capacity: int) -> tuple[tuple[int, ...
     if sum(it.profit for it in items) >= PROFIT_TABLE_BOUND:
         raise ValidationError("total profit exceeds the DP table bound (2^40)")
     table = ProfitTable(items)
-    best_p = 0
-    for p in range(table.level_count):
-        w = table.min_weight(p)
-        if w is not None and w <= capacity:
-            best_p = max(best_p, p)
+    best_p = next(table._levels_within(capacity))
     return table.witness(best_p), best_p
 
 
 def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int, ...], int]:
     """Feasible subset with profit >= (1 - eps) * optimum.
 
-    Runs the profit-scaled min-weight DP; every feasible profit level is
-    reconstructed and compared by true profit, so the result is never worse
-    than the classic pick-highest-level rule.
+    Runs the profit-scaled min-weight DP and reconstructs fitting levels from
+    the top down, keeping the best by true profit, then smaller weight, then
+    larger id tuple; so the result is never worse than the classic
+    pick-highest-level rule.  With divisor ``d``, every item has true profit
+    below ``(adjusted + 1) * d``, so a witness at level ``p`` has true profit
+    below ``(p + n) * d``.  Once that is at most the best true profit found,
+    no level from ``p`` down can win or tie, and the scan stops: the result
+    equals that of a scan over every level.
     """
     eps = eps_fraction(eps)
     if capacity < 0:
@@ -193,22 +194,20 @@ def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int
     if not fitting or max(it.profit for it in fitting) == 0:
         return (), 0
     table = ProfitTable(fitting, eps)
+    levels = table._levels_within(capacity)
     if table.divisor == 1:
-        best_p = max(p for p in range(table.level_count)
-                     if table.min_weight(p) is not None
-                     and table.min_weight(p) <= capacity)
+        best_p = next(levels)
         return table.witness(best_p), best_p
-    best: Optional[tuple[int, tuple[int, ...], int]] = None
-    for p in range(table.level_count):
-        w = table.min_weight(p)
-        if w is None or w > capacity:
-            continue
+    num, den, n = table.divisor.numerator, table.divisor.denominator, len(fitting)
+    best: Optional[tuple[int, int, tuple[int, ...]]] = None  # profit, -weight, ids
+    for p in levels:
+        if best is not None and (p + n) * num <= best[0] * den:
+            break
         ids = table.witness(p)
-        cand = (table.true_profit(ids), ids, w)
-        if best is None or (cand[0], -cand[2], cand[1]) > (best[0], -best[2], best[1]):
+        cand = (table.true_profit(ids), -table.min_weight(p), ids)
+        if best is None or cand > best:
             best = cand
-    assert best is not None
-    return best[1], best[0]
+    return best[2], best[0]
 
 
 def ratio_fptas(items: Sequence[Item], capacity: int, eps):

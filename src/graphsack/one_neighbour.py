@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional
 
-from .errors import UnsupportedVariantError, ValidationError
+from .errors import UnsupportedVariantError
 from .graphs import (Instance, condense, connected_components, in_boundary,
                      is_1_neighbour_set)
 from .knapsack import eps_fraction, ratio_key
@@ -37,13 +37,6 @@ class GreedyState:
     alive: set[int] = field(default_factory=set)           # V(G')
     best_profit_star: Optional[Star] = None                # S_max
     iteration: int = 0
-
-
-def _require_budget(instance: Instance, k) -> int:
-    k = instance.budget if k is None else k
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValidationError("budget must be a non-negative integer")
-    return k
 
 
 def _require_uniform(instance: Instance, algorithm: str) -> None:
@@ -74,7 +67,7 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
             "greedy-1n supports undirected instances only (no viable-family "
             "oracles exist for directed graphs)")
     eps = eps_fraction(eps)
-    k = _require_budget(instance, k)
+    k = instance.solver_budget(k)
 
     state = GreedyState(remaining=k, alive=set(range(instance.n)),
                         best_profit_star=profit_oracle(instance, k, eps))
@@ -150,7 +143,7 @@ def uniform_undirected_1n(instance: Instance, k: Optional[int] = None) -> Soluti
     if instance.directed:
         raise UnsupportedVariantError("uu1n-linear requires an undirected instance")
     _require_uniform(instance, "uu1n-linear")
-    k = _require_budget(instance, k)
+    k = instance.solver_budget(k)
 
     def done(vertices) -> Solution:
         return make_solution(instance, vertices, ONE_NEIGHBOUR, "uu1n-linear",
@@ -203,7 +196,7 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
         raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
     _require_uniform(instance, "ud1n-ptas")
     eps = eps_fraction(eps)
-    k = _require_budget(instance, k)
+    k = instance.solver_budget(k)
     if k == 0:
         return make_solution(instance, (), ONE_NEIGHBOUR, "ud1n-ptas",
                              "exact", k, {"fallback": "trivial"})

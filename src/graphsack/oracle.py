@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import OracleScaleError, ValidationError
+from .errors import OracleScaleError
 from .graphs import Instance, condense, connected_components
 from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
 
@@ -23,10 +23,7 @@ def _check_scale(instance: Instance, k, max_n: int) -> int:
     if instance.n > max_n:
         raise OracleScaleError(
             f"oracle-scale-exceeded: n={instance.n} above the bound {max_n}")
-    k = instance.budget if k is None else k
-    if not isinstance(k, int) or k < 0:
-        raise ValidationError("budget must be a non-negative integer")
-    return k
+    return instance.solver_budget(k)
 
 
 def exact_1n(instance: Instance, k: Optional[int] = None,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from graphsack import Instance, ratio_key
 
@@ -117,6 +118,77 @@ def ratio_meets(profit: int, weight: int, best_p: int, best_w: int, eps) -> bool
         return True
     return Fraction(profit, weight) >= (1 - eps) * Fraction(best_p, best_w) \
         if weight > 0 else profit > 0
+
+
+class BruteProfitTable:
+    """The queries of ``graphsack.ProfitTable``, answered by enumeration.
+
+    The divisor ``max(1, eps * max_profit / n)`` and the adjusted profits
+    are derived here again.  Every item subset is enumerated; per adjusted
+    profit level the table keeps the least weight and, among subsets of that
+    weight, the lexicographically smallest id tuple.  Non-empty subsets are
+    kept apart.
+    """
+
+    def __init__(self, items, eps=None):
+        self.items = sorted(items, key=lambda it: it.id)
+        n = len(self.items)
+        self.divisor = Fraction(1)
+        if eps is not None and n:
+            eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+            self.divisor = max(Fraction(1), eps * max(it.profit for it in self.items) / n)
+        self.adjusted = tuple(int(it.profit / self.divisor) for it in self.items)
+        self.level_count = sum(self.adjusted) + 1
+        self._best: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._best_nonempty: dict[int, tuple[int, tuple[int, ...]]] = {}
+        for r in range(n + 1):
+            for combo in combinations(range(n), r):
+                level = sum(self.adjusted[i] for i in combo)
+                key = (sum(self.items[i].weight for i in combo),
+                       tuple(self.items[i].id for i in combo))
+                for best in (self._best, self._best_nonempty) if combo else (self._best,):
+                    if level not in best or key < best[level]:
+                        best[level] = key
+
+    def true_profit(self, ids) -> int:
+        ids = set(ids)
+        return sum(it.profit for it in self.items if it.id in ids)
+
+    def min_weight(self, p):
+        return self._best[p][0] if p in self._best else None
+
+    def nonempty_min_weight(self, p):
+        return self._best_nonempty[p][0] if p in self._best_nonempty else None
+
+    def witness(self, p):
+        return self._best[p][1] if p in self._best else None
+
+    def nonempty_witness(self, p):
+        return self._best_nonempty[p][1] if p in self._best_nonempty else None
+
+
+def knapsack_fptas_full_scan(items, capacity: int, eps, table_cls):
+    """``knapsack_fptas`` with a scan that never stops early.
+
+    Every fitting level of ``table_cls(fitting items, eps)`` is reconstructed,
+    in ascending order, and the best by (true profit, smaller weight, larger
+    id tuple) is kept.  Returns ``(ids, profit)``.
+    """
+    fitting = [it for it in sorted(items, key=lambda it: it.id) if it.weight <= capacity]
+    if not fitting or max(it.profit for it in fitting) == 0:
+        return (), 0
+    table = table_cls(fitting, eps)
+    levels = [p for p in range(table.level_count)
+              if table.min_weight(p) is not None and table.min_weight(p) <= capacity]
+    if table.divisor == 1:
+        return table.witness(levels[-1]), levels[-1]
+    best = None
+    for p in levels:
+        ids = table.witness(p)
+        cand = (table.true_profit(ids), -table.min_weight(p), ids)
+        if best is None or cand > best:
+            best = cand
+    return best[2], best[0]
 
 
 def random_instance(rng: random.Random, n: int, directed: bool,

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from graphsack import (Item, ProfitTable, ValidationError, knapsack_exact,
                        knapsack_fptas, ratio_fptas, ratio_key, subset_sum_max)
-from helpers import best_ratio_subset, ratio_meets
+from helpers import (BruteProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
+                     ratio_meets)
 
 
 def items_of(*pairs):
@@ -116,6 +117,26 @@ class TestKnapsackFptas:
             with pytest.raises(ValidationError):
                 knapsack_fptas(items_of((1, 1)), 1, eps)
 
+    def test_tie_across_levels(self):
+        # divisor 20/3: {0} sits at level 6, {1, 2} at level 3 + 2 = 5, both
+        # with true profit 40 and weight 2; the larger id tuple wins the tie.
+        items = items_of((2, 40), (1, 21), (1, 19))
+        assert ProfitTable(items, Fraction(1, 2)).adjusted == (6, 3, 2)
+        assert knapsack_fptas(items, 2, Fraction(1, 2)) == ((1, 2), 40)
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 5, 10, 19, 20, 21, 40])),
+                    max_size=6),
+           st.integers(0, 12), st.integers(40, 60),
+           st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 0.9]))
+    @settings(max_examples=150, deadline=None)
+    def test_stopping_scan_matches_full_scan(self, pairs, capacity, top, eps):
+        # The heavy item fits, so the divisor is at least (1/3) * 40 / 7 > 1.
+        items = items_of((capacity // 2, top), *pairs)
+        assert ProfitTable(items, eps).divisor > 1
+        got = knapsack_fptas(items, capacity, eps)
+        assert got == knapsack_fptas_full_scan(items, capacity, eps, ProfitTable)
+        assert got == knapsack_fptas_full_scan(items, capacity, eps, BruteProfitTable)
+
 
 class TestRatioFptas:
     def test_single_item_beats_pairs(self):
@@ -200,6 +221,31 @@ class TestProfitTable:
                 assert ids
                 assert sum(by_id[i].profit for i in ids) == p
                 assert sum(by_id[i].weight for i in ids) == w1
+
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6),
+                              st.one_of(st.integers(0, 3), st.integers(0, 60))),
+                    max_size=7, unique_by=lambda t: t[0]),
+           st.sampled_from([None, Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), 0.9]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_enumeration(self, triples, eps):
+        # Ids are unordered and sparse; small profits round to 0 under scaling.
+        items = [Item(i, w, p) for i, w, p in triples]
+        table, ref = ProfitTable(items, eps), BruteProfitTable(items, eps)
+        assert (table.divisor, table.adjusted, table.level_count) == \
+            (ref.divisor, ref.adjusted, ref.level_count)
+        for p in range(-1, table.level_count + 1):
+            assert table.min_weight(p) == ref.min_weight(p)
+            assert table.nonempty_min_weight(p) == ref.nonempty_min_weight(p)
+            assert table.witness(p) == ref.witness(p)
+            assert table.nonempty_witness(p) == ref.nonempty_witness(p)
+
+    def test_zero_level_nonempty(self):
+        # Items 3 and 5 both round to level 0 with weight 1; the lower id wins.
+        table = ProfitTable([Item(7, 0, 60), Item(5, 1, 2), Item(3, 1, 1)], Fraction(1, 2))
+        assert table.adjusted == (0, 0, 6)
+        assert table.min_weight(0) == 0 and table.witness(0) == ()
+        assert table.nonempty_min_weight(0) == 1 and table.nonempty_witness(0) == (3,)
+        assert ProfitTable([Item(0, 1, 4)]).nonempty_witness(0) is None
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError):

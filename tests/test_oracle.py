@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from graphsack import (Instance, OracleScaleError, exact_1n, exact_alln,
-                       is_1_neighbour_set, is_all_neighbour_set)
+from graphsack import (Instance, OracleScaleError, ValidationError, exact_1n, exact_alln,
+                       general_undirected_alln_fptas, greedy_1_neighbour,
+                       is_1_neighbour_set, is_all_neighbour_set,
+                       uniform_directed_1n_ptas, uniform_directed_alln_ptas,
+                       uniform_undirected_1n, uniform_undirected_alln)
 from helpers import (adjacency_masks, feasible_all_mask, feasible_one_mask,
                      random_instance)
 
@@ -88,3 +91,17 @@ class TestExactAlln:
             p, w, verts = raw_best(inst, k, feasible_all_mask)
             assert (sol.total_profit, sol.total_weight, sol.chosen) == (p, w, verts)
             assert is_all_neighbour_set(inst, sol.chosen)
+
+
+@pytest.mark.parametrize("solve, directed", [
+    (exact_1n, True), (exact_1n, False), (exact_alln, True), (exact_alln, False),
+    (greedy_1_neighbour, False), (uniform_undirected_1n, False),
+    (uniform_directed_1n_ptas, True), (uniform_directed_alln_ptas, True),
+    (uniform_undirected_alln, False), (general_undirected_alln_fptas, False)])
+def test_every_solver_rejects_bad_budgets(solve, directed):
+    # Unit weights and profits fit every solver's instance class.
+    inst = Instance(directed, 3, [(0, 1), (1, 2)], [1] * 3, [1] * 3, 2)
+    assert solve(inst, 2).total_weight <= 2
+    for k in (True, False, -1, 1.0):
+        with pytest.raises(ValidationError, match="budget"):
+            solve(inst, k)
