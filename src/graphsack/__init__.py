@@ -25,8 +25,8 @@ from .instance_io import (gen_max_k_cover, gen_network_budget, gen_random,
                           gen_set_cover_cycles, parse, serialize)
 from .knapsack import (Item, ProfitTable, knapsack_exact, knapsack_fptas,
                        ratio_fptas, ratio_key, subset_sum_max)
-from .one_neighbour import (GreedyState, greedy_1_neighbour,
-                            uniform_directed_1n_ptas, uniform_undirected_1n)
+from .one_neighbour import (greedy_1_neighbour, uniform_directed_1n_ptas,
+                            uniform_undirected_1n)
 from .oracle import exact_1n, exact_alln
 from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution
 from .stars import (Star, best_profit_viable_star, best_ratio_viable_star,
@@ -34,7 +34,7 @@ from .stars import (Star, best_profit_viable_star, best_ratio_viable_star,
 
 __all__ = [
     "ALL_NEIGHBOUR", "ONE_NEIGHBOUR",
-    "ClosureCatalog", "Condensation", "GraphsackError", "GreedyState",
+    "ClosureCatalog", "Condensation", "GraphsackError",
     "Instance", "Item", "OracleScaleError", "ParseError", "ProfitTable",
     "Solution", "Star", "UnsupportedVariantError", "ValidationError",
     "best_profit_viable_star", "best_ratio_viable_star", "closure_catalog",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -43,18 +44,61 @@ def eps_fraction(eps) -> Fraction:
     return eps
 
 
-def ratio_key(profit: int, weight: int):
+class _RatioKey:
+    """The ratio ``num / den`` (``den == 0`` is infinite), then ``rank``.
+
+    Keys compare by integer cross-multiplication, so nothing is divided or
+    reduced; ``rank`` orders keys whose ratios are equal.
+    """
+
+    __slots__ = ("num", "den", "rank")
+
+    def __init__(self, num: int, den: int, rank: int):
+        self.num, self.den, self.rank = num, den, rank
+
+    def __lt__(self, other):
+        d = self.num * other.den - other.num * self.den
+        return d < 0 if d else self.rank < other.rank
+
+    def __le__(self, other):
+        d = self.num * other.den - other.num * self.den
+        return d < 0 if d else self.rank <= other.rank
+
+    def __gt__(self, other):
+        d = self.num * other.den - other.num * self.den
+        return d > 0 if d else self.rank > other.rank
+
+    def __ge__(self, other):
+        d = self.num * other.den - other.num * self.den
+        return d > 0 if d else self.rank >= other.rank
+
+    def __eq__(self, other):
+        try:
+            return self.num * other.den == other.num * self.den and self.rank == other.rank
+        except AttributeError:
+            return NotImplemented
+
+    def __hash__(self):
+        g = gcd(self.num, self.den)
+        return hash((self.num // g, self.den // g, self.rank))
+
+    def __repr__(self):
+        return f"ratio_key({self.num}/{self.den}, rank={self.rank})"
+
+
+def ratio_key(profit: int, weight: int) -> _RatioKey:
     """Sort key realizing the exact profit-to-weight total order.
 
-    ``(p1,w1) >= (p2,w2)`` iff ``p1*w2 >= p2*w1`` (Fraction comparison), with
-    two conventions on top: any zero-weight positive-profit set outranks all
-    positive-weight sets, and a (0, 0) set outranks (0, w>0) sets.
+    For non-negative integers, ``(p1,w1) >= (p2,w2)`` iff ``p1*w2 >= p2*w1``,
+    with two conventions on top: every zero-weight positive-profit set ranks
+    above all positive-weight sets (and ties with the others of its kind),
+    and a (0, 0) set ranks above the (0, w>0) sets and below every positive
+    ratio.  Keys support ``<``, ``<=``, ``>``, ``>=``, ``==`` and hashing,
+    and compare by cross-multiplication without building a Fraction.
     """
-    if weight == 0 and profit > 0:
-        return (2, Fraction(0), 0)
-    if weight == 0:
-        return (1, Fraction(0), 1)
-    return (1, Fraction(profit, weight), 0)
+    if weight:
+        return _RatioKey(profit, weight, 0)
+    return _RatioKey(1, 0, 0) if profit else _RatioKey(0, 1, 1)
 
 
 def _check_items(items: Sequence[Item]) -> list[Item]:

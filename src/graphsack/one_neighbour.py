@@ -12,7 +12,6 @@ Three routes, by instance class:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional
@@ -25,18 +24,6 @@ from .solution import ONE_NEIGHBOUR, Solution, make_solution
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
 
 StarOracle = Callable[[Instance, int, Fraction], Optional[Star]]
-
-
-@dataclass
-class GreedyState:
-    """Mutable state of one greedy run (exposed for inspection in tests)."""
-
-    chosen: set[int] = field(default_factory=set)          # U
-    remaining: int = 0                                     # K
-    boundary: tuple[int, ...] = ()                         # Z = N^-(U)
-    alive: set[int] = field(default_factory=set)           # V(G')
-    best_profit_star: Optional[Star] = None                # S_max
-    iteration: int = 0
 
 
 def _require_uniform(instance: Instance, algorithm: str) -> None:
@@ -69,17 +56,20 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
 
-    state = GreedyState(remaining=k, alive=set(range(instance.n)),
-                        best_profit_star=profit_oracle(instance, k, eps))
+    chosen: set[int] = set()                               # U
+    remaining = k                                          # K
+    boundary: tuple[int, ...] = ()                         # Z = N^-(U)
+    alive = set(range(instance.n))                         # V(G')
+    s_max = profit_oracle(instance, k, eps)                # S_max
     iterations: list[dict] = []
     while True:
-        sub, ids = instance.induced(state.alive)
-        star = ratio_oracle(sub, state.remaining, eps)
+        sub, ids = instance.induced(alive)
+        star = ratio_oracle(sub, remaining, eps)
         if star is not None:
             star = Star(ids[star.center], tuple(sorted(ids[u] for u in star.leaves)))
         node = None
-        for v in state.boundary:
-            if instance.weights[v] > state.remaining:
+        for v in boundary:
+            if instance.weights[v] > remaining:
                 continue
             if node is None or ratio_key(instance.profits[v], instance.weights[v]) \
                     > ratio_key(instance.profits[node], instance.weights[node]):
@@ -98,24 +88,22 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
                 pick, kind = (node,), "vertex"
             else:
                 pick, kind = star.vertices, "star"
-        state.iteration += 1
-        state.chosen.update(pick)
-        state.remaining -= instance.total_weight(pick)
-        state.alive.difference_update(pick)
-        state.boundary = in_boundary(instance, state.chosen)
-        iterations.append({"index": state.iteration, "kind": kind,
+        chosen.update(pick)
+        remaining -= instance.total_weight(pick)
+        alive.difference_update(pick)
+        boundary = in_boundary(instance, chosen)
+        iterations.append({"index": len(iterations) + 1, "kind": kind,
                            "vertices": tuple(sorted(pick))})
 
-    chosen = sorted(state.chosen)
+    result = sorted(chosen)
     returned = "greedy-set"
-    s_max = state.best_profit_star
     if s_max is not None and \
-            instance.total_profit(s_max.vertices) > instance.total_profit(chosen):
-        chosen = list(s_max.vertices)
+            instance.total_profit(s_max.vertices) > instance.total_profit(result):
+        result = list(s_max.vertices)
         returned = "best-profit-star"
     trace = {"iterations": iterations, "returned": returned,
              "best_profit_star": None if s_max is None else s_max.vertices}
-    return make_solution(instance, chosen, ONE_NEIGHBOUR, "greedy-1n",
+    return make_solution(instance, result, ONE_NEIGHBOUR, "greedy-1n",
                          greedy_guarantee(eps), k, trace)
 
 

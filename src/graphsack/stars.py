@@ -9,6 +9,7 @@ near-optimal feasible stars by profit and by profit-to-weight ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import ValidationError
@@ -87,51 +88,77 @@ def star_partition(instance: Instance) -> list[Star]:
     return [Star(c, tuple(sorted(ls))) for c, ls in sorted(center_leaves.items())]
 
 
-def _leaf_items(instance: Instance, center: int, leaf_budget: int) -> list[Item]:
-    return [Item(u, instance.weights[u], instance.profits[u])
-            for u in instance.adj[center] if instance.weights[u] <= leaf_budget]
+def _fitting_centers(instance: Instance, capacity: int):
+    """``(v, fitting leaves)`` for every center ``v`` with a feasible star.
+
+    A center fits when its weight is within ``capacity``; its fitting leaves
+    are the neighbours that fit beside it.  A non-isolated center with no
+    fitting leaf has no feasible star and is left out.
+    """
+    weights = instance.weights
+    for v in range(instance.n):
+        if weights[v] > capacity:
+            continue
+        budget = capacity - weights[v]
+        leaves = [u for u in instance.adj[v] if weights[u] <= budget]
+        if leaves or not instance.adj[v]:
+            yield v, leaves
 
 
 def best_profit_viable_star(instance: Instance, capacity: int, eps) -> Optional[Star]:
     """Feasible star with profit >= (1 - eps) * best feasible star profit.
 
-    Every vertex is tried as a center; its leaves form a knapsack over the
+    Every vertex is a candidate center; its leaves form a knapsack over the
     neighbourhood with the remaining capacity, solved on the scaled
     min-weight table restricted to non-empty leaf sets (a non-isolated bare
-    center is not feasible).  Returns None when no feasible star fits.
+    center is not feasible).  The winner is the maximum under a total order:
+    higher profit, smaller weight, smaller center, then the smaller leaf
+    tuple.  Returns None when no feasible star fits.
+
+    The search prunes without changing the winner.  A center's bound is its
+    profit plus the profits of all its fitting leaves, which no star of that
+    center exceeds.  Centers are visited in descending bound order, and the
+    scan stops at the first bound strictly below the best profit found: no
+    star of that center or a later one can reach it.  Since the order is
+    total, the winner does not depend on the visiting order.  When the table
+    is exact (divisor 1), a level's profit and weight are known before its
+    witness is walked, so only a level that can win or tie is walked.
     """
     if instance.directed:
         raise ValidationError("star oracles require an undirected instance")
     eps = eps_fraction(eps)
     if capacity < 0:
         raise ValidationError("capacity must be non-negative")
-    best: Optional[tuple[int, int, Star]] = None  # profit, weight, star
+    weights, profits = instance.weights, instance.profits
+    centers = [(profits[v] + sum(profits[u] for u in leaves), v, leaves)
+               for v, leaves in _fitting_centers(instance, capacity)]
+    centers.sort(key=itemgetter(0), reverse=True)
+    best_key: Optional[tuple[int, int, int]] = None  # profit, -weight, -center
+    best: Optional[Star] = None
 
-    def offer(star: Star, profit: int, weight: int):
-        nonlocal best
-        if best is None or (profit, -weight, -star.center) > (best[0], -best[1], -best[2].center) \
-                or ((profit, weight, star.center) == (best[0], best[1], best[2].center)
-                    and star.leaves < best[2].leaves):
-            best = (profit, weight, star)
+    def offer(key: tuple[int, int, int], star: Star):
+        nonlocal best_key, best
+        if best_key is None or key > best_key or (key == best_key and star.leaves < best.leaves):
+            best_key, best = key, star
 
-    for v in range(instance.n):
-        wv, pv = instance.weights[v], instance.profits[v]
-        if wv > capacity:
+    for bound, v, leaves in centers:
+        if best_key is not None and bound < best_key[0]:
+            break
+        wv, pv = weights[v], profits[v]
+        if not leaves:
+            offer((pv, -wv, -v), Star(v, ()))
             continue
-        if instance.degree(v) == 0:
-            offer(Star(v, ()), pv, wv)
-            continue
-        items = _leaf_items(instance, v, capacity - wv)
-        if not items:
-            continue
-        table = ProfitTable(items, eps)
-        for p in range(table.level_count):
+        leaf_budget = capacity - wv
+        table = ProfitTable([Item(u, weights[u], profits[u]) for u in leaves], eps)
+        for p in range(table.level_count - 1, -1, -1):
             w = table.nonempty_min_weight(p)
-            if w is None or w > capacity - wv:
+            if w is None or w > leaf_budget:
+                continue
+            if table.divisor == 1 and best_key is not None and (pv + p, -wv - w, -v) < best_key:
                 continue
             ids = table.nonempty_witness(p)
-            offer(Star(v, tuple(sorted(ids))), pv + table.true_profit(ids), wv + w)
-    return best[2] if best else None
+            offer((pv + table.true_profit(ids), -wv - w, -v), Star(v, tuple(sorted(ids))))
+    return best
 
 
 def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[Star]:
@@ -143,61 +170,81 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
     and - when scaling actually rounds - per-leaf rescaled tables that force
     one leaf and restrict the rest to no larger profits.  The forced-leaf
     tables keep the rounding error proportional to the candidate's own
-    profit, which the shared table alone cannot guarantee.
+    profit, which the shared table alone cannot guarantee.  The winner is the
+    maximum under a total order: higher ratio key, higher profit, then the
+    smaller ``(center, leaves)``.
+
+    The search prunes without changing the winner.  A center's bound is the
+    largest ratio key among the center and its fitting leaves: by the
+    mediant property no set's ratio exceeds its best member's, and a
+    zero-weight member with positive profit puts the bound in the top class.
+    Centers are visited in descending bound order, and the scan stops at the
+    first bound strictly below the best ratio key found: no star of that
+    center or a later one can reach it.  Since the order is total, the
+    winner does not depend on the visiting order.  When a table is exact
+    (divisor 1), a level's profit and weight are known before its witness is
+    walked, so only a level that can win or tie is walked.
     """
     if instance.directed:
         raise ValidationError("star oracles require an undirected instance")
     eps = eps_fraction(eps)
     if capacity < 0:
         raise ValidationError("capacity must be non-negative")
-    best: Optional[tuple[Star, int, int]] = None  # star, profit, weight
+    weights, profits = instance.weights, instance.profits
+    keys = [ratio_key(p, w) for p, w in zip(profits, weights)]
+    centers = [(max([keys[v]] + [keys[u] for u in leaves]), v, leaves)
+               for v, leaves in _fitting_centers(instance, capacity)]
+    centers.sort(key=itemgetter(0), reverse=True)
+    best_key = None  # (ratio key, profit)
+    best: Optional[Star] = None
 
-    def offer(star: Star, profit: int, weight: int):
-        nonlocal best
-        if best is None:
-            best = (star, profit, weight)
-            return
-        new = (ratio_key(profit, weight), profit)
-        old = (ratio_key(best[1], best[2]), best[1])
-        if new > old or (new == old and (star.center, star.leaves) <
-                         (best[0].center, best[0].leaves)):
-            best = (star, profit, weight)
+    def offer(key, star: Star):
+        nonlocal best_key, best
+        if best_key is None or key > best_key or (key == best_key and (
+                star.center, star.leaves) < (best.center, best.leaves)):
+            best_key, best = key, star
 
-    for v in range(instance.n):
-        wv, pv = instance.weights[v], instance.profits[v]
-        if wv > capacity:
-            continue
-        if instance.degree(v) == 0:
-            offer(Star(v, ()), pv, wv)
-            continue
-        leaf_budget = capacity - wv
-        items = _leaf_items(instance, v, leaf_budget)
-        if not items:
-            continue
+    def offer_levels(v: int, table: ProfitTable, budget: int, forced: Optional[Item] = None):
+        """Offer center ``v`` with each level of ``table`` within ``budget``.
 
-        def offer_leaves(ids, extra=()):
-            leaves = tuple(sorted(tuple(ids) + tuple(extra)))
-            pw = sum(instance.profits[u] for u in leaves)
-            ww = sum(instance.weights[u] for u in leaves)
-            if ww <= leaf_budget:
-                offer(Star(v, leaves), pv + pw, wv + ww)
-
-        for it in items:
-            offer_leaves((it.id,))
-        table = ProfitTable(items, eps)
+        With a ``forced`` leaf it joins every level, the empty one included;
+        without, only the non-empty levels are offered.
+        """
+        base_p, base_w = profits[v], weights[v]
+        if forced is not None:
+            base_p, base_w = base_p + forced.profit, base_w + forced.weight
         for p in range(table.level_count):
-            w = table.nonempty_min_weight(p)
-            if w is not None and w <= leaf_budget:
-                offer_leaves(table.nonempty_witness(p))
+            w = table.nonempty_min_weight(p) if forced is None else table.min_weight(p)
+            if w is None or w > budget:
+                continue
+            if table.divisor == 1 and (ratio_key(base_p + p, base_w + w), base_p + p) < best_key:
+                continue
+            ids = table.nonempty_witness(p) if forced is None else table.witness(p)
+            profit = base_p + table.true_profit(ids)
+            if forced is not None:
+                ids += (forced.id,)
+            offer((ratio_key(profit, base_w + w), profit), Star(v, tuple(sorted(ids))))
+
+    for bound, v, leaves in centers:
+        if best_key is not None and bound < best_key[0]:
+            break
+        wv, pv = weights[v], profits[v]
+        if not leaves:
+            offer((keys[v], pv), Star(v, ()))
+            continue
+        # the single leaves are offered first, so best_key is set for the tables
+        items = [Item(u, weights[u], profits[u]) for u in leaves]
+        for it in items:
+            offer((ratio_key(pv + it.profit, wv + it.weight), pv + it.profit),
+                  Star(v, (it.id,)))
+        leaf_budget = capacity - wv
+        table = ProfitTable(items, eps)
+        offer_levels(v, table, leaf_budget)
         if table.divisor > 1:
             for guess in items:
                 rest_budget = leaf_budget - guess.weight
                 others = [it for it in items
                           if it.id != guess.id and it.profit <= guess.profit
                           and it.weight <= rest_budget]
-                sub = ProfitTable(others, eps)
-                for p in range(sub.level_count):
-                    w = sub.min_weight(p)
-                    if w is not None and w <= rest_budget:
-                        offer_leaves(sub.witness(p), extra=(guess.id,))
-    return best[0] if best else None
+                offer_levels(v, ProfitTable(others, eps), rest_budget, guess)
+    return best

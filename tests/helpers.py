@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
-from graphsack import Instance, ratio_key
+from graphsack import Instance, Item, ProfitTable, Star, ValidationError, ratio_key
+from graphsack.knapsack import eps_fraction
 
 
 def adjacency_masks(inst: Instance) -> list[int]:
@@ -109,6 +111,20 @@ def best_ratio_subset(inst_items, capacity: int):
     return best
 
 
+def ratio_key_reference(profit: int, weight: int):
+    """The profit-to-weight total order as ``Fraction`` tuples.
+
+    Independent of ``graphsack.ratio_key``: zero-weight positive-profit sets
+    form the top class, (0, 0) ranks above (0, w>0) and below every positive
+    ratio, and the rest compare as exact fractions.
+    """
+    if weight == 0 and profit > 0:
+        return (2, Fraction(0), 0)
+    if weight == 0:
+        return (1, Fraction(0), 1)
+    return (1, Fraction(profit, weight), 0)
+
+
 def ratio_meets(profit: int, weight: int, best_p: int, best_w: int, eps) -> bool:
     """result ratio >= (1 - eps) * best ratio, exactly."""
     eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
@@ -189,6 +205,126 @@ def knapsack_fptas_full_scan(items, capacity: int, eps, table_cls):
         if best is None or cand > best:
             best = cand
     return best[2], best[0]
+
+
+# The two star oracles as they were before they pruned: every center, every
+# fitting level, a witness walk per level.  Differential references for
+# ``graphsack.stars``.
+
+def _leaf_items(instance: Instance, center: int, leaf_budget: int) -> list[Item]:
+    return [Item(u, instance.weights[u], instance.profits[u])
+            for u in instance.adj[center] if instance.weights[u] <= leaf_budget]
+
+
+def best_profit_viable_star_full_scan(instance: Instance, capacity: int, eps) -> Optional[Star]:
+    """Feasible star with profit >= (1 - eps) * best feasible star profit.
+
+    Every vertex is tried as a center; its leaves form a knapsack over the
+    neighbourhood with the remaining capacity, solved on the scaled
+    min-weight table restricted to non-empty leaf sets (a non-isolated bare
+    center is not feasible).  Returns None when no feasible star fits.
+    """
+    if instance.directed:
+        raise ValidationError("star oracles require an undirected instance")
+    eps = eps_fraction(eps)
+    if capacity < 0:
+        raise ValidationError("capacity must be non-negative")
+    best: Optional[tuple[int, int, Star]] = None  # profit, weight, star
+
+    def offer(star: Star, profit: int, weight: int):
+        nonlocal best
+        if best is None or (profit, -weight, -star.center) > (best[0], -best[1], -best[2].center) \
+                or ((profit, weight, star.center) == (best[0], best[1], best[2].center)
+                    and star.leaves < best[2].leaves):
+            best = (profit, weight, star)
+
+    for v in range(instance.n):
+        wv, pv = instance.weights[v], instance.profits[v]
+        if wv > capacity:
+            continue
+        if instance.degree(v) == 0:
+            offer(Star(v, ()), pv, wv)
+            continue
+        items = _leaf_items(instance, v, capacity - wv)
+        if not items:
+            continue
+        table = ProfitTable(items, eps)
+        for p in range(table.level_count):
+            w = table.nonempty_min_weight(p)
+            if w is None or w > capacity - wv:
+                continue
+            ids = table.nonempty_witness(p)
+            offer(Star(v, tuple(sorted(ids))), pv + table.true_profit(ids), wv + w)
+    return best[2] if best else None
+
+
+def best_ratio_viable_star_full_scan(instance: Instance, capacity: int, eps) -> Optional[Star]:
+    """Feasible star with ratio >= (1 - eps) * best feasible star ratio.
+
+    The objective is the full star ratio (center included), ordered by
+    :func:`ratio_key`.  Candidates per center: every fitting single leaf, the
+    levels of the scaled non-empty min-weight table over all fitting leaves,
+    and - when scaling actually rounds - per-leaf rescaled tables that force
+    one leaf and restrict the rest to no larger profits.  The forced-leaf
+    tables keep the rounding error proportional to the candidate's own
+    profit, which the shared table alone cannot guarantee.
+    """
+    if instance.directed:
+        raise ValidationError("star oracles require an undirected instance")
+    eps = eps_fraction(eps)
+    if capacity < 0:
+        raise ValidationError("capacity must be non-negative")
+    best: Optional[tuple[Star, int, int]] = None  # star, profit, weight
+
+    def offer(star: Star, profit: int, weight: int):
+        nonlocal best
+        if best is None:
+            best = (star, profit, weight)
+            return
+        new = (ratio_key(profit, weight), profit)
+        old = (ratio_key(best[1], best[2]), best[1])
+        if new > old or (new == old and (star.center, star.leaves) <
+                         (best[0].center, best[0].leaves)):
+            best = (star, profit, weight)
+
+    for v in range(instance.n):
+        wv, pv = instance.weights[v], instance.profits[v]
+        if wv > capacity:
+            continue
+        if instance.degree(v) == 0:
+            offer(Star(v, ()), pv, wv)
+            continue
+        leaf_budget = capacity - wv
+        items = _leaf_items(instance, v, leaf_budget)
+        if not items:
+            continue
+
+        def offer_leaves(ids, extra=()):
+            leaves = tuple(sorted(tuple(ids) + tuple(extra)))
+            pw = sum(instance.profits[u] for u in leaves)
+            ww = sum(instance.weights[u] for u in leaves)
+            if ww <= leaf_budget:
+                offer(Star(v, leaves), pv + pw, wv + ww)
+
+        for it in items:
+            offer_leaves((it.id,))
+        table = ProfitTable(items, eps)
+        for p in range(table.level_count):
+            w = table.nonempty_min_weight(p)
+            if w is not None and w <= leaf_budget:
+                offer_leaves(table.nonempty_witness(p))
+        if table.divisor > 1:
+            for guess in items:
+                rest_budget = leaf_budget - guess.weight
+                others = [it for it in items
+                          if it.id != guess.id and it.profit <= guess.profit
+                          and it.weight <= rest_budget]
+                sub = ProfitTable(others, eps)
+                for p in range(sub.level_count):
+                    w = sub.min_weight(p)
+                    if w is not None and w <= rest_budget:
+                        offer_leaves(sub.witness(p), extra=(guess.id,))
+    return best[0] if best else None
 
 
 def random_instance(rng: random.Random, n: int, directed: bool,

@@ -1,0 +1,21 @@
+"""Each demo script runs to completion against the sources under ``src``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["01_constraints_and_feasibility.py", "02_star_oracles_and_greedy.py",
+         "03_uniform_exact_and_ptas.py", "04_reductions_and_oracle.py",
+         "05_bench_workflow.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ, PYTHONPATH="src")
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

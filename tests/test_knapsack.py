@@ -5,13 +5,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsack import (Item, ProfitTable, ValidationError, knapsack_exact,
                        knapsack_fptas, ratio_fptas, ratio_key, subset_sum_max)
 from helpers import (BruteProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
-                     ratio_meets)
+                     ratio_key_reference, ratio_meets)
 
 
 def items_of(*pairs):
@@ -41,6 +41,32 @@ class TestRatioKey:
     def test_cross_multiplication(self):
         assert ratio_key(3, 7) < ratio_key(4, 9)        # 27 < 28
         assert ratio_key(2, 4) == ratio_key(3, 6)
+
+    NEAR_INT64 = [(1 << 63) - 2, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
+    values = st.one_of(st.integers(0, 6), st.sampled_from(NEAR_INT64),
+                       st.builds(int.__add__, st.sampled_from(NEAR_INT64), st.integers(0, 6)),
+                       st.integers(0, 1 << 65))
+
+    @given(st.lists(st.tuples(values, values), min_size=1, max_size=10))
+    @example([(0, 0), (5, 0), (0, 4), (3, 0), (0, 1), (2, 4), (1, 2)])
+    @example([((1 << 63) - 1, (1 << 63) - 2), ((1 << 63) - 2, (1 << 63) - 3),
+              ((1 << 64) - 2, (1 << 64) - 4), ((1 << 63) - 1, 0), (0, (1 << 63) - 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_order(self, pairs):
+        for a in pairs:
+            for b in pairs:
+                ka, kb = ratio_key(*a), ratio_key(*b)
+                ra, rb = ratio_key_reference(*a), ratio_key_reference(*b)
+                assert (ka < kb, ka <= kb, ka == kb, ka != kb, ka >= kb, ka > kb) \
+                    == (ra < rb, ra <= rb, ra == rb, ra != rb, ra >= rb, ra > rb)
+                if ka == kb:
+                    assert hash(ka) == hash(kb)
+        assert sorted(pairs, key=lambda t: ratio_key(*t)) \
+            == sorted(pairs, key=lambda t: ratio_key_reference(*t))
+
+    def test_foreign_objects_are_unequal(self):
+        assert ratio_key(1, 2) != (1, 2)
+        assert ratio_key(0, 0) != None  # noqa: E711
 
 
 class TestKnapsackExact:

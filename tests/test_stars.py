@@ -5,11 +5,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphsack import (Instance, ValidationError, best_profit_viable_star,
-                       best_ratio_viable_star, is_1_neighbour_set, ratio_key,
-                       star_partition, validate_star)
-from helpers import random_instance, ratio_meets
+from graphsack import (Instance, Star, ValidationError, best_profit_viable_star,
+                       best_ratio_viable_star, greedy_1_neighbour, is_1_neighbour_set,
+                       ratio_key, star_partition, validate_star)
+from helpers import (best_profit_viable_star_full_scan, best_ratio_viable_star_full_scan,
+                     random_instance, ratio_meets)
 
 
 def undirected(n, edges, weights=None, profits=None, k=10):
@@ -140,6 +143,21 @@ class TestBestRatioViableStar:
         # best star: center 0 with the ten small leaves, ratio 100/20
         assert ratio_key(p, w) >= ratio_key(100, 20)
 
+    def test_level_that_ties_the_best_is_walked(self):
+        # center 1 (w0,p0) with leaves 0 (w0,p0) and 2 (w1,p3); capacity 1.
+        # The single {2} and the table's level 3, witness (0, 2), tie at
+        # ratio 3 and profit 3, and the smaller leaf tuple (0, 2) wins; the
+        # star centered at 2 ties too and loses on its center.
+        inst = undirected(3, [(0, 1), (1, 2)], weights=[0, 0, 1], profits=[0, 0, 3])
+        assert best_ratio_viable_star(inst, 1, 0.1) == Star(1, (0, 2))
+
+    def test_forced_leaf_table_adds_a_rounded_leaf(self):
+        # eps 1/2 gives divisor 15/4: leaf 2 (w0,p1) rounds to level 0, and
+        # the shared table's level 4 witness is (1,), not the equally light
+        # (1, 2).  Only the table that forces leaf 1 reaches ratio 16/2.
+        inst = undirected(3, [(0, 1), (0, 2)], weights=[1, 1, 0], profits=[0, 15, 1])
+        assert best_ratio_viable_star(inst, 7, Fraction(1, 2)) == Star(0, (1, 2))
+
     def test_bound_random(self):
         rng = random.Random(4141)
         for _ in range(120):
@@ -159,3 +177,48 @@ class TestBestRatioViableStar:
                 validate_star(inst, star)
                 assert got_w <= cap
                 assert ratio_meets(got_p, got_w, best[0], best[1], eps)
+
+
+@st.composite
+def star_instances(draw, max_n=8):
+    """Small undirected instances with zero weights, zero profits and isolated
+    vertices.  Profits up to 1000 make the scaled tables round (divisor > 1),
+    so the ratio oracle's forced-leaf tables run."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weight = draw(st.sampled_from([st.integers(0, 3), st.integers(0, 6)]))
+    profit = draw(st.sampled_from([st.integers(0, 3), st.integers(0, 1000),
+                                   st.one_of(st.integers(0, 3), st.integers(0, 1000))]))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    profits = draw(st.lists(profit, min_size=n, max_size=n))
+    return Instance(False, n, edges, weights, profits, 0)
+
+
+EPSILONS = st.sampled_from([Fraction(1, 100), Fraction(1, 10), Fraction(1, 3), 0.5])
+
+
+class TestPruningMatchesFullScan:
+    """The pruned oracles return the very star of a scan over every center."""
+
+    @given(star_instances(), st.integers(0, 20), EPSILONS)
+    @settings(max_examples=400, deadline=None)
+    def test_profit_oracle(self, inst, capacity, eps):
+        assert best_profit_viable_star(inst, capacity, eps) \
+            == best_profit_viable_star_full_scan(inst, capacity, eps)
+
+    @given(star_instances(), st.integers(0, 20), EPSILONS)
+    @settings(max_examples=400, deadline=None)
+    def test_ratio_oracle(self, inst, capacity, eps):
+        assert best_ratio_viable_star(inst, capacity, eps) \
+            == best_ratio_viable_star_full_scan(inst, capacity, eps)
+
+    @given(star_instances(max_n=9), st.integers(0, 24), EPSILONS)
+    @settings(max_examples=150, deadline=None)
+    def test_greedy(self, inst, k, eps):
+        got = greedy_1_neighbour(inst, k, eps)
+        ref = greedy_1_neighbour(inst, k, eps,
+                                 profit_oracle=best_profit_viable_star_full_scan,
+                                 ratio_oracle=best_ratio_viable_star_full_scan)
+        assert got.chosen == ref.chosen
+        assert got.trace == ref.trace
