@@ -43,7 +43,8 @@ digraph = Instance(True, 4, [(0, 1), (1, 0), (2, 0)], [1] * 4, [1] * 4, 4)
 cond = condense(digraph)
 print("SCCs:", cond.scc_vertices)
 print("condensation arcs:", cond.dag_adjacency)
-print("smallest cycle lengths:", cond.smallest_cycle_len)
+print("smallest cycle lengths:",
+      tuple(len(smallest_cycle(digraph, c)) for c in cond.scc_vertices))
 print("smallest cycle of the 2-cycle SCC:",
       smallest_cycle(digraph, [0, 1]))
 tail = cond.membership[2]

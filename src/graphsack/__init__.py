@@ -13,8 +13,7 @@ instance text format with generators (including two reduction-based
 adversarial families), and a CLI/benchmark harness.
 """
 
-from .all_neighbour import (ClosureCatalog, closure_catalog,
-                            general_undirected_alln_fptas,
+from .all_neighbour import (closure_catalog, general_undirected_alln_fptas,
                             uniform_directed_alln_ptas, uniform_undirected_alln)
 from .errors import (GraphsackError, OracleScaleError, ParseError,
                      UnsupportedVariantError, ValidationError)
@@ -34,7 +33,7 @@ from .stars import (Star, best_profit_viable_star, best_ratio_viable_star,
 
 __all__ = [
     "ALL_NEIGHBOUR", "ONE_NEIGHBOUR",
-    "ClosureCatalog", "Condensation", "GraphsackError",
+    "Condensation", "GraphsackError",
     "Instance", "Item", "OracleScaleError", "ParseError", "ProfitTable",
     "Solution", "Star", "UnsupportedVariantError", "ValidationError",
     "best_profit_viable_star", "best_ratio_viable_star", "closure_catalog",

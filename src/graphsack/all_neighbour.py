@@ -5,7 +5,7 @@ Every feasible all-neighbour set is a union of SCC descendant closures
 a set-selection problem over the condensation:
 
 * :func:`uniform_directed_alln_ptas` - directed, weight == profit per vertex;
-  guesses small sets of heavy SCCs and pads their closures with light sinks.
+  guesses small sets of heavy SCCs and pads their closures with light SCCs.
 * :func:`uniform_undirected_alln` - undirected unit weights; exact subset sum
   over component sizes.
 * :func:`general_undirected_alln_fptas` - undirected, arbitrary weights and
@@ -14,7 +14,7 @@ a set-selection problem over the condensation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Optional
 
@@ -24,32 +24,11 @@ from .knapsack import Item, eps_fraction, knapsack_fptas, subset_sum_max
 from .solution import ALL_NEIGHBOUR, Solution, make_solution
 
 
-@dataclass(frozen=True)
-class ClosureCatalog:
-    """Per-SCC descendant closures with their totals and weight class.
-
-    ``heavy[u]`` is true when the SCC's own weight exceeds eps * k; closure
-    weights/profits sum over all SCCs reachable from ``u`` (inclusive).
-    """
-
-    closures: tuple[frozenset[int], ...]
-    closure_weight: tuple[int, ...]
-    closure_profit: tuple[int, ...]
-    heavy: tuple[bool, ...]
-
-
-def closure_catalog(instance: Instance, cond: Condensation, eps, k: int) -> ClosureCatalog:
+def closure_catalog(cond: Condensation, eps, k: int) -> dict[int, frozenset[int]]:
+    """Descendant closure of each heavy SCC (own weight above eps * k), by id."""
     eps = eps_fraction(eps)
-    closures = []
-    weights = []
-    profits = []
-    for u in range(cond.scc_count):
-        desc = descendants(cond, [u])
-        closures.append(frozenset(desc))
-        weights.append(sum(cond.scc_weight[w] for w in desc))
-        profits.append(sum(instance.total_profit(cond.scc_vertices[w]) for w in desc))
-    heavy = tuple(cond.scc_weight[u] > eps * k for u in range(cond.scc_count))
-    return ClosureCatalog(tuple(closures), tuple(weights), tuple(profits), heavy)
+    return {u: frozenset(descendants(cond, [u]))
+            for u in range(cond.scc_count) if cond.scc_weight[u] > eps * k}
 
 
 def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
@@ -57,8 +36,10 @@ def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
     """(1-eps)-approximation when every vertex has weight equal to profit.
 
     For each subset of at most 1/eps heavy SCCs, take the descendant closure,
-    then repeatedly absorb any light SCC whose out-neighbours are already
-    inside while the budget allows; the best closure found wins.
+    then repeatedly absorb the lowest-id light SCC whose out-neighbours are
+    already inside and that fits the budget; the best closure found wins.
+    Ready light SCCs wait in a heap, with Kahn's count of missing successors
+    per SCC; one that does not fit is dropped, as the weight only grows.
     """
     if not instance.directed:
         raise UnsupportedVariantError("uda-ptas requires a directed instance")
@@ -70,32 +51,43 @@ def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
     k = instance.solver_budget(k)
 
     cond = condense(instance)
-    catalog = closure_catalog(instance, cond, eps, k)
+    closures = closure_catalog(cond, eps, k)
     scc_w = cond.scc_weight
-    heavy = [u for u in range(cond.scc_count) if catalog.heavy[u]]
-    light = [u for u in range(cond.scc_count) if not catalog.heavy[u]]
+    preds: list[list[int]] = [[] for _ in range(cond.scc_count)]
+    for u, nbrs in enumerate(cond.dag_adjacency):
+        for w in nbrs:
+            preds[w].append(u)
+    out_degree = [len(nbrs) for nbrs in cond.dag_adjacency]
 
     best_units: frozenset[int] = frozenset()
     best_weight = 0
     guesses = 0
     for size in range(0, int(1 / eps) + 1):
-        for pick in combinations(heavy, size):
+        for pick in combinations(closures, size):
             guesses += 1
             units: set[int] = set()
             for u in pick:
-                units.update(catalog.closures[u])
+                units.update(closures[u])
             weight = sum(scc_w[u] for u in units)
             if weight > k:
                 continue
-            while True:
-                addable = next((b for b in light if b not in units
-                                and weight + scc_w[b] <= k
-                                and all(w in units for w in cond.dag_adjacency[b])),
-                               None)
-                if addable is None:
-                    break
-                units.add(addable)
-                weight += scc_w[addable]
+            missing = out_degree[:]
+            for w in units:
+                for u in preds[w]:
+                    missing[u] -= 1
+            # ready light SCCs, in ascending order, which is a valid heap
+            ready = [b for b in range(cond.scc_count)
+                     if not missing[b] and b not in units and b not in closures]
+            while ready:
+                b = heappop(ready)
+                if weight + scc_w[b] > k:
+                    continue
+                units.add(b)
+                weight += scc_w[b]
+                for u in preds[b]:
+                    missing[u] -= 1
+                    if not missing[u] and u not in closures:
+                        heappush(ready, u)
             if weight > best_weight:
                 best_units, best_weight = frozenset(units), weight
 

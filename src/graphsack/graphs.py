@@ -2,9 +2,9 @@
 
 An :class:`Instance` couples a directed or undirected graph with per-vertex
 integer weights and profits and a knapsack budget.  This module provides the
-component/SCC analysis (including smallest directed cycles per SCC), boundary
-and descendant computations, and the two feasibility predicates that define
-the selection constraints:
+component/SCC analysis, the smallest directed cycle of one SCC, boundary and
+descendant computations, and the two feasibility predicates that define the
+selection constraints:
 
 * a *1-neighbour set* may contain a vertex only if at least one of its
   (out-)neighbours is also in the set (vertices with no neighbours are free);
@@ -21,14 +21,21 @@ from .errors import ValidationError
 MAX_VALUE = (1 << 63) - 1
 
 
+def _is_int(x) -> bool:
+    # Loops over vertex ids test ``type(x) is int`` first, so that plain ints,
+    # the common case, skip this call.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Instance:
     """A dependency graph with vertex weights/profits and a budget.
 
     Vertices are ``0..n-1``.  ``edges`` are unordered pairs for undirected
     instances (stored with the smaller endpoint first) and ordered arcs
     ``(tail, head)`` for directed ones.  Self-loops and duplicate edges are
-    rejected; all weights, profits, and the budget must be non-negative
-    integers below 2**63.
+    rejected; vertex ids, weights, profits and the budget must be integers
+    (not bools), and weights, profits and the budget non-negative and below
+    2**63.
     """
 
     __slots__ = ("directed", "n", "weights", "profits", "edges", "budget",
@@ -49,7 +56,7 @@ class Instance:
                     raise ValidationError(f"{name} of vertex {v} is not an integer")
                 if not 0 <= x <= MAX_VALUE:
                     raise ValidationError(f"{name} of vertex {v} out of range [0, 2^63)")
-        if not isinstance(budget, int) or isinstance(budget, bool) or not 0 <= budget <= MAX_VALUE:
+        if not _is_int(budget) or not 0 <= budget <= MAX_VALUE:
             raise ValidationError("budget out of range [0, 2^63)")
         self.weights = tuple(weights)
         self.profits = tuple(profits)
@@ -58,7 +65,8 @@ class Instance:
         norm: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not ((type(u) is int is type(v) or _is_int(u) and _is_int(v))
+                    and 0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u}, {v}) names an invalid vertex")
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
@@ -98,11 +106,11 @@ class Instance:
 
     def check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
         """Normalize to a strictly increasing vertex tuple, validating ids."""
-        out = sorted(set(vertices))
-        for v in out:
-            if not (isinstance(v, int) and 0 <= v < self.n):
+        vertices = list(vertices)
+        for v in vertices:
+            if not ((type(v) is int or _is_int(v)) and 0 <= v < self.n):
                 raise ValidationError(f"invalid vertex id {v!r}")
-        return tuple(out)
+        return tuple(sorted(set(vertices)))
 
     def induced(self, vertices: Iterable[int]) -> tuple["Instance", tuple[int, ...]]:
         """Induced sub-instance on ``vertices`` plus the new->old id map."""
@@ -118,7 +126,7 @@ class Instance:
     def solver_budget(self, k) -> int:
         """``k`` checked as a solver budget; the instance's own budget if None."""
         k = self.budget if k is None else k
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ValidationError("budget must be a non-negative integer")
         return k
 
@@ -143,8 +151,7 @@ class Condensation:
     """The DAG of maximal SCCs of a directed instance.
 
     SCC ids are assigned in a topological order of the DAG (sources first).
-    ``smallest_cycle_len`` is 1 exactly for singleton SCCs; for larger SCCs
-    ``smallest_cycle_vertices`` lists a shortest directed cycle inside it.
+    :func:`smallest_cycle` gives the shortest cycle of one SCC.
     """
 
     scc_count: int
@@ -152,8 +159,6 @@ class Condensation:
     scc_vertices: tuple[tuple[int, ...], ...]
     dag_adjacency: tuple[tuple[int, ...], ...]
     scc_weight: tuple[int, ...]
-    smallest_cycle_len: tuple[int, ...]
-    smallest_cycle_vertices: tuple[tuple[int, ...], ...]
 
 
 def connected_components(instance: Instance) -> list[tuple[int, ...]]:
@@ -292,15 +297,12 @@ def condense(instance: Instance) -> Condensation:
         if cu != cv:
             dag[cu].add(cv)
     scc_vertices = tuple(tuple(sorted(comp)) for comp in sccs)
-    cycles = tuple(_smallest_cycle_in_scc(instance, comp) for comp in scc_vertices)
     return Condensation(
         scc_count=len(sccs),
         membership=tuple(membership),
         scc_vertices=scc_vertices,
         dag_adjacency=tuple(tuple(sorted(s)) for s in dag),
         scc_weight=tuple(instance.total_weight(comp) for comp in scc_vertices),
-        smallest_cycle_len=tuple(len(c) for c in cycles),
-        smallest_cycle_vertices=cycles,
     )
 
 
@@ -317,7 +319,7 @@ def smallest_cycle(instance: Instance, scc_vertices: Iterable[int]) -> tuple[int
     scc_id = cond.membership[members[0]]
     if cond.scc_vertices[scc_id] != members:
         raise ValidationError("vertex set is not a maximal SCC")
-    return cond.smallest_cycle_vertices[scc_id]
+    return _smallest_cycle_in_scc(instance, members)
 
 
 def in_boundary(instance: Instance, vertices: Iterable[int]) -> tuple[int, ...]:

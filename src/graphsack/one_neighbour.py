@@ -17,8 +17,8 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .errors import UnsupportedVariantError
-from .graphs import (Instance, condense, connected_components, in_boundary,
-                     is_1_neighbour_set)
+from .graphs import (Instance, _smallest_cycle_in_scc, condense, connected_components,
+                     in_boundary, is_1_neighbour_set)
 from .knapsack import eps_fraction, ratio_key
 from .solution import ONE_NEIGHBOUR, Solution, make_solution
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
@@ -203,19 +203,20 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
                              "exact", k, {"fallback": "exhaustive"})
 
     cond = condense(instance)
+    cycles = [_smallest_cycle_in_scc(instance, comp) for comp in cond.scc_vertices]
+    cycle_len = [len(c) for c in cycles]
     eps_k = eps * k
-    large = [u for u in range(cond.scc_count) if cond.smallest_cycle_len[u] > eps_k]
-    petite = {u for u in range(cond.scc_count)
-              if 1 < cond.smallest_cycle_len[u] <= eps_k}
+    large = [u for u in range(cond.scc_count) if cycle_len[u] > eps_k]
+    petite = {u for u in range(cond.scc_count) if 1 < cycle_len[u] <= eps_k}
     tiny_sinks = [u for u in range(cond.scc_count)
-                  if cond.smallest_cycle_len[u] == 1 and not cond.dag_adjacency[u]]
+                  if cycle_len[u] == 1 and not cond.dag_adjacency[u]]
 
     best: Optional[tuple[int, ...]] = None
     best_entry: Optional[dict] = None
     entries: list[dict] = []
     for size in range(0, int(1 / eps) + 1):
         for guess in combinations(large, size):
-            cost = sum(cond.smallest_cycle_len[u] for u in guess)
+            cost = sum(cycle_len[u] for u in guess)
             if cost > k:
                 continue
             in_dx = petite | set(guess)
@@ -224,14 +225,14 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
             zset = sorted(set(tiny_sinks) | set(petite_sinks))
             taken = []
             budget = k - cost
-            for u in sorted(zset, key=lambda u: (cond.smallest_cycle_len[u], u)):
-                c = cond.smallest_cycle_len[u]
+            for u in sorted(zset, key=lambda u: (cycle_len[u], u)):
+                c = cycle_len[u]
                 if c <= budget:
                     taken.append(u)
                     budget -= c
             chosen = set()
             for u in list(guess) + taken:
-                chosen.update(cond.smallest_cycle_vertices[u])
+                chosen.update(cycles[u])
             _grow_1n(instance, chosen, k)
             entry = {"guess": guess, "candidate_sinks": tuple(zset),
                      "taken_sinks": tuple(sorted(taken)),

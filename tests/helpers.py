@@ -12,8 +12,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from graphsack import Instance, Item, ProfitTable, Star, ValidationError, ratio_key
+from graphsack import (Instance, Item, ProfitTable, Star, UnsupportedVariantError,
+                       ValidationError, condense, descendants, ratio_key)
 from graphsack.knapsack import eps_fraction
+from graphsack.solution import ALL_NEIGHBOUR, Solution, make_solution
 
 
 def adjacency_masks(inst: Instance) -> list[int]:
@@ -325,6 +327,57 @@ def best_ratio_viable_star_full_scan(instance: Instance, capacity: int, eps) -> 
                     if w is not None and w <= rest_budget:
                         offer_leaves(sub.witness(p), extra=(guess.id,))
     return best[0] if best else None
+
+
+# The directed all-neighbour PTAS as it was before its ready heap: a closure
+# for every SCC, and a rescan of the light list after each absorption.
+# Differential reference for ``graphsack.all_neighbour``.
+
+def uniform_directed_alln_ptas_rescan(instance: Instance, k: Optional[int] = None,
+                                      eps=0.25) -> Solution:
+    if not instance.directed:
+        raise UnsupportedVariantError("uda-ptas requires a directed instance")
+    for v in range(instance.n):
+        if instance.weights[v] != instance.profits[v]:
+            raise UnsupportedVariantError(
+                "uda-ptas requires weight(v) == profit(v) for every vertex")
+    eps = eps_fraction(eps)
+    k = instance.solver_budget(k)
+
+    cond = condense(instance)
+    closures = [frozenset(descendants(cond, [u])) for u in range(cond.scc_count)]
+    scc_w = cond.scc_weight
+    heavy = [u for u in range(cond.scc_count) if scc_w[u] > eps * k]
+    light = [u for u in range(cond.scc_count) if not scc_w[u] > eps * k]
+
+    best_units: frozenset[int] = frozenset()
+    best_weight = 0
+    guesses = 0
+    for size in range(0, int(1 / eps) + 1):
+        for pick in combinations(heavy, size):
+            guesses += 1
+            units: set[int] = set()
+            for u in pick:
+                units.update(closures[u])
+            weight = sum(scc_w[u] for u in units)
+            if weight > k:
+                continue
+            while True:
+                addable = next((b for b in light if b not in units
+                                and weight + scc_w[b] <= k
+                                and all(w in units for w in cond.dag_adjacency[b])),
+                               None)
+                if addable is None:
+                    break
+                units.add(addable)
+                weight += scc_w[addable]
+            if weight > best_weight:
+                best_units, best_weight = frozenset(units), weight
+
+    chosen = sorted(v for u in best_units for v in cond.scc_vertices[u])
+    trace = {"guesses": guesses, "units": tuple(sorted(best_units))}
+    return make_solution(instance, chosen, ALL_NEIGHBOUR, "uda-ptas",
+                         f"{float(1 - eps):g}", k, trace)
 
 
 def random_instance(rng: random.Random, n: int, directed: bool,

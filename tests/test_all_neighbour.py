@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsack import (Instance, UnsupportedVariantError, closure_catalog,
                        condense, descendants, general_undirected_alln_fptas,
                        is_all_neighbour_set, uniform_directed_alln_ptas,
                        uniform_undirected_alln)
 from helpers import (brute_force_profit, opt_at, profit_for_every_budget,
-                     random_instance, random_uniform)
+                     random_instance, random_uniform, uniform_directed_alln_ptas_rescan)
 
 
 def assert_closure_union(inst, chosen):
@@ -78,21 +80,69 @@ class TestUniformDirectedPtas:
                 assert sol.total_weight >= need
 
 
+@st.composite
+def weight_equals_profit_digraphs(draw, max_n=10):
+    """Directed instances with weight == profit, zero weights, several
+    multi-vertex SCCs and budgets from 0 to above the total weight."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weights = draw(st.lists(st.sampled_from([0, 1, 1, 2, 3, 5]), min_size=n, max_size=n))
+    k = draw(st.integers(0, sum(weights) + 1))
+    return Instance(True, n, edges, weights, weights, k)
+
+
+class TestReadyHeapMatchesRescan:
+    """The ready heap absorbs light SCCs in the order of a full rescan."""
+
+    @given(weight_equals_profit_digraphs(),
+           st.sampled_from([Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), 0.9]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_rescan(self, inst, eps):
+        got = uniform_directed_alln_ptas(inst, eps=eps)
+        want = uniform_directed_alln_ptas_rescan(inst, eps=eps)
+        assert (got.chosen, got.trace) == (want.chosen, want.trace)
+
+    def test_lower_id_that_becomes_ready_goes_first(self):
+        # SCC ids: {1} = 0 -> {2} = 1, and {0} = 2, all light.  After {2} is
+        # absorbed, {1} (id 0) is ready and beats the earlier-ready {0}
+        # (id 2) to the last unit of budget.
+        inst = Instance(True, 3, [(1, 2)], [1] * 3, [1] * 3, 2)
+        cond = condense(inst)
+        assert [cond.membership[v] for v in range(3)] == [2, 0, 1]
+        sol = uniform_directed_alln_ptas(inst, eps=Fraction(1, 2))
+        assert sol.chosen == (1, 2)
+        want = uniform_directed_alln_ptas_rescan(inst, eps=Fraction(1, 2))
+        assert (sol.chosen, sol.trace) == (want.chosen, want.trace)
+
+    def test_dropped_scc_stays_dropped(self):
+        # SCC ids f=0, g=1, e=2, b=3, d=4 (vertices 4, 3, 2, 1, 0); e -> d.
+        # f and g fill 3 of 4, b (light, weight 2) does not fit and is
+        # dropped, d fills the budget, and only then is e (weight 0, lower id
+        # than b) ready.
+        inst = Instance(True, 5, [(2, 0)], [1, 2, 0, 1, 2], [1, 2, 0, 1, 2], 4)
+        cond = condense(inst)
+        assert [cond.membership[v] for v in range(5)] == [4, 3, 2, 1, 0]
+        sol = uniform_directed_alln_ptas(inst, eps=Fraction(1, 2))
+        assert sol.chosen == (0, 2, 3, 4) and sol.trace["units"] == (0, 1, 2, 4)
+        want = uniform_directed_alln_ptas_rescan(inst, eps=Fraction(1, 2))
+        assert (sol.chosen, sol.trace) == (want.chosen, want.trace)
+
+
 class TestClosureCatalog:
     def test_invariants_random(self):
         rng = random.Random(515)
         for _ in range(40):
-            inst = random_uniform(rng, rng.randint(1, 10), True,
-                                  rng.random() * 0.5, 6)
+            inst = random_instance(rng, rng.randint(1, 10), True,
+                                   rng.random() * 0.5, 6, 1, 6)
             cond = condense(inst)
-            catalog = closure_catalog(inst, cond, 0.5, inst.budget)
-            for u in range(cond.scc_count):
-                desc = descendants(cond, [u])
-                assert catalog.closures[u] == frozenset(desc)
-                assert catalog.closure_weight[u] == sum(
-                    cond.scc_weight[w] for w in desc)
-                heavy_expected = cond.scc_weight[u] > Fraction(1, 2) * inst.budget
-                assert catalog.heavy[u] == heavy_expected
+            for eps in (Fraction(1, 5), Fraction(1, 2)):
+                catalog = closure_catalog(cond, eps, inst.budget)
+                heavy = [u for u in range(cond.scc_count)
+                         if cond.scc_weight[u] > eps * inst.budget]
+                assert list(catalog) == heavy
+                for u in heavy:
+                    assert catalog[u] == frozenset(descendants(cond, [u]))
 
 
 class TestUniformUndirected:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphsack import graphs
 from graphsack import (Instance, ValidationError, condense, connected_components,
                        descendants, in_boundary, is_1_neighbour_set,
                        is_all_neighbour_set, smallest_cycle)
@@ -51,6 +52,23 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             Instance(False, 1, [], [0], [0], -1)
 
+    @pytest.mark.parametrize("edge", [(True, 1), (0, True), (0.0, 1), (0, 1.0), ("0", 1)])
+    def test_rejects_non_int_edge_endpoints(self, edge):
+        with pytest.raises(ValidationError, match="invalid vertex"):
+            directed(3, [edge])
+        with pytest.raises(ValidationError, match="invalid vertex"):
+            undirected(3, [edge])
+
+    @pytest.mark.parametrize("vertices", [[True], [False, 1], [1, True], ["a", 1],
+                                          [1.0], [0, None], [[0]]])
+    def test_check_vertices_rejects_non_int_ids(self, vertices):
+        inst = directed(3, [(0, 1)])
+        with pytest.raises(ValidationError, match="invalid vertex id"):
+            inst.check_vertices(vertices)
+
+    def test_check_vertices_normalizes(self):
+        assert directed(3, []).check_vertices([2, 0, 2]) == (0, 2)
+
 
 class TestConnectedComponents:
     def test_triangle_plus_isolated(self):
@@ -80,27 +98,41 @@ class TestConnectedComponents:
             assert len(set(flat)) == len(flat)
 
 
+def cycle_lengths(inst, cond):
+    return tuple(len(smallest_cycle(inst, c)) for c in cond.scc_vertices)
+
+
 class TestCondense:
     def test_two_arcs_into_sink(self):
         # u -> v, w -> v: three singleton SCCs, every smallest cycle length 1
-        cond = condense(directed(3, [(0, 1), (2, 1)]))
+        inst = directed(3, [(0, 1), (2, 1)])
+        cond = condense(inst)
         assert cond.scc_count == 3
-        assert cond.smallest_cycle_len == (1, 1, 1)
+        assert cycle_lengths(inst, cond) == (1, 1, 1)
 
     def test_three_cycle(self):
-        cond = condense(directed(3, [(0, 1), (1, 2), (2, 0)]))
+        inst = directed(3, [(0, 1), (1, 2), (2, 0)])
+        cond = condense(inst)
         assert cond.scc_count == 1
-        assert cond.smallest_cycle_len == (3,)
+        assert cycle_lengths(inst, cond) == (3,)
 
     def test_two_cycle_with_tail(self):
         # a <-> b with a tail t -> a; derived by enumerating the cycles.
-        cond = condense(directed(3, [(0, 1), (1, 0), (2, 0)]))
+        inst = directed(3, [(0, 1), (1, 0), (2, 0)])
+        cond = condense(inst)
         by_vertices = {cond.scc_vertices[i]: i for i in range(cond.scc_count)}
         ab, t = by_vertices[(0, 1)], by_vertices[(2,)]
-        assert cond.smallest_cycle_len[ab] == 2
-        assert cond.smallest_cycle_len[t] == 1
+        assert len(smallest_cycle(inst, cond.scc_vertices[ab])) == 2
+        assert len(smallest_cycle(inst, cond.scc_vertices[t])) == 1
         assert cond.dag_adjacency[t] == (ab,)
         assert cond.dag_adjacency[ab] == ()
+
+    def test_computes_no_cycles(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("condense searched for a cycle")
+        monkeypatch.setattr(graphs, "_smallest_cycle_in_scc", forbidden)
+        cond = condense(directed(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
+        assert cond.scc_vertices == ((0, 1, 2), (3,))
 
     def test_rejects_undirected(self):
         with pytest.raises(ValidationError):
@@ -120,9 +152,8 @@ class TestCondense:
                     assert w > u  # ids are topologically ordered
             for u in range(cond.scc_count):
                 single = len(cond.scc_vertices[u]) == 1
-                assert (cond.smallest_cycle_len[u] == 1) == single
-                cyc = cond.smallest_cycle_vertices[u]
-                assert len(cyc) == cond.smallest_cycle_len[u]
+                cyc = smallest_cycle(inst, cond.scc_vertices[u])
+                assert (len(cyc) == 1) == single
                 if not single:
                     arcs = set(inst.edges)
                     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -178,7 +209,7 @@ class TestSmallestCycle:
                 if len(members) == 1:
                     continue
                 expect = brute_girth_cycle(inst, members)
-                assert cond.smallest_cycle_vertices[u] == expect
+                assert smallest_cycle(inst, members) == expect
                 checked += 1
         assert checked > 40
 
