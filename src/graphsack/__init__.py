@@ -18,8 +18,8 @@ from .all_neighbour import (closure_catalog, general_undirected_alln_fptas,
 from .errors import (GraphsackError, OracleScaleError, ParseError,
                      UnsupportedVariantError, ValidationError)
 from .graphs import (Condensation, Instance, condense, connected_components,
-                     descendants, in_boundary, is_1_neighbour_set,
-                     is_all_neighbour_set, smallest_cycle)
+                     descendants, first_violation, in_boundary,
+                     is_1_neighbour_set, is_all_neighbour_set, smallest_cycle)
 from .instance_io import (gen_max_k_cover, gen_network_budget, gen_random,
                           gen_set_cover_cycles, parse, serialize)
 from .knapsack import (Item, ProfitTable, knapsack_exact, knapsack_fptas,
@@ -38,8 +38,8 @@ __all__ = [
     "Solution", "Star", "UnsupportedVariantError", "ValidationError",
     "best_profit_viable_star", "best_ratio_viable_star", "closure_catalog",
     "condense", "connected_components", "descendants", "exact_1n",
-    "exact_alln", "gen_max_k_cover", "gen_network_budget", "gen_random",
-    "gen_set_cover_cycles", "general_undirected_alln_fptas",
+    "exact_alln", "first_violation", "gen_max_k_cover", "gen_network_budget",
+    "gen_random", "gen_set_cover_cycles", "general_undirected_alln_fptas",
     "greedy_1_neighbour", "in_boundary", "is_1_neighbour_set",
     "is_all_neighbour_set", "knapsack_exact", "knapsack_fptas", "parse",
     "ratio_fptas", "ratio_key", "serialize", "smallest_cycle",

@@ -5,7 +5,7 @@ Every feasible all-neighbour set is a union of SCC descendant closures
 a set-selection problem over the condensation:
 
 * :func:`uniform_directed_alln_ptas` - directed, weight == profit per vertex;
-  guesses small sets of heavy SCCs and pads their closures with light SCCs.
+  guesses fitting sets of heavy SCCs and pads their closures with light SCCs.
 * :func:`uniform_undirected_alln` - undirected unit weights; exact subset sum
   over component sizes.
 * :func:`general_undirected_alln_fptas` - undirected, arbitrary weights and
@@ -15,12 +15,11 @@ a set-selection problem over the condensation:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import combinations
 from typing import Optional
 
 from .errors import UnsupportedVariantError
 from .graphs import Condensation, Instance, condense, connected_components, descendants
-from .knapsack import Item, eps_fraction, knapsack_fptas, subset_sum_max
+from .knapsack import Item, eps_fraction, fitting_picks, knapsack_fptas, subset_sum_max
 from .solution import ALL_NEIGHBOUR, Solution, make_solution
 
 
@@ -35,18 +34,18 @@ def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
                                eps=0.25) -> Solution:
     """(1-eps)-approximation when every vertex has weight equal to profit.
 
-    For each subset of at most 1/eps heavy SCCs, take the descendant closure,
-    then repeatedly absorb the lowest-id light SCC whose out-neighbours are
+    For each pick of heavy SCCs whose closure fits the budget (fewer than
+    1/eps of them, as each weighs over eps * k), take that closure, then
+    repeatedly absorb the lowest-id light SCC whose out-neighbours are
     already inside and that fits the budget; the best closure found wins.
     Ready light SCCs wait in a heap, with Kahn's count of missing successors
     per SCC; one that does not fit is dropped, as the weight only grows.
     """
     if not instance.directed:
         raise UnsupportedVariantError("uda-ptas requires a directed instance")
-    for v in range(instance.n):
-        if instance.weights[v] != instance.profits[v]:
-            raise UnsupportedVariantError(
-                "uda-ptas requires weight(v) == profit(v) for every vertex")
+    if instance.weights != instance.profits:
+        raise UnsupportedVariantError(
+            "uda-ptas requires weight(v) == profit(v) for every vertex")
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
 
@@ -59,37 +58,36 @@ def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
             preds[w].append(u)
     out_degree = [len(nbrs) for nbrs in cond.dag_adjacency]
 
+    def union(pick) -> set[int]:
+        return set().union(*(closures[u] for u in pick))
+
     best_units: frozenset[int] = frozenset()
     best_weight = 0
     guesses = 0
-    for size in range(0, int(1 / eps) + 1):
-        for pick in combinations(closures, size):
-            guesses += 1
-            units: set[int] = set()
-            for u in pick:
-                units.update(closures[u])
-            weight = sum(scc_w[u] for u in units)
-            if weight > k:
+    for pick in fitting_picks(list(closures), k,
+                              lambda pick: sum(scc_w[u] for u in union(pick))):
+        guesses += 1
+        units = union(pick)
+        weight = sum(scc_w[u] for u in units)
+        missing = out_degree[:]
+        for w in units:
+            for u in preds[w]:
+                missing[u] -= 1
+        # ready light SCCs, in ascending order, which is a valid heap
+        ready = [b for b in range(cond.scc_count)
+                 if not missing[b] and b not in units and b not in closures]
+        while ready:
+            b = heappop(ready)
+            if weight + scc_w[b] > k:
                 continue
-            missing = out_degree[:]
-            for w in units:
-                for u in preds[w]:
-                    missing[u] -= 1
-            # ready light SCCs, in ascending order, which is a valid heap
-            ready = [b for b in range(cond.scc_count)
-                     if not missing[b] and b not in units and b not in closures]
-            while ready:
-                b = heappop(ready)
-                if weight + scc_w[b] > k:
-                    continue
-                units.add(b)
-                weight += scc_w[b]
-                for u in preds[b]:
-                    missing[u] -= 1
-                    if not missing[u] and u not in closures:
-                        heappush(ready, u)
-            if weight > best_weight:
-                best_units, best_weight = frozenset(units), weight
+            units.add(b)
+            weight += scc_w[b]
+            for u in preds[b]:
+                missing[u] -= 1
+                if not missing[u] and u not in closures:
+                    heappush(ready, u)
+        if weight > best_weight:
+            best_units, best_weight = frozenset(units), weight
 
     chosen = sorted(v for u in best_units for v in cond.scc_vertices[u])
     trace = {"guesses": guesses, "units": tuple(sorted(best_units))}

@@ -19,7 +19,7 @@ from .all_neighbour import (general_undirected_alln_fptas, uniform_directed_alln
                             uniform_undirected_alln)
 from .errors import (GraphsackError, OracleScaleError, ParseError,
                      UnsupportedVariantError, ValidationError)
-from .graphs import Instance, is_1_neighbour_set, is_all_neighbour_set
+from .graphs import Instance, first_violation, is_1_neighbour_set, is_all_neighbour_set
 from .instance_io import parse
 from .one_neighbour import (greedy_1_neighbour, uniform_directed_1n_ptas,
                             uniform_undirected_1n)
@@ -47,30 +47,33 @@ EPSILON_VARIANTS = {"greedy-1n", "ud1n-ptas", "uda-ptas", "gua-fptas"}
 CONSTRAINT_NAMES = {"one": ONE_NEIGHBOUR, "all": ALL_NEIGHBOUR}
 
 
-def route_auto(constraint: str, directed: bool, uniform: bool, n: int,
-               oracle_max_n: int) -> str:
-    """Pick the variant for (constraint, direction, uniformity).
+def route_auto(constraint: str, instance: Instance, oracle_max_n: int) -> str:
+    """Pick the variant for (constraint, direction, weights and profits).
 
-    The two classes with no implemented approximation fall back to the
-    exhaustive oracle when small enough and are refused otherwise.
+    Directed non-unit instances go to the exhaustive oracle when small
+    enough; above that, weight = profit all-neighbour ones go to uda-ptas
+    and the rest, hard to approximate, are refused.
     """
+    uniform = instance.is_uniform()
     if constraint == ONE_NEIGHBOUR:
-        if not directed:
+        if not instance.directed:
             return "uu1n-linear" if uniform else "greedy-1n"
         if uniform:
             return "ud1n-ptas"
-        if n <= oracle_max_n:
+        if instance.n <= oracle_max_n:
             return "exact-1n"
         raise UnsupportedVariantError(
             "general directed one-neighbour instances have no approximation "
             "variant (the problem is 1/Omega(log^(1-eps) n)-hard to "
             f"approximate); the exhaustive search is limited to n <= {oracle_max_n}")
-    if not directed:
+    if not instance.directed:
         return "uua-subsetsum" if uniform else "gua-fptas"
     if uniform:
         return "uda-ptas"
-    if n <= oracle_max_n:
+    if instance.n <= oracle_max_n:
         return "exact-all"
+    if instance.weights == instance.profits:
+        return "uda-ptas"
     raise UnsupportedVariantError(
         "general directed all-neighbour instances have no approximation "
         "variant (the problem is 2^(log^d n)-hard to approximate); the "
@@ -138,8 +141,7 @@ def cmd_solve(args) -> int:
     constraint = CONSTRAINT_NAMES[args.constraint]
     variant = args.variant
     if variant == "auto":
-        variant = route_auto(constraint, instance.directed, instance.is_uniform(),
-                             instance.n, args.oracle_max_n)
+        variant = route_auto(constraint, instance, args.oracle_max_n)
     elif VARIANT_CONSTRAINT[variant] != constraint:
         raise UnsupportedVariantError(
             f"variant {variant} solves the {VARIANT_CONSTRAINT[variant]} "
@@ -179,25 +181,13 @@ def cmd_check(args) -> int:
             int(tok) for tok in args.set.replace(",", " ").split())
     except ValueError as exc:
         raise ValidationError(f"malformed vertex set {args.set!r}") from exc
-    inside = set(chosen)
-    witness = None
-    missing = None
-    if args.constraint == "one":
-        for v in chosen:
-            if instance.degree(v) > 0 and not any(u in inside for u in instance.adj[v]):
-                witness = v
-                break
-    else:
-        for v in chosen:
-            out = next((u for u in instance.adj[v] if u not in inside), None)
-            if out is not None:
-                witness, missing = v, out
-                break
+    violation = first_violation(instance, chosen, CONSTRAINT_NAMES[args.constraint])
     weight = instance.total_weight(chosen)
     print(f"set: {' '.join(map(str, chosen))}")
     print(f"constraint: {args.constraint}")
-    print(f"feasible: {'false' if witness is not None else 'true'}")
-    if witness is not None:
+    print(f"feasible: {'false' if violation else 'true'}")
+    if violation:
+        witness, missing = violation
         print(f"witness: {witness}")
         if missing is not None:
             print(f"missing: {missing}")
@@ -213,16 +203,14 @@ def applicable_variants(instance: Instance, oracle_max_n: int) -> list[str]:
     if instance.directed:
         if uniform:
             out += ["ud1n-ptas", "uda-ptas"]
-        elif all(w == p for w, p in zip(instance.weights, instance.profits)):
+        elif instance.weights == instance.profits:
             out.append("uda-ptas")
-        if instance.n <= oracle_max_n:
-            out += ["exact-1n", "exact-all"]
     else:
         out += ["greedy-1n", "gua-fptas"]
         if uniform:
             out += ["uu1n-linear", "uua-subsetsum"]
-        if instance.n <= oracle_max_n:
-            out += ["exact-1n", "exact-all"]
+    if instance.n <= oracle_max_n:
+        out += ["exact-1n", "exact-all"]
     return sorted(out)
 
 

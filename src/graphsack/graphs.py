@@ -3,8 +3,8 @@
 An :class:`Instance` couples a directed or undirected graph with per-vertex
 integer weights and profits and a knapsack budget.  This module provides the
 component/SCC analysis, the smallest directed cycle of one SCC, boundary and
-descendant computations, and the two feasibility predicates that define the
-selection constraints:
+descendant computations, and the feasibility rule that defines the two
+selection constraints (:func:`first_violation`, and a predicate for each):
 
 * a *1-neighbour set* may contain a vertex only if at least one of its
   (out-)neighbours is also in the set (vertices with no neighbours are free);
@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 
 MAX_VALUE = (1 << 63) - 1
+ONE_NEIGHBOUR = "one-neighbour"
+ALL_NEIGHBOUR = "all-neighbour"
 
 
 def _is_int(x) -> bool:
@@ -349,22 +351,30 @@ def descendants(condensation: Condensation, roots: Iterable[int]) -> set[int]:
     return reach
 
 
+def first_violation(instance: Instance, vertices: Iterable[int],
+                    constraint: str) -> tuple[int, int | None] | None:
+    """The first member, in id order, that breaks ``constraint``, or None.
+
+    A one-neighbour violation is ``(v, None)``: ``v`` has (out-)neighbours but
+    none inside.  An all-neighbour violation is ``(v, u)`` with ``u`` the
+    first (out-)neighbour of ``v`` outside the set.
+    """
+    chosen = instance.check_vertices(vertices)
+    inside = set(chosen)
+    if constraint == ONE_NEIGHBOUR:
+        return next(((v, None) for v in chosen if instance.adj[v]
+                     and not any(u in inside for u in instance.adj[v])), None)
+    if constraint == ALL_NEIGHBOUR:
+        return next(((v, u) for v in chosen for u in instance.adj[v]
+                     if u not in inside), None)
+    raise ValidationError(f"unknown constraint {constraint!r}")
+
+
 def is_1_neighbour_set(instance: Instance, vertices: Iterable[int]) -> bool:
     """True iff every member with positive (out-)degree has a neighbour inside."""
-    chosen = set(instance.check_vertices(vertices))
-    for v in chosen:
-        if instance.degree(v) == 0:
-            continue
-        if not any(u in chosen for u in instance.adj[v]):
-            return False
-    return True
+    return first_violation(instance, vertices, ONE_NEIGHBOUR) is None
 
 
 def is_all_neighbour_set(instance: Instance, vertices: Iterable[int]) -> bool:
     """True iff the set is closed under the (out-)neighbour relation."""
-    chosen = set(instance.check_vertices(vertices))
-    for v in chosen:
-        for u in instance.adj[v]:
-            if u not in chosen:
-                return False
-    return True
+    return first_violation(instance, vertices, ALL_NEIGHBOUR) is None

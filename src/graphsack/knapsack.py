@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -293,6 +293,23 @@ def ratio_fptas(items: Sequence[Item], capacity: int, eps):
         ids = table.nonempty_witness(p)
         offer(ids, table.true_profit(ids), w)
     return best
+
+
+def fitting_picks(candidates: Sequence, k: int,
+                  cost: Callable[[tuple], int]) -> Iterator[tuple]:
+    """Every pick from ``candidates``, in their order, with ``cost(pick) <= k``.
+
+    Picks come by size, then in :func:`itertools.combinations` order within a
+    size.  ``cost`` must not decrease as a pick grows, so only fitting picks
+    need extending: the work is the fitting picks times the candidates.
+    """
+    # the fitting picks of one size, each with the position of its next candidate
+    level = [((), 0)] if cost(()) <= k else []
+    while level:
+        yield from (pick for pick, _ in level)
+        level = [(pick + (c,), j + 1) for pick, start in level
+                 for j, c in enumerate(candidates[start:], start)
+                 if cost(pick + (c,)) <= k]
 
 
 def subset_sum_max(sizes: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .errors import UnsupportedVariantError
 from .graphs import (Instance, _smallest_cycle_in_scc, condense, connected_components,
                      in_boundary, is_1_neighbour_set)
-from .knapsack import eps_fraction, ratio_key
+from .knapsack import eps_fraction, fitting_picks, ratio_key
 from .solution import ONE_NEIGHBOUR, Solution, make_solution
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
 
@@ -174,11 +174,13 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     """(1-eps)-approximation for unit weights/profits on directed graphs.
 
     Classifies SCCs by smallest-cycle length into large / petite / tiny,
-    guesses every small set of large SCCs, seeds the knapsack with smallest
-    cycles of the guessed SCCs plus affordable sink SCCs, and grows it by a
-    backwards search.  Falls back to the exhaustive search when eps <= 1/k.
-    The trace records, per guess, whether every candidate sink was taken
-    (the branch where the result is provably optimal).
+    guesses every set of large SCCs whose smallest cycles fit the budget
+    together (fewer than 1/eps, as each is longer than eps * k), seeds the
+    knapsack with smallest cycles of the guessed SCCs plus affordable sink
+    SCCs, and grows it by a backwards search.  Falls back to the exhaustive
+    search when eps <= 1/k.  The trace records, per guess, whether every
+    candidate sink was taken (the branch where the result is provably
+    optimal).
     """
     if not instance.directed:
         raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
@@ -192,13 +194,9 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
         # k < 1/eps, so trying every vertex subset of size <= k stays
         # polynomial for fixed eps; sizes descend, so the first feasible
         # combination (lexicographically smallest at its size) is optimal.
-        chosen: tuple[int, ...] = ()
-        for size in range(min(k, instance.n), 0, -1):
-            found = next((c for c in combinations(range(instance.n), size)
-                          if is_1_neighbour_set(instance, c)), None)
-            if found is not None:
-                chosen = found
-                break
+        chosen = next((c for size in range(min(k, instance.n), 0, -1)
+                       for c in combinations(range(instance.n), size)
+                       if is_1_neighbour_set(instance, c)), ())
         return make_solution(instance, chosen, ONE_NEIGHBOUR, "ud1n-ptas",
                              "exact", k, {"fallback": "exhaustive"})
 
@@ -211,38 +209,37 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     tiny_sinks = [u for u in range(cond.scc_count)
                   if cycle_len[u] == 1 and not cond.dag_adjacency[u]]
 
+    def cost(guess) -> int:
+        return sum(cycle_len[u] for u in guess)
+
     best: Optional[tuple[int, ...]] = None
     best_entry: Optional[dict] = None
     entries: list[dict] = []
-    for size in range(0, int(1 / eps) + 1):
-        for guess in combinations(large, size):
-            cost = sum(cycle_len[u] for u in guess)
-            if cost > k:
-                continue
-            in_dx = petite | set(guess)
-            petite_sinks = [u for u in sorted(petite)
-                            if not any(w in in_dx for w in cond.dag_adjacency[u])]
-            zset = sorted(set(tiny_sinks) | set(petite_sinks))
-            taken = []
-            budget = k - cost
-            for u in sorted(zset, key=lambda u: (cycle_len[u], u)):
-                c = cycle_len[u]
-                if c <= budget:
-                    taken.append(u)
-                    budget -= c
-            chosen = set()
-            for u in list(guess) + taken:
-                chosen.update(cycles[u])
-            _grow_1n(instance, chosen, k)
-            entry = {"guess": guess, "candidate_sinks": tuple(zset),
-                     "taken_sinks": tuple(sorted(taken)),
-                     "complete": len(taken) == len(zset),
-                     "size": len(chosen)}
-            entries.append(entry)
-            verts = tuple(sorted(chosen))
-            if best is None or len(verts) > len(best) or \
-                    (len(verts) == len(best) and verts < best):
-                best, best_entry = verts, entry
+    for guess in fitting_picks(large, k, cost):
+        in_dx = petite | set(guess)
+        petite_sinks = [u for u in sorted(petite)
+                        if not any(w in in_dx for w in cond.dag_adjacency[u])]
+        zset = sorted(set(tiny_sinks) | set(petite_sinks))
+        taken = []
+        budget = k - cost(guess)
+        for u in sorted(zset, key=lambda u: (cycle_len[u], u)):
+            c = cycle_len[u]
+            if c <= budget:
+                taken.append(u)
+                budget -= c
+        chosen = set()
+        for u in list(guess) + taken:
+            chosen.update(cycles[u])
+        _grow_1n(instance, chosen, k)
+        entry = {"guess": guess, "candidate_sinks": tuple(zset),
+                 "taken_sinks": tuple(sorted(taken)),
+                 "complete": len(taken) == len(zset),
+                 "size": len(chosen)}
+        entries.append(entry)
+        verts = tuple(sorted(chosen))
+        if best is None or len(verts) > len(best) or \
+                (len(verts) == len(best) and verts < best):
+            best, best_entry = verts, entry
 
     trace = {"guesses": entries, "winner": best_entry,
              "complete": bool(best_entry and best_entry["complete"])}

@@ -122,19 +122,10 @@ def exact_alln(instance: Instance, k: Optional[int] = None,
             weight += weights[u]
             profit += profits[u]
             m &= m - 1
-        if not closed or weight > k or profit < best_profit:
+        if not closed or weight > k or (profit, -weight) < (best_profit, -best_weight):
             continue
-        if (profit, -weight) > (best_profit, -best_weight):
-            verts = None
-        elif (profit, weight) == (best_profit, best_weight):
-            verts = tuple(sorted(v for u in range(s) if mask >> u & 1
-                                 for v in units[u]))
-            if verts >= best_verts:
-                continue
-        else:
+        verts = tuple(sorted(v for u in range(s) if mask >> u & 1 for v in units[u]))
+        if (profit, weight) == (best_profit, best_weight) and verts >= best_verts:
             continue
-        if verts is None:
-            verts = tuple(sorted(v for u in range(s) if mask >> u & 1
-                                 for v in units[u]))
         best_profit, best_weight, best_verts = profit, weight, verts
     return make_solution(instance, best_verts, ALL_NEIGHBOUR, "exact-all", "exact", k)

@@ -6,10 +6,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ValidationError
-from .graphs import Instance, is_1_neighbour_set, is_all_neighbour_set
-
-ONE_NEIGHBOUR = "one-neighbour"
-ALL_NEIGHBOUR = "all-neighbour"
+from .graphs import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, is_1_neighbour_set,
+                     is_all_neighbour_set)
 
 
 @dataclass(frozen=True)

@@ -330,7 +330,8 @@ def best_ratio_viable_star_full_scan(instance: Instance, capacity: int, eps) -> 
 
 
 # The directed all-neighbour PTAS as it was before its ready heap: a closure
-# for every SCC, and a rescan of the light list after each absorption.
+# for every SCC, and a rescan of the light list after each absorption.  Its
+# ``guesses`` counts the picks that fit the budget, as the solver's does.
 # Differential reference for ``graphsack.all_neighbour``.
 
 def uniform_directed_alln_ptas_rescan(instance: Instance, k: Optional[int] = None,
@@ -355,13 +356,13 @@ def uniform_directed_alln_ptas_rescan(instance: Instance, k: Optional[int] = Non
     guesses = 0
     for size in range(0, int(1 / eps) + 1):
         for pick in combinations(heavy, size):
-            guesses += 1
             units: set[int] = set()
             for u in pick:
                 units.update(closures[u])
             weight = sum(scc_w[u] for u in units)
             if weight > k:
                 continue
+            guesses += 1
             while True:
                 addable = next((b for b in light if b not in units
                                 and weight + scc_w[b] <= k

@@ -3,15 +3,18 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsack.all_neighbour
 from graphsack import (Instance, UnsupportedVariantError, closure_catalog,
                        condense, descendants, general_undirected_alln_fptas,
                        is_all_neighbour_set, uniform_directed_alln_ptas,
                        uniform_undirected_alln)
+from graphsack.knapsack import fitting_picks
 from helpers import (brute_force_profit, opt_at, profit_for_every_budget,
                      random_instance, random_uniform, uniform_directed_alln_ptas_rescan)
 
@@ -127,6 +130,53 @@ class TestReadyHeapMatchesRescan:
         assert sol.chosen == (0, 2, 3, 4) and sol.trace["units"] == (0, 1, 2, 4)
         want = uniform_directed_alln_ptas_rescan(inst, eps=Fraction(1, 2))
         assert (sol.chosen, sol.trace) == (want.chosen, want.trace)
+
+
+def closure_weight(cond, pick):
+    return sum(cond.scc_weight[u] for u in descendants(cond, pick))
+
+
+class TestGuessesFitTheBudget:
+    """uda-ptas guesses exactly the heavy picks whose closure fits."""
+
+    def test_many_heavy_sccs(self):
+        # 33 singleton SCCs, all heavy at k = 2, eps = 1/10 (weight > 0.2):
+        # sum of C(33, s) for s <= 10 is about 150.7 million picks of at most
+        # 1/eps heavy SCCs, and none of size 3 or more fits.
+        arcs = [(0, 3), (3, 6), (1, 9), (12, 15), (18, 2), (21, 24)]
+        weights = [1 + v % 3 for v in range(33)]
+        inst = Instance(True, 33, arcs, weights, weights, 2)
+        cond = condense(inst)
+        assert cond.scc_count == 33 and min(cond.scc_weight) >= 1
+        sol = uniform_directed_alln_ptas(inst, eps=Fraction(1, 10))
+        fitting = sum(1 for size in range(3)
+                      for pick in combinations(range(33), size)
+                      if closure_weight(cond, pick) <= 2)
+        assert sol.trace["guesses"] == fitting
+        assert sol.total_weight == 2
+
+    @given(weight_equals_profit_digraphs(max_n=12),
+           st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(1, 4),
+                            Fraction(1, 3), Fraction(1, 2)]))
+    @settings(max_examples=200, deadline=None)
+    def test_picks_are_the_fitting_combinations(self, inst, eps):
+        seen = []
+
+        def recording(candidates, k, cost):
+            for pick in fitting_picks(candidates, k, cost):
+                seen.append(pick)
+                yield pick
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphsack.all_neighbour, "fitting_picks", recording)
+            sol = uniform_directed_alln_ptas(inst, eps=eps)
+        k, cond = inst.budget, condense(inst)
+        heavy = [u for u in range(cond.scc_count) if cond.scc_weight[u] > eps * k]
+        assert seen == [pick for size in range(int(1 / eps) + 1)
+                        for pick in combinations(heavy, size)
+                        if closure_weight(cond, pick) <= k]
+        assert max(map(len, seen)) <= int(1 / eps)
+        assert sol.trace["guesses"] == len(seen)
 
 
 class TestClosureCatalog:

@@ -22,6 +22,14 @@ def pair_components(tmp_path):
     return write_instance(tmp_path / "pairs.gsk", inst)
 
 
+def routing_instance(directed, uniform, n, weight_is_profit=False):
+    """``n`` isolated vertices: unit weights, and unit profits when uniform
+    (twice the weight otherwise, unless ``weight_is_profit``)."""
+    weights = [1] * n if uniform else [1 + v % 3 for v in range(n)]
+    profits = weights if uniform or weight_is_profit else [2 * w for w in weights]
+    return Instance(directed, n, [], weights, profits, n)
+
+
 class TestRouting:
     @pytest.mark.parametrize("constraint,directed,uniform,expected", [
         (ONE_NEIGHBOUR, False, True, "uu1n-linear"),
@@ -34,13 +42,28 @@ class TestRouting:
         (ALL_NEIGHBOUR, True, False, "exact-all"),
     ])
     def test_auto_table(self, constraint, directed, uniform, expected):
-        assert route_auto(constraint, directed, uniform, 10, 22) == expected
+        inst = routing_instance(directed, uniform, 10)
+        assert route_auto(constraint, inst, 22) == expected
 
     def test_hardness_refusals_above_oracle_scale(self):
+        inst = routing_instance(True, False, 30)
         with pytest.raises(UnsupportedVariantError, match="hard to"):
-            route_auto(ONE_NEIGHBOUR, True, False, 30, 22)
+            route_auto(ONE_NEIGHBOUR, inst, 22)
         with pytest.raises(UnsupportedVariantError, match="hard to"):
-            route_auto(ALL_NEIGHBOUR, True, False, 30, 22)
+            route_auto(ALL_NEIGHBOUR, inst, 22)
+
+    def test_weight_equals_profit_all_neighbour(self):
+        # the exhaustive oracle up to its bound, the directed PTAS above it
+        assert route_auto(ALL_NEIGHBOUR, routing_instance(True, False, 22, True), 22) \
+            == "exact-all"
+        assert route_auto(ALL_NEIGHBOUR, routing_instance(True, False, 23, True), 22) \
+            == "uda-ptas"
+
+    def test_weight_equals_profit_one_neighbour_unchanged(self):
+        assert route_auto(ONE_NEIGHBOUR, routing_instance(True, False, 22, True), 22) \
+            == "exact-1n"
+        with pytest.raises(UnsupportedVariantError, match="hard to"):
+            route_auto(ONE_NEIGHBOUR, routing_instance(True, False, 23, True), 22)
 
 
 class TestSolve:
@@ -88,6 +111,22 @@ class TestSolve:
         inst = gen_random(30, 0.2, True, 4, 9, 10, seed=2)
         path = write_instance(tmp_path / "big.gsk", inst)
         assert main(["solve", "--input", path, "--constraint", "one"]) == 3
+        assert "hard to approximate" in capsys.readouterr().err
+
+    def test_weight_equals_profit_above_oracle_bound(self, tmp_path, capsys):
+        base = gen_random(60, 0.03, True, 5, 0, 40, seed=4)
+        inst = Instance(True, 60, base.edges, base.weights, base.weights, 40)
+        assert not inst.is_uniform()
+        path = write_instance(tmp_path / "wp.gsk", inst)
+        assert main(["solve", "--input", path, "--constraint", "all"]) == 0
+        out = dict(line.split(": ", 1) for line in
+                   capsys.readouterr().out.strip().splitlines())
+        assert out["variant"] == "uda-ptas" and out["feasible"] == "true"
+        assert int(out["weight"]) <= 40
+        general = Instance(True, 60, base.edges, base.weights,
+                           [w + 1 for w in base.weights], 40)
+        path = write_instance(tmp_path / "general.gsk", general)
+        assert main(["solve", "--input", path, "--constraint", "all"]) == 3
         assert "hard to approximate" in capsys.readouterr().err
 
     def test_oracle_scale_exit_code(self, tmp_path, capsys):
@@ -229,6 +268,11 @@ class TestApplicableVariants:
         inst = Instance(True, 3, [(0, 1)], [1] * 3, [1] * 3, 2)
         assert applicable_variants(inst, 22) == \
             ["exact-1n", "exact-all", "ud1n-ptas", "uda-ptas"]
+
+    def test_directed_weight_equals_profit(self):
+        inst = Instance(True, 3, [(0, 1)], [2, 0, 1], [2, 0, 1], 2)
+        assert applicable_variants(inst, 22) == ["exact-1n", "exact-all", "uda-ptas"]
+        assert applicable_variants(inst, 2) == ["uda-ptas"]
 
     def test_undirected_general_large(self):
         inst = Instance(False, 3, [(0, 1)], [1, 2, 1], [1, 1, 1], 2)

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsack import graphs
-from graphsack import (Instance, ValidationError, condense, connected_components,
-                       descendants, in_boundary, is_1_neighbour_set,
-                       is_all_neighbour_set, smallest_cycle)
+from graphsack import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, ValidationError,
+                       condense, connected_components, descendants, first_violation,
+                       in_boundary, is_1_neighbour_set, is_all_neighbour_set,
+                       smallest_cycle)
 from helpers import random_instance
 
 
@@ -279,6 +280,37 @@ class TestPredicates:
         inst = undirected(2, [(0, 1)])
         assert not is_all_neighbour_set(inst, [0])
         assert is_all_neighbour_set(inst, [0, 1])
+
+    def test_first_violation_witnesses(self):
+        inst = directed(4, [(0, 1), (0, 2), (2, 3), (3, 2)])
+        assert first_violation(inst, [3, 0], ONE_NEIGHBOUR) == (0, None)
+        assert first_violation(inst, [0, 1], ONE_NEIGHBOUR) is None
+        assert first_violation(inst, [0, 1, 3], ALL_NEIGHBOUR) == (0, 2)
+        assert first_violation(inst, [1, 3, 0], ALL_NEIGHBOUR) == (0, 2)
+        assert first_violation(inst, [3], ALL_NEIGHBOUR) == (3, 2)
+        assert first_violation(inst, [1, 2, 3], ALL_NEIGHBOUR) is None
+        assert first_violation(inst, [], ONE_NEIGHBOUR) is None
+        with pytest.raises(ValidationError, match="unknown constraint"):
+            first_violation(inst, [1], "some-neighbour")
+        with pytest.raises(ValidationError):
+            first_violation(inst, [4], ALL_NEIGHBOUR)
+
+    def test_first_violation_matches_definition_random(self):
+        # the smallest violating member; for all-neighbour, its smallest
+        # (out-)neighbour outside the set
+        rng = random.Random(29)
+        for _ in range(200):
+            inst = random_instance(rng, rng.randint(1, 10), rng.random() < 0.5,
+                                   rng.random() * 0.5, 1, 1, 5)
+            chosen = {v for v in range(inst.n) if rng.random() < 0.5}
+            one = next(((v, None) for v in sorted(chosen) if inst.degree(v)
+                        and not set(inst.adj[v]) & chosen), None)
+            alln = next(((v, min(set(inst.adj[v]) - chosen)) for v in sorted(chosen)
+                         if set(inst.adj[v]) - chosen), None)
+            assert first_violation(inst, chosen, ONE_NEIGHBOUR) == one
+            assert first_violation(inst, chosen, ALL_NEIGHBOUR) == alln
+            assert is_1_neighbour_set(inst, chosen) == (one is None)
+            assert is_all_neighbour_set(inst, chosen) == (alln is None)
 
     def test_all_neighbour_sets_are_closure_unions(self):
         # Any feasible all-neighbour set is a union of SCC descendant closures.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphsack import (Item, ProfitTable, ValidationError, knapsack_exact,
                        knapsack_fptas, ratio_fptas, ratio_key, subset_sum_max)
+from graphsack.knapsack import fitting_picks
 from helpers import (BruteProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
                      ratio_key_reference, ratio_meets)
 
@@ -276,3 +277,62 @@ class TestProfitTable:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError):
             ProfitTable([Item(1, 1, 1), Item(1, 2, 2)])
+
+
+def filtered_combinations(candidates, k, cost):
+    return [pick for size in range(len(candidates) + 1)
+            for pick in combinations(candidates, size) if cost(pick) <= k]
+
+
+class TestFittingPicks:
+    """The budget-pruned enumerator equals a filter over every combination."""
+
+    @given(st.lists(st.integers(0, 4), max_size=8), st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_additive_cost(self, weights, k):
+        # zero-cost candidates fit in every pick that fits
+        candidates = list(range(10, 10 + len(weights)))
+
+        def cost(pick):
+            return sum(weights[c - 10] for c in pick)
+
+        assert list(fitting_picks(candidates, k, cost)) == \
+            filtered_combinations(candidates, k, cost)
+
+    @given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=8),
+           st.lists(st.integers(0, 3), min_size=6, max_size=6), st.integers(0, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_union_cost(self, sets, element_weights, k):
+        # the weight of a union of sets, as for closures of heavy SCCs
+        candidates = list(range(len(sets)))
+
+        def cost(pick):
+            return sum(element_weights[e] for e in frozenset().union(*(sets[c] for c in pick)))
+
+        assert list(fitting_picks(candidates, k, cost)) == \
+            filtered_combinations(candidates, k, cost)
+
+    @given(st.lists(st.integers(0, 4), max_size=8), st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_extends_only_fitting_picks(self, weights, k):
+        asked = []
+
+        def cost(pick):
+            asked.append(pick)
+            return sum(weights[c] for c in pick)
+
+        list(fitting_picks(range(len(weights)), k, cost))
+        assert all(sum(weights[c] for c in pick[:-1]) <= k for pick in asked)
+
+    def test_zero_budget(self):
+        assert list(fitting_picks([0, 1, 2], 0, len)) == [()]
+        assert list(fitting_picks([0, 1, 2], 0, lambda pick: 0)) == \
+            [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+    def test_empty_pick_over_budget(self):
+        assert list(fitting_picks([0, 1], 3, lambda pick: 4 + len(pick))) == []
+
+    def test_many_candidates_few_fit(self):
+        # 60 candidates: 2^60 subsets, but only the picks of size <= 2 fit
+        picks = list(fitting_picks(range(60), 2, len))
+        assert len(picks) == 1 + 60 + 60 * 59 // 2

@@ -3,12 +3,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphsack import (Instance, UnsupportedVariantError, ValidationError,
+from graphsack import (Instance, UnsupportedVariantError, ValidationError, condense,
                        gen_max_k_cover, greedy_1_neighbour, is_1_neighbour_set,
-                       uniform_directed_1n_ptas, uniform_undirected_1n)
+                       smallest_cycle, uniform_directed_1n_ptas, uniform_undirected_1n)
 from helpers import (brute_force_profit, opt_at, profit_for_every_budget,
                      random_instance, random_uniform)
 
@@ -145,3 +148,42 @@ class TestUniformDirectedPtas:
                 assert sol.size >= need
                 if sol.trace.get("complete"):
                     assert sol.size == opt, (inst.edges, k, eps)
+
+
+@st.composite
+def unit_digraphs_and_budgets(draw, max_n=12):
+    """Unit directed instances with several cycles, and a budget above 1/eps."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    # disjoint cycles over a shuffled prefix of the vertices
+    order = draw(st.permutations(range(n)))
+    start = 0
+    for length in draw(st.lists(st.integers(2, 4), max_size=4)):
+        cycle = order[start:start + length]
+        if len(cycle) > 1:
+            edges.update(zip(cycle, cycle[1:] + cycle[:1]))
+        start += length
+    eps = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(1, 4),
+                                Fraction(1, 3), Fraction(1, 2)]))
+    k = draw(st.integers(int(1 / eps) + 1, int(1 / eps) + n + 2))
+    return Instance(True, n, sorted(edges), [1] * n, [1] * n, k), eps
+
+
+class TestGuessesFitTheBudget:
+    """ud1n-ptas guesses exactly the large-SCC sets whose cycles fit."""
+
+    @given(unit_digraphs_and_budgets())
+    @settings(max_examples=200, deadline=None)
+    def test_guesses_are_the_fitting_combinations(self, case):
+        inst, eps = case
+        k = inst.budget
+        cond = condense(inst)
+        length = [len(smallest_cycle(inst, c)) for c in cond.scc_vertices]
+        large = [u for u in range(cond.scc_count) if length[u] > eps * k]
+        guesses = [entry["guess"] for entry in
+                   uniform_directed_1n_ptas(inst, eps=eps).trace["guesses"]]
+        assert guesses == [g for size in range(int(1 / eps) + 1)
+                           for g in combinations(large, size)
+                           if sum(length[u] for u in g) <= k]
+        assert max(map(len, guesses)) <= int(1 / eps)
