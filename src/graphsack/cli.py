@@ -1,7 +1,8 @@
 """Command-line entry point and benchmark harness.
 
 Exit codes: 0 success, 2 parse/validation error, 3 unsupported variant or
-known-hardness refusal, 4 exhaustive-oracle scale exceeded.
+known-hardness refusal, 4 exhaustive-oracle scale exceeded, 1 any other
+package error (an internal error caught by the feasibility re-check).
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ VARIANT_CONSTRAINT = {
 EPSILON_VARIANTS = {"greedy-1n", "ud1n-ptas", "uda-ptas", "gua-fptas"}
 
 CONSTRAINT_NAMES = {"one": ONE_NEIGHBOUR, "all": ALL_NEIGHBOUR}
+
+# the first class an error is an instance of gives the exit code
+# (ParseError is a ValidationError; every class is a GraphsackError)
+EXIT_CODES = ((ValidationError, 2), (UnsupportedVariantError, 3),
+              (OracleScaleError, 4), (GraphsackError, 1))
 
 
 def route_auto(constraint: str, instance: Instance, oracle_max_n: int) -> str:
@@ -319,21 +325,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedVariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OracleScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GraphsackError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

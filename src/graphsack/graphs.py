@@ -191,6 +191,24 @@ def connected_components(instance: Instance) -> list[tuple[int, ...]]:
     return comps
 
 
+def bfs_parents(instance: Instance, root: int) -> dict[int, int]:
+    """Breadth-first tree from ``root``: vertex -> parent (the root's is -1).
+
+    Keys come in visit order, neighbours visited in ``adj`` order.
+    """
+    parent = {root: -1}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in instance.adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    nxt.append(u)
+        frontier = nxt
+    return parent
+
+
 def _tarjan_sccs(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
     """Iterative Tarjan; returns SCCs in reverse topological order."""
     index = [-1] * n

@@ -24,7 +24,7 @@ _VALUE_LIMIT = 1 << 63
 
 
 def _int_token(token: str, line: int, what: str) -> int:
-    if not token.isdigit():
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(f"{what} must be a non-negative integer, got {token!r}", line)
     value = int(token)
     if value >= _VALUE_LIMIT:

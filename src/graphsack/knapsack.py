@@ -34,11 +34,12 @@ def eps_fraction(eps) -> Fraction:
     """Validate an approximation parameter and return it as an exact Fraction.
 
     Floats are read through their decimal string form, so ``0.1`` means 1/10.
+    Anything that is not a number, ``nan`` and ``inf`` included, is rejected.
     """
-    if isinstance(eps, float):
-        eps = Fraction(str(eps))
-    else:
-        eps = Fraction(eps)
+    try:
+        eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ValidationError(f"epsilon must be a number in (0, 1), got {eps!r}") from exc
     if not 0 < eps < 1:
         raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
     return eps
@@ -113,19 +114,19 @@ class ProfitTable:
     """Minimum subset weight per exact (adjusted) profit level.
 
     ``min_weight(p)`` is the least total weight of any subset whose adjusted
-    profit is exactly ``p`` (``None`` if unachievable); ``nonempty_min_weight``
-    restricts to non-empty subsets.  Witness reconstruction returns, per
-    level, the lexicographically smallest id set among minimum-weight
-    witnesses.  With ``eps`` given, profits are scaled by the standard FPTAS
-    divisor ``eps * max_profit / n``; the divisor is clamped to >= 1 so
-    adjusted profits never exceed true profits (the table is then exact).
+    profit is exactly ``p`` (``None`` if unachievable), and ``witness(p)``
+    the lexicographically smallest id set among those minimum-weight
+    subsets.  ``levels_within(capacity)`` is the one scan over the table.
+    Level 0 always has minimum weight 0 and witness ``()``, so a scan for
+    non-empty sets stops before it.  With ``eps`` given, profits
+    are scaled by the standard FPTAS divisor ``eps * max_profit / n``; the
+    divisor is clamped to >= 1 so adjusted profits never exceed true profits
+    (the table is then exact).
 
-    One table answers both queries: above level 0 every subset is non-empty,
-    and at level 0 the non-empty minimum is the lightest item of adjusted
-    profit 0, kept as a scalar.  Row ``i`` covers ``items[i:]`` and is
-    trimmed to their adjusted profit sum; it is built from row ``i + 1`` by
-    whole-row list operations.  Unachievable cells hold the sentinel
-    ``sum(weights) + 1`` inside the class and read as ``None`` outside it.
+    Row ``i`` covers ``items[i:]`` and is trimmed to their adjusted profit
+    sum; it is built from row ``i + 1`` by whole-row list operations.
+    Unachievable cells hold the sentinel ``sum(weights) + 1`` inside the
+    class and read as ``None`` outside it.
     """
 
     def __init__(self, items: Iterable[Item], eps=None):
@@ -142,8 +143,6 @@ class ProfitTable:
         self.adjusted = tuple(p * den // num for p in profits)
         self.level_count = sum(self.adjusted) + 1
         self._profit = {it.id: it.profit for it in self.items}
-        self._zero_weight = min((it.weight for it, a in zip(self.items, self.adjusted)
-                                 if a == 0), default=None)
         absent = self._absent = sum(it.weight for it in self.items) + 1
 
         rows = [[0]]
@@ -166,26 +165,14 @@ class ProfitTable:
             return self._rows[0][p]
         return None
 
-    def nonempty_min_weight(self, p: int) -> Optional[int]:
-        return self._zero_weight if p == 0 else self.min_weight(p)
+    def levels_within(self, capacity: int) -> Iterator[tuple[int, int]]:
+        """``(p, min_weight(p))`` for each level within ``capacity``, highest first."""
+        row, limit = self._rows[0], min(capacity, self._absent - 1)
+        return ((p, row[p]) for p in range(self.level_count - 1, -1, -1) if row[p] <= limit)
 
     def witness(self, p: int) -> Optional[tuple[int, ...]]:
-        """A minimum-weight subset with adjusted profit exactly ``p``."""
-        return self._walk(p)
-
-    def nonempty_witness(self, p: int) -> Optional[tuple[int, ...]]:
-        if p != 0:
-            return self._walk(p)
-        return next(((it.id,) for it, a in zip(self.items, self.adjusted)
-                     if a == 0 and it.weight == self._zero_weight), None)
-
-    def _levels_within(self, capacity: int):
-        """Levels whose minimum weight is at most ``capacity``, highest first."""
-        row, limit = self._rows[0], min(capacity, self._absent - 1)
-        return (p for p in range(self.level_count - 1, -1, -1) if row[p] <= limit)
-
-    def _walk(self, rem_p: int) -> Optional[tuple[int, ...]]:
-        rem_w = self.min_weight(rem_p)
+        """The smallest id set among the minimum-weight subsets at level ``p``."""
+        rem_p, rem_w = p, self.min_weight(p)
         if rem_w is None:
             return None
         ids: list[int] = []
@@ -215,7 +202,7 @@ def knapsack_exact(items: Sequence[Item], capacity: int) -> tuple[tuple[int, ...
     if sum(it.profit for it in items) >= PROFIT_TABLE_BOUND:
         raise ValidationError("total profit exceeds the DP table bound (2^40)")
     table = ProfitTable(items)
-    best_p = next(table._levels_within(capacity))
+    best_p, _ = next(table.levels_within(capacity))
     return table.witness(best_p), best_p
 
 
@@ -238,17 +225,17 @@ def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int
     if not fitting or max(it.profit for it in fitting) == 0:
         return (), 0
     table = ProfitTable(fitting, eps)
-    levels = table._levels_within(capacity)
+    levels = table.levels_within(capacity)
     if table.divisor == 1:
-        best_p = next(levels)
+        best_p, _ = next(levels)
         return table.witness(best_p), best_p
     num, den, n = table.divisor.numerator, table.divisor.denominator, len(fitting)
     best: Optional[tuple[int, int, tuple[int, ...]]] = None  # profit, -weight, ids
-    for p in levels:
+    for p, w in levels:
         if best is not None and (p + n) * num <= best[0] * den:
             break
         ids = table.witness(p)
-        cand = (table.true_profit(ids), -table.min_weight(p), ids)
+        cand = (table.true_profit(ids), -w, ids)
         if best is None or cand > best:
             best = cand
     return best[2], best[0]
@@ -258,11 +245,12 @@ def ratio_fptas(items: Sequence[Item], capacity: int, eps):
     """Non-empty subset whose profit/weight ratio is >= (1 - eps) * best.
 
     Returns ``(ids, profit, weight)`` or ``None`` when no single item fits.
-    Candidates come from the scaled non-empty min-weight table plus every
-    fitting single item; since a set's ratio never exceeds its best member's,
-    the single-item candidates already pin the guarantee, and the table scan
-    can only improve the reported set.  Comparison is by :func:`ratio_key`,
-    then higher profit, then smaller weight, then smaller id set.
+    Candidates are every fitting single item, then the witnesses of the
+    scaled table's fitting levels above 0; since a set's ratio never exceeds
+    its best member's, the single items already pin the guarantee, and the
+    table scan can only improve the reported set.  Comparison is by
+    :func:`ratio_key`, then higher profit, then smaller weight, then smaller
+    id set.
     """
     eps = eps_fraction(eps)
     if capacity < 0:
@@ -286,11 +274,10 @@ def ratio_fptas(items: Sequence[Item], capacity: int, eps):
     for it in fitting:
         offer((it.id,), it.profit, it.weight)
     table = ProfitTable(fitting, eps)
-    for p in range(table.level_count):
-        w = table.nonempty_min_weight(p)
-        if w is None or w > capacity:
-            continue
-        ids = table.nonempty_witness(p)
+    for p, w in table.levels_within(capacity):
+        if p == 0:
+            break
+        ids = table.witness(p)
         offer(ids, table.true_profit(ids), w)
     return best
 

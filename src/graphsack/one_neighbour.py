@@ -17,8 +17,8 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .errors import UnsupportedVariantError
-from .graphs import (Instance, _smallest_cycle_in_scc, condense, connected_components,
-                     in_boundary, is_1_neighbour_set)
+from .graphs import (Instance, _smallest_cycle_in_scc, bfs_parents, condense,
+                     connected_components, in_boundary, is_1_neighbour_set)
 from .knapsack import eps_fraction, fitting_picks, ratio_key
 from .solution import ONE_NEIGHBOUR, Solution, make_solution
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
@@ -107,20 +107,6 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
                          greedy_guarantee(eps), k, trace)
 
 
-def _bfs_order(instance: Instance, start: int) -> list[int]:
-    order = [start]
-    seen = {start}
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in instance.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-    return order
-
-
 def uniform_undirected_1n(instance: Instance, k: Optional[int] = None) -> Solution:
     """Exact linear-time solver for unit weights/profits on undirected graphs.
 
@@ -153,7 +139,7 @@ def uniform_undirected_1n(instance: Instance, k: Optional[int] = None) -> Soluti
     if prefix == k:
         return done(taken)
 
-    order = _bfs_order(instance, comps[i][0])
+    order = list(bfs_parents(instance, comps[i][0]))
     r = k - prefix
     if r > 1:
         return done(taken + order[:r])
@@ -163,7 +149,7 @@ def uniform_undirected_1n(instance: Instance, k: Optional[int] = None) -> Soluti
         return done(())
     # Some component has >= 3 vertices; shrink the first one by a BFS-tree
     # leaf (the last BFS vertex), freeing budget for an adjacent pair here.
-    first = _bfs_order(instance, comps[0][0])
+    first = list(bfs_parents(instance, comps[0][0]))
     shrunk = first[:-1]
     rest = [v for c in comps[1:i] for v in c]
     return done(shrunk + rest + order[:2])

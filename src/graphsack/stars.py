@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import ValidationError
-from .graphs import Instance, connected_components, is_1_neighbour_set
+from .graphs import Instance, bfs_parents, connected_components, is_1_neighbour_set
 from .knapsack import Item, ProfitTable, eps_fraction, ratio_key
 
 
@@ -64,17 +64,8 @@ def star_partition(instance: Instance) -> list[Star]:
             center_leaves[root] = []
             assigned[root] = True
             continue
-        parent: dict[int, int] = {root: -1}
-        order = [root]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for u in instance.adj[v]:
-                if u not in parent:
-                    parent[u] = v
-                    order.append(u)
-        for v in reversed(order):
+        parent = bfs_parents(instance, root)
+        for v in reversed(parent):
             if assigned[v]:
                 continue
             if v == root:
@@ -110,10 +101,14 @@ def best_profit_viable_star(instance: Instance, capacity: int, eps) -> Optional[
 
     Every vertex is a candidate center; its leaves form a knapsack over the
     neighbourhood with the remaining capacity, solved on the scaled
-    min-weight table restricted to non-empty leaf sets (a non-isolated bare
-    center is not feasible).  The winner is the maximum under a total order:
-    higher profit, smaller weight, smaller center, then the smaller leaf
-    tuple.  Returns None when no feasible star fits.
+    min-weight table.  A non-isolated bare center is not feasible, so the
+    candidates are the table's fitting levels above 0 plus the lightest
+    fitting leaf (lowest id on ties).  That leaf is the best non-empty set
+    of level 0 when every leaf profit is 0; otherwise it is its own level's
+    witness, or its profit is below the divisor and every witness above
+    level 0 beats it.  The winner is the maximum under a total order: higher
+    profit, smaller weight, smaller center, then the smaller leaf tuple.
+    Returns None when no feasible star fits.
 
     The search prunes without changing the winner.  A center's bound is its
     profit plus the profits of all its fitting leaves, which no star of that
@@ -148,15 +143,15 @@ def best_profit_viable_star(instance: Instance, capacity: int, eps) -> Optional[
         if not leaves:
             offer((pv, -wv, -v), Star(v, ()))
             continue
-        leaf_budget = capacity - wv
+        lightest = min(leaves, key=lambda u: (weights[u], u))
+        offer((pv + profits[lightest], -wv - weights[lightest], -v), Star(v, (lightest,)))
         table = ProfitTable([Item(u, weights[u], profits[u]) for u in leaves], eps)
-        for p in range(table.level_count - 1, -1, -1):
-            w = table.nonempty_min_weight(p)
-            if w is None or w > leaf_budget:
+        for p, w in table.levels_within(capacity - wv):
+            if p == 0:
+                break
+            if table.divisor == 1 and (pv + p, -wv - w, -v) < best_key:
                 continue
-            if table.divisor == 1 and best_key is not None and (pv + p, -wv - w, -v) < best_key:
-                continue
-            ids = table.nonempty_witness(p)
+            ids = table.witness(p)
             offer((pv + table.true_profit(ids), -wv - w, -v), Star(v, tuple(sorted(ids))))
     return best
 
@@ -165,10 +160,12 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
     """Feasible star with ratio >= (1 - eps) * best feasible star ratio.
 
     The objective is the full star ratio (center included), ordered by
-    :func:`ratio_key`.  Candidates per center: every fitting single leaf, the
-    levels of the scaled non-empty min-weight table over all fitting leaves,
-    and - when scaling actually rounds - per-leaf rescaled tables that force
-    one leaf and restrict the rest to no larger profits.  The forced-leaf
+    :func:`ratio_key`.  Candidates per center: every fitting single leaf,
+    the witnesses of the fitting levels above 0 of the scaled min-weight
+    table over all fitting leaves, and - when scaling actually rounds - the
+    same levels of per-leaf rescaled tables that force one leaf and restrict
+    the rest to no larger profits.  Level 0 adds no leaf to a table's base,
+    so its star is a single-leaf star offered already.  The forced-leaf
     tables keep the rounding error proportional to the candidate's own
     profit, which the shared table alone cannot guarantee.  The winner is the
     maximum under a total order: higher ratio key, higher profit, then the
@@ -204,26 +201,19 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
                 star.center, star.leaves) < (best.center, best.leaves)):
             best_key, best = key, star
 
-    def offer_levels(v: int, table: ProfitTable, budget: int, forced: Optional[Item] = None):
-        """Offer center ``v`` with each level of ``table`` within ``budget``.
-
-        With a ``forced`` leaf it joins every level, the empty one included;
-        without, only the non-empty levels are offered.
-        """
-        base_p, base_w = profits[v], weights[v]
-        if forced is not None:
-            base_p, base_w = base_p + forced.profit, base_w + forced.weight
-        for p in range(table.level_count):
-            w = table.nonempty_min_weight(p) if forced is None else table.min_weight(p)
-            if w is None or w > budget:
-                continue
+    def offer_levels(v: int, table: ProfitTable, budget: int, forced: tuple[int, ...] = ()):
+        """Offer center ``v`` and the ``forced`` leaves with each level above 0
+        of ``table`` within ``budget``."""
+        base_p = profits[v] + sum(profits[u] for u in forced)
+        base_w = weights[v] + sum(weights[u] for u in forced)
+        for p, w in table.levels_within(budget):
+            if p == 0:
+                break
             if table.divisor == 1 and (ratio_key(base_p + p, base_w + w), base_p + p) < best_key:
                 continue
-            ids = table.nonempty_witness(p) if forced is None else table.witness(p)
+            ids = table.witness(p)
             profit = base_p + table.true_profit(ids)
-            if forced is not None:
-                ids += (forced.id,)
-            offer((ratio_key(profit, base_w + w), profit), Star(v, tuple(sorted(ids))))
+            offer((ratio_key(profit, base_w + w), profit), Star(v, tuple(sorted(ids + forced))))
 
     for bound, v, leaves in centers:
         if best_key is not None and bound < best_key[0]:
@@ -246,5 +236,5 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
                 others = [it for it in items
                           if it.id != guess.id and it.profit <= guess.profit
                           and it.weight <= rest_budget]
-                offer_levels(v, ProfitTable(others, eps), rest_budget, guess)
+                offer_levels(v, ProfitTable(others, eps), rest_budget, (guess.id,))
     return best

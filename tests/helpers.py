@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from graphsack import (Instance, Item, ProfitTable, Star, UnsupportedVariantError,
+from graphsack import (Instance, Item, Star, UnsupportedVariantError,
                        ValidationError, condense, descendants, ratio_key)
 from graphsack.knapsack import eps_fraction
 from graphsack.solution import ALL_NEIGHBOUR, Solution, make_solution
@@ -145,7 +145,7 @@ class BruteProfitTable:
     are derived here again.  Every item subset is enumerated; per adjusted
     profit level the table keeps the least weight and, among subsets of that
     weight, the lexicographically smallest id tuple.  Non-empty subsets are
-    kept apart.
+    kept apart, for the non-empty queries of ``NonemptyProfitTable``.
     """
 
     def __init__(self, items, eps=None):
@@ -183,6 +183,86 @@ class BruteProfitTable:
 
     def nonempty_witness(self, p):
         return self._best_nonempty[p][1] if p in self._best_nonempty else None
+
+    def levels_within(self, capacity):
+        return [(p, w) for p, (w, _) in sorted(self._best.items(), reverse=True)
+                if w <= capacity]
+
+
+class NonemptyProfitTable:
+    """The package's min-weight table as it was with its non-empty queries.
+
+    ``nonempty_min_weight`` and ``nonempty_witness`` answer for non-empty
+    subsets only; they differ from ``min_weight`` and ``witness`` at level 0,
+    where they give the lightest item of adjusted profit 0 (lowest id on
+    ties).  The full-scan star oracles below build this table, so they stay
+    independent of the package's own level scan.
+    """
+
+    def __init__(self, items, eps=None):
+        self.items = sorted(items, key=lambda it: it.id)
+        n = len(self.items)
+        profits = [it.profit for it in self.items]
+        num = den = 1  # the divisor is num / den
+        if eps is not None and n > 0:
+            eps = eps_fraction(eps)
+            num, den = eps.numerator * max(profits), eps.denominator * n
+            if num <= den:
+                num = den = 1
+        self.divisor = Fraction(num, den)
+        self.adjusted = tuple(p * den // num for p in profits)
+        self.level_count = sum(self.adjusted) + 1
+        self._profit = {it.id: it.profit for it in self.items}
+        self._zero_weight = min((it.weight for it, a in zip(self.items, self.adjusted)
+                                 if a == 0), default=None)
+        absent = self._absent = sum(it.weight for it in self.items) + 1
+
+        rows = [[0]]
+        for it, a in zip(reversed(self.items), reversed(self.adjusted)):
+            nxt, w = rows[-1], it.weight
+            row = nxt[:a] + [absent] * (a - len(nxt))
+            row += [x if x <= (t := y + w) else t for x, y in zip(nxt[a:], nxt)]
+            row += [y + w if y < absent else absent for y in nxt[len(row) - a:]]
+            rows.append(row)
+        rows.reverse()
+        self._rows = rows
+
+    def true_profit(self, ids) -> int:
+        return sum(self._profit[i] for i in ids)
+
+    def min_weight(self, p):
+        if 0 <= p < self.level_count and self._rows[0][p] < self._absent:
+            return self._rows[0][p]
+        return None
+
+    def nonempty_min_weight(self, p):
+        return self._zero_weight if p == 0 else self.min_weight(p)
+
+    def witness(self, p):
+        return self._walk(p)
+
+    def nonempty_witness(self, p):
+        if p != 0:
+            return self._walk(p)
+        return next(((it.id,) for it, a in zip(self.items, self.adjusted)
+                     if a == 0 and it.weight == self._zero_weight), None)
+
+    def _walk(self, rem_p):
+        rem_w = self.min_weight(rem_p)
+        if rem_w is None:
+            return None
+        ids = []
+        rows, adjusted = self._rows, self.adjusted
+        for i, it in enumerate(self.items):
+            if rem_p == 0 and rem_w == 0:
+                break
+            a = adjusted[i]
+            if a <= rem_p and it.weight + rows[i + 1][rem_p - a] == rem_w:
+                ids.append(it.id)
+                rem_p -= a
+                rem_w -= it.weight
+        assert rem_p == 0 and rem_w == 0, "table walk out of sync"
+        return tuple(ids)
 
 
 def knapsack_fptas_full_scan(items, capacity: int, eps, table_cls):
@@ -250,7 +330,7 @@ def best_profit_viable_star_full_scan(instance: Instance, capacity: int, eps) ->
         items = _leaf_items(instance, v, capacity - wv)
         if not items:
             continue
-        table = ProfitTable(items, eps)
+        table = NonemptyProfitTable(items, eps)
         for p in range(table.level_count):
             w = table.nonempty_min_weight(p)
             if w is None or w > capacity - wv:
@@ -310,7 +390,7 @@ def best_ratio_viable_star_full_scan(instance: Instance, capacity: int, eps) -> 
 
         for it in items:
             offer_leaves((it.id,))
-        table = ProfitTable(items, eps)
+        table = NonemptyProfitTable(items, eps)
         for p in range(table.level_count):
             w = table.nonempty_min_weight(p)
             if w is not None and w <= leaf_budget:
@@ -321,7 +401,7 @@ def best_ratio_viable_star_full_scan(instance: Instance, capacity: int, eps) -> 
                 others = [it for it in items
                           if it.id != guess.id and it.profit <= guess.profit
                           and it.weight <= rest_budget]
-                sub = ProfitTable(others, eps)
+                sub = NonemptyProfitTable(others, eps)
                 for p in range(sub.level_count):
                     w = sub.min_weight(p)
                     if w is not None and w <= rest_budget:

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from graphsack import Instance, gen_random, serialize
+from graphsack import Instance, cli, gen_random, serialize
 from graphsack.cli import (CSV_HEADER, applicable_variants, main, route_auto)
-from graphsack.errors import UnsupportedVariantError
+from graphsack.errors import (GraphsackError, OracleScaleError, ParseError,
+                              UnsupportedVariantError, ValidationError)
 from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR
 
 
@@ -145,6 +146,36 @@ class TestSolve:
         path = write_instance(tmp_path / "g.gsk", inst)
         assert main(["solve", "--input", path, "--constraint", "one",
                      "--variant", "greedy-1n", "--epsilon", "1.5"]) == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_epsilon_exit_code(self, tmp_path, capsys, eps):
+        inst = Instance(False, 2, [(0, 1)], [1, 1], [2, 1], 2)
+        path = write_instance(tmp_path / "g.gsk", inst)
+        assert main(["solve", "--input", path, "--constraint", "one",
+                     "--variant", "greedy-1n", "--epsilon", eps]) == 2
+        assert "epsilon must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript 2, Arabic-Indic 3
+    def test_non_ascii_digit_exit_code(self, tmp_path, capsys, digit):
+        bad = tmp_path / "digit.gsk"
+        bad.write_text(f"graph undirected 1 0\nbudget {digit}\nv 0 1 1\n", encoding="utf-8")
+        assert main(["solve", "--input", str(bad), "--constraint", "one"]) == 2
+        assert "line 2: budget must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,code", [
+    (ParseError("bad token", 3), 2),
+    (ValidationError("bad argument"), 2),
+    (UnsupportedVariantError("no variant"), 3),
+    (OracleScaleError("too large"), 4),
+    (GraphsackError("internal"), 1),
+])
+def test_exit_code_per_error_class(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_partition_stars", fail)
+    assert main(["partition-stars", "--input", "unused"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestCheck:

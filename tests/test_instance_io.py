@@ -62,6 +62,13 @@ class TestParseSerialize:
         with pytest.raises(ParseError, match="non-negative"):
             parse(SAMPLE.replace("budget 5", "budget -5"))
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript 2, Arabic-Indic 3
+    def test_non_ascii_digits_rejected(self, digit):
+        with pytest.raises(ParseError, match="line 2: budget must be a non-negative integer"):
+            parse(SAMPLE.replace("budget 5", f"budget {digit}"))
+        with pytest.raises(ParseError, match="line 4: weight"):
+            parse(SAMPLE.replace("v 1 0 7", f"v 1 {digit} 7"))
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse(SAMPLE.replace("e 1 2", "e 0 1"))

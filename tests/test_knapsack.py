@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from graphsack import (Item, ProfitTable, ValidationError, knapsack_exact,
                        knapsack_fptas, ratio_fptas, ratio_key, subset_sum_max)
-from graphsack.knapsack import fitting_picks
-from helpers import (BruteProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
-                     ratio_key_reference, ratio_meets)
+from graphsack.knapsack import eps_fraction, fitting_picks
+from helpers import (BruteProfitTable, NonemptyProfitTable, best_ratio_subset,
+                     knapsack_fptas_full_scan, ratio_key_reference, ratio_meets)
 
 
 def items_of(*pairs):
@@ -144,6 +144,14 @@ class TestKnapsackFptas:
             with pytest.raises(ValidationError):
                 knapsack_fptas(items_of((1, 1)), 1, eps)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"),
+                                     "abc", None, "1/0"])
+    def test_rejects_non_numbers(self, eps):
+        with pytest.raises(ValidationError, match="epsilon must be a number"):
+            eps_fraction(eps)
+        with pytest.raises(ValidationError):
+            knapsack_fptas(items_of((1, 1)), 1, eps)
+
     def test_tie_across_levels(self):
         # divisor 20/3: {0} sits at level 6, {1, 2} at level 3 + 2 = 5, both
         # with true profit 40 and weight 2; the larger id tuple wins the tie.
@@ -226,6 +234,12 @@ class TestSubsetSum:
             assert total == best
 
 
+def capacities_around(table):
+    """Capacities below, at and above each fitting level's min weight."""
+    weights = {table.min_weight(p) for p in range(table.level_count)} - {None}
+    return sorted({c for w in weights for c in (w - 1, w, w + 1)})
+
+
 class TestProfitTable:
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                     max_size=7))
@@ -233,21 +247,19 @@ class TestProfitTable:
     def test_witnesses_match_entries(self, pairs):
         items = items_of(*pairs)
         table = ProfitTable(items)
-        assert table.min_weight(0) == 0
+        assert table.min_weight(0) == 0 and table.witness(0) == ()
         by_id = {it.id: it for it in items}
-        for p in range(table.level_count):
-            w, w1 = table.min_weight(p), table.nonempty_min_weight(p)
-            if w1 is not None:
-                assert w is not None and w1 >= w
-            if w is not None:
+        for capacity in capacities_around(table):
+            levels = list(table.levels_within(capacity))
+            assert [p for p, _ in levels] == sorted({p for p, _ in levels}, reverse=True)
+            assert {p for p, _ in levels} == {
+                p for p in range(table.level_count)
+                if table.min_weight(p) is not None and table.min_weight(p) <= capacity}
+            for p, w in levels:
+                assert w == table.min_weight(p) and w <= capacity
                 ids = table.witness(p)
                 assert sum(by_id[i].profit for i in ids) == p
                 assert sum(by_id[i].weight for i in ids) == w
-            if w1 is not None:
-                ids = table.nonempty_witness(p)
-                assert ids
-                assert sum(by_id[i].profit for i in ids) == p
-                assert sum(by_id[i].weight for i in ids) == w1
 
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6),
                               st.one_of(st.integers(0, 3), st.integers(0, 60))),
@@ -262,17 +274,27 @@ class TestProfitTable:
             (ref.divisor, ref.adjusted, ref.level_count)
         for p in range(-1, table.level_count + 1):
             assert table.min_weight(p) == ref.min_weight(p)
-            assert table.nonempty_min_weight(p) == ref.nonempty_min_weight(p)
             assert table.witness(p) == ref.witness(p)
-            assert table.nonempty_witness(p) == ref.nonempty_witness(p)
+        for capacity in [-1, 0] + capacities_around(table):
+            assert list(table.levels_within(capacity)) == ref.levels_within(capacity)
+        # the test-side table behind the full-scan star oracles
+        old = NonemptyProfitTable(items, eps)
+        for p in range(-1, table.level_count + 1):
+            assert old.nonempty_min_weight(p) == ref.nonempty_min_weight(p)
+            assert old.nonempty_witness(p) == ref.nonempty_witness(p)
 
-    def test_zero_level_nonempty(self):
-        # Items 3 and 5 both round to level 0 with weight 1; the lower id wins.
+    def test_level_zero_is_the_empty_set(self):
+        # Items 3 and 5 both round to level 0 with weight 1, and item 7 weighs
+        # 0; level 0 still has weight 0 and the empty witness.
         table = ProfitTable([Item(7, 0, 60), Item(5, 1, 2), Item(3, 1, 1)], Fraction(1, 2))
         assert table.adjusted == (0, 0, 6)
-        assert table.min_weight(0) == 0 and table.witness(0) == ()
-        assert table.nonempty_min_weight(0) == 1 and table.nonempty_witness(0) == (3,)
-        assert ProfitTable([Item(0, 1, 4)]).nonempty_witness(0) is None
+        assert list(table.levels_within(0)) == [(6, 0), (0, 0)]
+        assert table.witness(6) == (7,) and table.witness(0) == ()
+        zero = ProfitTable([Item(2, 0, 0), Item(1, 3, 0)])
+        assert list(zero.levels_within(5)) == [(0, 0)] and zero.witness(0) == ()
+        single = ProfitTable([Item(0, 1, 4)])
+        assert list(single.levels_within(0)) == [(0, 0)]
+        assert list(single.levels_within(1)) == [(4, 1), (0, 0)]
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError):

@@ -87,6 +87,15 @@ class TestBestProfitViableStar:
         star = best_profit_viable_star(inst, 2, 0.1)
         assert star.center in (0, 1) and set(star.vertices) == {0, 1}
 
+    def test_zero_profit_leaves_take_the_lightest(self):
+        # Every leaf of center 0 has profit 0, so the table has level 0 only;
+        # the lightest leaf with the lowest id, 2, makes the best star.
+        inst = undirected(4, [(0, 1), (0, 2), (0, 3)], weights=[1, 3, 1, 1],
+                          profits=[5, 0, 0, 0])
+        for eps in (Fraction(1, 10), 0.5):
+            assert best_profit_viable_star(inst, 5, eps) == Star(0, (2,))
+            assert best_profit_viable_star_full_scan(inst, 5, eps) == Star(0, (2,))
+
     def test_bound_random(self):
         rng = random.Random(88)
         for _ in range(120):
