@@ -14,14 +14,15 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .all_neighbour import (general_undirected_alln_fptas, uniform_directed_alln_ptas,
                             uniform_undirected_alln)
 from .errors import (GraphsackError, OracleScaleError, ParseError,
                      UnsupportedVariantError, ValidationError)
 from .graphs import Instance, first_violation, is_1_neighbour_set, is_all_neighbour_set
-from .instance_io import parse
+from .instance_io import _int_token, parse
+from .knapsack import eps_fraction
 from .one_neighbour import (greedy_1_neighbour, uniform_directed_1n_ptas,
                             uniform_undirected_1n)
 from .oracle import exact_1n, exact_alln
@@ -32,18 +33,31 @@ CSV_HEADER = ["instance", "variant", "algorithm", "epsilon", "n", "m", "k",
               "profit", "weight", "feasible", "guarantee", "opt", "ratio",
               "ms", "error"]
 
-VARIANT_CONSTRAINT = {
-    "greedy-1n": ONE_NEIGHBOUR,
-    "uu1n-linear": ONE_NEIGHBOUR,
-    "ud1n-ptas": ONE_NEIGHBOUR,
-    "exact-1n": ONE_NEIGHBOUR,
-    "uda-ptas": ALL_NEIGHBOUR,
-    "uua-subsetsum": ALL_NEIGHBOUR,
-    "gua-fptas": ALL_NEIGHBOUR,
-    "exact-all": ALL_NEIGHBOUR,
-}
 
-EPSILON_VARIANTS = {"greedy-1n", "ud1n-ptas", "uda-ptas", "gua-fptas"}
+class Variant(NamedTuple):
+    """A solver variant: the constraint it solves, whether it reads
+    ``--epsilon``, and ``run(instance, epsilon, oracle_max_n)``."""
+    constraint: str
+    reads_epsilon: bool
+    run: Callable[[Instance, float, int], Solution]
+
+
+# Each run looks its solver up by module-level name at call time, so a wrapper
+# re-bound on that name (a tracer, a test's counter) sees every call.
+VARIANTS = {
+    "exact-1n": Variant(ONE_NEIGHBOUR, False, lambda g, eps, max_n: exact_1n(g, max_n=max_n)),
+    "exact-all": Variant(ALL_NEIGHBOUR, False,
+                         lambda g, eps, max_n: exact_alln(g, max_n=max_n)),
+    "greedy-1n": Variant(ONE_NEIGHBOUR, True, lambda g, eps, _: greedy_1_neighbour(g, eps=eps)),
+    "gua-fptas": Variant(ALL_NEIGHBOUR, True,
+                         lambda g, eps, _: general_undirected_alln_fptas(g, eps=eps)),
+    "uda-ptas": Variant(ALL_NEIGHBOUR, True,
+                        lambda g, eps, _: uniform_directed_alln_ptas(g, eps=eps)),
+    "ud1n-ptas": Variant(ONE_NEIGHBOUR, True,
+                         lambda g, eps, _: uniform_directed_1n_ptas(g, eps=eps)),
+    "uu1n-linear": Variant(ONE_NEIGHBOUR, False, lambda g, eps, _: uniform_undirected_1n(g)),
+    "uua-subsetsum": Variant(ALL_NEIGHBOUR, False, lambda g, eps, _: uniform_undirected_alln(g)),
+}
 
 CONSTRAINT_NAMES = {"one": ONE_NEIGHBOUR, "all": ALL_NEIGHBOUR}
 
@@ -86,27 +100,6 @@ def route_auto(constraint: str, instance: Instance, oracle_max_n: int) -> str:
         f"exhaustive search is limited to n <= {oracle_max_n}")
 
 
-def run_variant(variant: str, instance: Instance, k: Optional[int], eps: float,
-                oracle_max_n: int) -> Solution:
-    if variant == "greedy-1n":
-        return greedy_1_neighbour(instance, k, eps)
-    if variant == "uu1n-linear":
-        return uniform_undirected_1n(instance, k)
-    if variant == "ud1n-ptas":
-        return uniform_directed_1n_ptas(instance, k, eps)
-    if variant == "uda-ptas":
-        return uniform_directed_alln_ptas(instance, k, eps)
-    if variant == "uua-subsetsum":
-        return uniform_undirected_alln(instance, k)
-    if variant == "gua-fptas":
-        return general_undirected_alln_fptas(instance, k, eps)
-    if variant == "exact-1n":
-        return exact_1n(instance, k, oracle_max_n)
-    if variant == "exact-all":
-        return exact_alln(instance, k, oracle_max_n)
-    raise UnsupportedVariantError(f"unknown variant {variant!r}")
-
-
 def _verify(instance: Instance, solution: Solution, k: int) -> None:
     """Independent feasibility re-check before anything is emitted."""
     if solution.constraint == ONE_NEIGHBOUR:
@@ -124,6 +117,8 @@ def _read_instance(path: str) -> Instance:
             return parse(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
 
 
 def _solution_row(path: str, variant: str, instance: Instance, solution: Solution,
@@ -132,7 +127,7 @@ def _solution_row(path: str, variant: str, instance: Instance, solution: Solutio
     if opt is not None and opt > 0:
         ratio = f"{solution.total_profit / opt:.6f}"
     return [path, variant, solution.algorithm,
-            f"{eps:g}" if variant in EPSILON_VARIANTS else "",
+            f"{eps:g}" if VARIANTS[variant].reads_epsilon else "",
             str(instance.n), str(instance.m), str(instance.budget),
             str(solution.total_profit), str(solution.total_weight), "true",
             solution.guarantee, "" if opt is None else str(opt), ratio,
@@ -144,15 +139,16 @@ def cmd_solve(args) -> int:
     if args.budget is not None:
         instance = Instance(instance.directed, instance.n, instance.edges,
                             instance.weights, instance.profits, args.budget)
+    eps_fraction(args.epsilon)  # rejected even where the variant ignores it
     constraint = CONSTRAINT_NAMES[args.constraint]
     variant = args.variant
     if variant == "auto":
         variant = route_auto(constraint, instance, args.oracle_max_n)
-    elif VARIANT_CONSTRAINT[variant] != constraint:
+    elif VARIANTS[variant].constraint != constraint:
         raise UnsupportedVariantError(
-            f"variant {variant} solves the {VARIANT_CONSTRAINT[variant]} "
+            f"variant {variant} solves the {VARIANTS[variant].constraint} "
             f"constraint, not {constraint}")
-    solution = run_variant(variant, instance, None, args.epsilon, args.oracle_max_n)
+    solution = VARIANTS[variant].run(instance, args.epsilon, args.oracle_max_n)
     _verify(instance, solution, instance.budget)
 
     if args.format == "csvrow":
@@ -169,7 +165,7 @@ def cmd_solve(args) -> int:
     print(f"constraint: {args.constraint}")
     print(f"variant: {variant}")
     print(f"algorithm: {solution.algorithm}")
-    if variant in EPSILON_VARIANTS:
+    if VARIANTS[variant].reads_epsilon:
         print(f"epsilon: {args.epsilon:g}")
     print(f"chosen: {' '.join(map(str, solution.chosen))}")
     print(f"count: {solution.size}")
@@ -182,11 +178,8 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     instance = _read_instance(args.input)
-    try:
-        chosen = instance.check_vertices(
-            int(tok) for tok in args.set.replace(",", " ").split())
-    except ValueError as exc:
-        raise ValidationError(f"malformed vertex set {args.set!r}") from exc
+    chosen = instance.check_vertices(
+        _int_token(tok, None, "vertex id") for tok in args.set.replace(",", " ").split())
     violation = first_violation(instance, chosen, CONSTRAINT_NAMES[args.constraint])
     weight = instance.total_weight(chosen)
     print(f"set: {' '.join(map(str, chosen))}")
@@ -226,25 +219,17 @@ def _bench_instance(path: str, eps: float, oracle_max_n: int, timing: bool) -> l
         instance = _read_instance(path)
     except GraphsackError as exc:
         return [[path, "", "", "", "", "", "", "", "", "", "", "", "", "", str(exc)]]
-    opts: dict[str, Optional[int]] = {}
-
-    def oracle_opt(constraint: str) -> Optional[int]:
-        if constraint not in opts:
-            if instance.n <= oracle_max_n:
-                solver = exact_1n if constraint == ONE_NEIGHBOUR else exact_alln
-                opts[constraint] = solver(instance, None, oracle_max_n).total_profit
-            else:
-                opts[constraint] = None
-        return opts[constraint]
-
+    opts: dict[str, int] = {}  # constraint -> optimum, from the exact-* rows, which sort first
     for variant in applicable_variants(instance, oracle_max_n):
         try:
             start = time.perf_counter()
-            solution = run_variant(variant, instance, None, eps, oracle_max_n)
+            solution = VARIANTS[variant].run(instance, eps, oracle_max_n)
             ms = int((time.perf_counter() - start) * 1000) if timing else 0
+            if variant.startswith("exact-"):
+                opts[solution.constraint] = solution.total_profit
             _verify(instance, solution, instance.budget)
             rows.append(_solution_row(path, variant, instance, solution, eps,
-                                      oracle_opt(solution.constraint), ms))
+                                      opts.get(solution.constraint), ms))
         except GraphsackError as exc:
             rows.append([path, variant, "", "", str(instance.n), str(instance.m),
                          str(instance.budget), "", "", "", "", "", "", "", str(exc)])
@@ -252,18 +237,16 @@ def _bench_instance(path: str, eps: float, oracle_max_n: int, timing: bool) -> l
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     if not os.path.isdir(args.dir):
         raise ValidationError(f"not a directory: {args.dir}")
     paths = sorted(os.path.join(args.dir, name) for name in os.listdir(args.dir)
                    if os.path.isfile(os.path.join(args.dir, name)))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            grouped = list(pool.map(
-                lambda p: _bench_instance(p, args.epsilon, args.oracle_max_n,
-                                          args.timing), paths))
-    else:
-        grouped = [_bench_instance(p, args.epsilon, args.oracle_max_n, args.timing)
-                   for p in paths]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        grouped = list(pool.map(
+            lambda p: _bench_instance(p, args.epsilon, args.oracle_max_n, args.timing),
+            paths))
     rows = [row for group in grouped for row in group]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -290,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True)
     solve.add_argument("--constraint", required=True, choices=["one", "all"])
     solve.add_argument("--variant", default="auto",
-                       choices=["auto"] + sorted(VARIANT_CONSTRAINT))
+                       choices=["auto"] + sorted(VARIANTS))
     solve.add_argument("--epsilon", type=float, default=0.1)
     solve.add_argument("--budget", type=int, default=None)
     solve.add_argument("--oracle-max-n", type=int, default=22)

@@ -23,7 +23,7 @@ from .graphs import Instance
 _VALUE_LIMIT = 1 << 63
 
 
-def _int_token(token: str, line: int, what: str) -> int:
+def _int_token(token: str, line: Optional[int], what: str) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ParseError(f"{what} must be a non-negative integer, got {token!r}", line)
     value = int(token)

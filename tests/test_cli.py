@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from graphsack import Instance, cli, gen_random, serialize
-from graphsack.cli import (CSV_HEADER, applicable_variants, main, route_auto)
+from graphsack.cli import (CSV_HEADER, VARIANTS, applicable_variants, main, route_auto)
 from graphsack.errors import (GraphsackError, OracleScaleError, ParseError,
                               UnsupportedVariantError, ValidationError)
 from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR
@@ -155,6 +155,32 @@ class TestSolve:
                      "--variant", "greedy-1n", "--epsilon", eps]) == 2
         assert "epsilon must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["7", "nan"])
+    def test_epsilon_checked_for_variants_that_ignore_it(self, pair_components, capsys, eps):
+        # auto-routed to uu1n-linear, which reads no epsilon
+        assert main(["solve", "--input", pair_components, "--constraint", "one",
+                     "--epsilon", eps]) == 2
+        assert "epsilon must be" in capsys.readouterr().err
+
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bytes.gsk"
+        bad.write_bytes(b"graph undirected 1 0\nbudget \xff\nv 0 1 1\n")
+        assert main(["solve", "--input", str(bad), "--constraint", "one"]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_variant_by_name(self, tmp_path, capsys, variant):
+        directed = variant in ("ud1n-ptas", "uda-ptas")
+        inst = Instance(directed, 4, [(0, 1), (2, 3)], [1] * 4, [1] * 4, 3)
+        path = write_instance(tmp_path / "u.gsk", inst)
+        constraint = "one" if VARIANTS[variant].constraint == ONE_NEIGHBOUR else "all"
+        assert main(["solve", "--input", path, "--constraint", constraint,
+                     "--variant", variant]) == 0
+        out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["variant"] == variant and out["algorithm"] == variant
+        assert ("epsilon" in out) == \
+            (variant in ("greedy-1n", "gua-fptas", "ud1n-ptas", "uda-ptas"))
+
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript 2, Arabic-Indic 3
     def test_non_ascii_digit_exit_code(self, tmp_path, capsys, digit):
         bad = tmp_path / "digit.gsk"
@@ -202,6 +228,14 @@ class TestCheck:
         assert main(["check", "--input", path, "--constraint", "all",
                      "--set", ""]) == 0
         assert "feasible: true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("chosen", ["1_0", "\u0663", "a,b", "-1", "0,2"])
+    def test_malformed_set_exit_code(self, tmp_path, capsys, chosen):
+        inst = Instance(False, 2, [(0, 1)], [1, 1], [1, 1], 2)
+        path = write_instance(tmp_path / "s.gsk", inst)
+        assert main(["check", "--input", path, "--constraint", "one",
+                     "--set", chosen]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_budget_reported_separately(self, tmp_path, capsys):
         inst = Instance(False, 2, [(0, 1)], [5, 5], [1, 1], 3)
@@ -252,6 +286,31 @@ class TestBench:
               "--jobs", "4"])
         assert seq.read_bytes() == par.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        directory = self.make_corpus(tmp_path, count=1)
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--dir", str(directory), "--out", str(out),
+                     "--jobs", jobs]) == 2
+        assert not out.exists()
+
+    def test_each_exact_oracle_runs_once_per_instance(self, tmp_path, monkeypatch):
+        directory = self.make_corpus(tmp_path)  # n = 5, 6, 7
+        calls = {"exact_1n": 0, "exact_alln": 0}
+
+        def counting(name):
+            solver = getattr(cli, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return solver(*args, **kwargs)
+            return count
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        assert main(["bench", "--dir", str(directory), "--out", str(tmp_path / "o.csv"),
+                     "--oracle-max-n", "6"]) == 0
+        assert calls == {"exact_1n": 4, "exact_alln": 4}
+
     def test_empty_directory(self, tmp_path):
         directory = tmp_path / "empty"
         directory.mkdir()
@@ -263,10 +322,14 @@ class TestBench:
         directory = tmp_path / "corpus"
         directory.mkdir()
         (directory / "bad.gsk").write_text("graph undirected 1 0\n")
+        (directory / "bytes.gsk").write_bytes(b"graph undirected 1 0\nbudget \xff\nv 0 1 1\n")
+        write_instance(directory / "good.gsk", Instance(False, 1, [], [1], [1], 1))
         out = tmp_path / "o.csv"
         assert main(["bench", "--dir", str(directory), "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2 and "budget" in lines[1]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert "budget" in rows[0][-1] and "not UTF-8" in rows[1][-1]
+        assert len(rows) > 2 and all(r[0].endswith("good.gsk") and not r[-1]
+                                     for r in rows[2:])
 
     def test_ratio_column_for_exact_solver(self, tmp_path):
         directory = tmp_path / "corpus"
@@ -295,6 +358,12 @@ class TestBench:
 
 
 class TestApplicableVariants:
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_exact_variants_sort_first(self, directed, uniform):
+        inst = routing_instance(directed, uniform, 5, weight_is_profit=True)
+        assert applicable_variants(inst, 22)[:2] == ["exact-1n", "exact-all"]
+
     def test_directed_uniform(self):
         inst = Instance(True, 3, [(0, 1)], [1] * 3, [1] * 3, 2)
         assert applicable_variants(inst, 22) == \
