@@ -26,8 +26,9 @@ from .solution import ALL_NEIGHBOUR, Solution, make_solution
 def closure_catalog(cond: Condensation, eps, k: int) -> dict[int, frozenset[int]]:
     """Descendant closure of each heavy SCC (own weight above eps * k), by id."""
     eps = eps_fraction(eps)
-    return {u: frozenset(descendants(cond, [u]))
-            for u in range(cond.scc_count) if cond.scc_weight[u] > eps * k}
+    limit = eps.numerator * k  # weight > eps * k, in integers
+    return {u: frozenset(descendants(cond, [u])) for u in range(cond.scc_count)
+            if cond.scc_weight[u] * eps.denominator > limit}
 
 
 def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,

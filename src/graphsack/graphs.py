@@ -220,39 +220,54 @@ def _tarjan_sccs(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]  # the DFS path, each with its arcs left
         while work:
-            v, ei = work.pop()
-            if ei == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for j in range(ei, len(adj[v])):
-                w = adj[v][j]
+            v, arcs = work[-1]
+            for w in arcs:
                 if index[w] == -1:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    recurse = True
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
+
+
+def _bfs_layers(nbrs, s: int):
+    """Breadth-first layers from ``s`` over ``nbrs``: ``[s]``, then one list
+    per distance.  A layer is built only when the caller asks for it."""
+    seen = {s}
+    layer = [s]
+    while layer:
+        yield layer
+        nxt = []
+        for v in layer:
+            for u in nbrs[v]:
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        layer = nxt
 
 
 def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[int, ...]:
@@ -260,6 +275,13 @@ def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[
 
     Ties break toward the lexicographically smallest vertex sequence starting
     at the smallest id that lies on any shortest cycle.
+
+    Sources are searched in ascending id, each only for a cycle strictly
+    shorter than the best so far (``girth``), so no search goes deeper than
+    ``girth - 2`` arcs; a cycle of length 2 ends the scan, as self-loops are
+    invalid.  Only a strictly shorter cycle moves ``start``, so ``start`` is
+    still the smallest id on any shortest cycle (Itai and Rodeh, "Finding a
+    minimum circuit in a graph", SIAM J. Comput. 7(4), 1978).
     """
     if len(members) == 1:
         return (members[0],)
@@ -267,32 +289,22 @@ def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[
     out = {v: [u for u in instance.adj[v] if u in inside] for v in members}
     into = {v: [u for u in instance.radj[v] if u in inside] for v in members}
 
-    def dists_from(s: int, nbrs) -> dict[int, int]:
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in nbrs[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        return dist
-
-    # Shortest cycle through s = min over in-arcs (u -> s) of dist(s, u) + 1.
-    through: dict[int, int] = {}
-    for s in members:
-        dist = dists_from(s, out)
-        best = min((dist[u] + 1 for u in into[s] if u in dist), default=0)
-        if best:
-            through[s] = best
-    girth = min(through.values())
-    start = min(v for v, g in through.items() if g == girth)
+    girth, start = len(members) + 1, -1
+    for s in sorted(members):
+        into_s = set(into[s])
+        for depth, layer in enumerate(_bfs_layers(out, s)):
+            if not into_s.isdisjoint(layer):  # a cycle of length depth + 1
+                girth, start = depth + 1, s
+                break
+            if depth + 2 >= girth:  # the next layer closes no shorter cycle
+                break
+        if girth == 2:
+            break
 
     # Any closed walk of length == girth is a simple cycle, so a greedy
     # lexicographic walk constrained by distance-to-start is safe.
-    back = dists_from(start, into)  # back[v] = dist(v -> start)
+    back = {v: d for d, layer in enumerate(_bfs_layers(into, start))
+            for v in layer}  # back[v] = dist(v -> start)
     cycle = [start]
     v = start
     for step in range(1, girth):

@@ -189,9 +189,10 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     cond = condense(instance)
     cycles = [_smallest_cycle_in_scc(instance, comp) for comp in cond.scc_vertices]
     cycle_len = [len(c) for c in cycles]
-    eps_k = eps * k
-    large = [u for u in range(cond.scc_count) if cycle_len[u] > eps_k]
-    petite = {u for u in range(cond.scc_count) if 1 < cycle_len[u] <= eps_k}
+    limit = eps.numerator * k  # length > eps * k, in integers
+    large = [u for u in range(cond.scc_count) if cycle_len[u] * eps.denominator > limit]
+    petite = {u for u in range(cond.scc_count)
+              if 1 < cycle_len[u] and cycle_len[u] * eps.denominator <= limit}
     tiny_sinks = [u for u in range(cond.scc_count)
                   if cycle_len[u] == 1 and not cond.dag_adjacency[u]]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from graphsack import (Instance, Item, Star, UnsupportedVariantError,
                        ValidationError, condense, descendants, ratio_key)
@@ -459,6 +459,56 @@ def uniform_directed_alln_ptas_rescan(instance: Instance, k: Optional[int] = Non
     trace = {"guesses": guesses, "units": tuple(sorted(best_units))}
     return make_solution(instance, chosen, ALL_NEIGHBOUR, "uda-ptas",
                          f"{float(1 - eps):g}", k, trace)
+
+
+# The smallest-cycle search as it was before its depth bound: a full BFS from
+# every member of the SCC.  Differential reference for
+# ``graphsack.graphs._smallest_cycle_in_scc``.
+
+def smallest_cycle_full_scan(instance: Instance, members: Sequence[int]) -> tuple[int, ...]:
+    """Shortest directed cycle within one SCC (assumed strongly connected).
+
+    Ties break toward the lexicographically smallest vertex sequence starting
+    at the smallest id that lies on any shortest cycle.
+    """
+    if len(members) == 1:
+        return (members[0],)
+    inside = set(members)
+    out = {v: [u for u in instance.adj[v] if u in inside] for v in members}
+    into = {v: [u for u in instance.radj[v] if u in inside] for v in members}
+
+    def dists_from(s: int, nbrs) -> dict[int, int]:
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in nbrs[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        return dist
+
+    # Shortest cycle through s = min over in-arcs (u -> s) of dist(s, u) + 1.
+    through: dict[int, int] = {}
+    for s in members:
+        dist = dists_from(s, out)
+        best = min((dist[u] + 1 for u in into[s] if u in dist), default=0)
+        if best:
+            through[s] = best
+    girth = min(through.values())
+    start = min(v for v, g in through.items() if g == girth)
+
+    # Any closed walk of length == girth is a simple cycle, so a greedy
+    # lexicographic walk constrained by distance-to-start is safe.
+    back = dists_from(start, into)  # back[v] = dist(v -> start)
+    cycle = [start]
+    v = start
+    for step in range(1, girth):
+        v = min(u for u in out[v] if back.get(u) == girth - step)
+        cycle.append(v)
+    return tuple(cycle)
 
 
 def random_instance(rng: random.Random, n: int, directed: bool,

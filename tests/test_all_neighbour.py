@@ -194,6 +194,19 @@ class TestClosureCatalog:
                 for u in heavy:
                     assert catalog[u] == frozenset(descendants(cond, [u]))
 
+    def test_weight_of_exactly_eps_k_is_light(self):
+        # eps * k = 3: SCCs {3} and {0, 1} weigh 3 and are light; {4}
+        # weighs 5 and {2} weighs 4, so those two are heavy.
+        w = [1, 2, 4, 3, 5]
+        inst = Instance(True, 5, [(0, 1), (1, 0), (1, 2), (3, 2), (4, 0)], w, w, 30)
+        cond = condense(inst)
+        assert cond.scc_vertices == ((4,), (3,), (0, 1), (2,))
+        assert cond.scc_weight == (5, 3, 3, 4)
+        catalog = closure_catalog(cond, Fraction(1, 10), 30)
+        assert catalog == {0: frozenset({0, 2, 3}), 3: frozenset({3})}
+        sol = uniform_directed_alln_ptas(inst, 30, Fraction(1, 10))
+        assert sol.trace == {"guesses": 4, "units": (0, 1, 2, 3)}
+
 
 class TestUniformUndirected:
     def test_components_example(self):

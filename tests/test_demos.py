@@ -1,4 +1,8 @@
-"""Each demo script runs to completion against the sources under ``src``."""
+"""Each demo script runs to completion against the sources under ``src``.
+
+Demos with a file under ``demo_output`` must print exactly that file's bytes.
+Demo 05 has none: it prints the path of a fresh temporary directory.
+"""
 
 import os
 import subprocess
@@ -8,6 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "demo_output"
 DEMOS = ["01_constraints_and_feasibility.py", "02_star_oracles_and_greedy.py",
          "03_uniform_exact_and_ptas.py", "04_reductions_and_oracle.py",
          "05_bench_workflow.py"]
@@ -17,5 +22,8 @@ DEMOS = ["01_constraints_and_feasibility.py", "02_star_oracles_and_greedy.py",
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH="src")
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
-                            env=env, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
+                            env=env, capture_output=True, timeout=300)
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    golden = GOLDEN / f"{Path(demo).stem}.txt"
+    if golden.exists():
+        assert result.stdout == golden.read_bytes()

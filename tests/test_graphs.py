@@ -12,7 +12,7 @@ from graphsack import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, ValidationError,
                        condense, connected_components, descendants, first_violation,
                        in_boundary, is_1_neighbour_set, is_all_neighbour_set,
                        smallest_cycle)
-from helpers import random_instance
+from helpers import random_instance, smallest_cycle_full_scan
 
 
 def undirected(n, edges, k=10):
@@ -213,6 +213,59 @@ class TestSmallestCycle:
                 assert smallest_cycle(inst, members) == expect
                 checked += 1
         assert checked > 40
+
+
+class TestGirthSearchMatchesFullScan:
+    """The depth-bounded girth search against the full scan it replaced."""
+
+    @given(st.integers(2, 60), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_every_scc_of_random_digraphs(self, n, t, seed):
+        prob = 1 / n + t * (0.5 - 1 / n)  # from 1/n to 0.5
+        inst = random_instance(random.Random(seed), n, True, prob, 1, 1, n)
+        for members in condense(inst).scc_vertices:
+            assert graphs._smallest_cycle_in_scc(inst, members) \
+                == smallest_cycle_full_scan(inst, members)
+
+    def searched_sources(self, monkeypatch, inst):
+        """The cycle, and the sources searched in order; the walk back to
+        the start is the last breadth-first search and is left out."""
+        sources = []
+        layers = graphs._bfs_layers
+
+        def recording(nbrs, s):
+            sources.append(s)
+            return layers(nbrs, s)
+
+        monkeypatch.setattr(graphs, "_bfs_layers", recording)
+        members = tuple(range(inst.n))
+        cycle = graphs._smallest_cycle_in_scc(inst, members)
+        assert cycle == smallest_cycle_full_scan(inst, members)
+        assert sources[-1] == cycle[0]
+        return cycle, sources[:-1]
+
+    def test_later_shorter_cycle_moves_start(self, monkeypatch):
+        # 0->1->2->3->4->0 is the only cycle through 0 and 1; 2->3->4->2 is shorter
+        inst = directed(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 2)])
+        cycle, sources = self.searched_sources(monkeypatch, inst)
+        assert cycle == (2, 3, 4)
+        assert sources == [0, 1, 2, 3, 4]
+
+    def test_tie_keeps_smaller_start(self, monkeypatch):
+        # 0->3->4->0 and 1->2->5->1 tie at 3; moving the start to 1 on the
+        # tie would give (1, 2, 5)
+        inst = directed(6, [(0, 3), (3, 4), (4, 0), (1, 2), (2, 5), (5, 1),
+                            (4, 1), (5, 0)])
+        cycle, sources = self.searched_sources(monkeypatch, inst)
+        assert cycle == (0, 3, 4)
+        assert sources == [0, 1, 2, 3, 4, 5]
+
+    def test_two_cycle_ends_the_scan(self, monkeypatch):
+        # 0 and 1 lie on 5-cycles only; 2<->3 and 3<->4 are 2-cycles
+        inst = directed(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (3, 2), (4, 3)])
+        cycle, sources = self.searched_sources(monkeypatch, inst)
+        assert cycle == (2, 3)
+        assert sources == [0, 1, 2]
 
 
 class TestBoundary:

@@ -149,6 +149,19 @@ class TestUniformDirectedPtas:
                 if sol.trace.get("complete"):
                     assert sol.size == opt, (inst.edges, k, eps)
 
+    def test_cycle_of_exactly_eps_k_is_petite(self):
+        # eps * k = 3: the 3-cycle {0, 1, 2} is petite and the 4-cycle
+        # {3, 4, 5, 6} large; 7 is a tiny sink, 8 a tiny non-sink.
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3), (8, 0)]
+        inst = Instance(True, 9, edges, [1] * 9, [1] * 9, 30)
+        assert condense(inst).scc_vertices == ((8,), (7,), (0, 1, 2), (3, 4, 5, 6))
+        sol = uniform_directed_1n_ptas(inst, 30, Fraction(1, 10))
+        assert [(e["guess"], e["candidate_sinks"], e["taken_sinks"])
+                for e in sol.trace["guesses"]] == [((), (1, 2), (1, 2)),
+                                                   ((3,), (1,), (1,))]
+        assert sol.trace["winner"]["guess"] == (3,)
+        assert sol.chosen == tuple(range(9))
+
 
 @st.composite
 def unit_digraphs_and_budgets(draw, max_n=12):
