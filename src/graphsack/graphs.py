@@ -342,14 +342,20 @@ def smallest_cycle(instance: Instance, scc_vertices: Iterable[int]) -> tuple[int
     """Shortest directed cycle inside a maximal SCC of ``instance``.
 
     A singleton SCC yields its single vertex (length 1, not a true cycle).
-    Rejects vertex sets that are not maximal SCCs.
+    Rejects vertex sets that are not maximal SCCs: the maximal SCC of the
+    smallest member is the set of vertices it both reaches and is reached
+    from.
     """
     members = instance.check_vertices(scc_vertices)
     if not members:
         raise ValidationError("empty set is not an SCC")
-    cond = condense(instance)
-    scc_id = cond.membership[members[0]]
-    if cond.scc_vertices[scc_id] != members:
+    if not instance.directed:
+        raise ValidationError("smallest_cycle requires a directed instance")
+    s = members[0]
+    reach = {v for layer in _bfs_layers(instance.adj, s) for v in layer}
+    scc = tuple(sorted(v for layer in _bfs_layers(instance.radj, s)
+                       for v in layer if v in reach))
+    if scc != members:
         raise ValidationError("vertex set is not a maximal SCC")
     return _smallest_cycle_in_scc(instance, members)
 

@@ -21,8 +21,9 @@ from .knapsack import Item, ProfitTable, eps_fraction, ratio_key
 class Star:
     """A center vertex plus leaves, all adjacent to the center.
 
-    The leaf set may be empty only when the center is isolated; then and only
-    then the star's vertex set is still a 1-neighbour set on its own.
+    The leaves are in strictly increasing id order.  The leaf set may be
+    empty only when the center is isolated; then and only then the star's
+    vertex set is still a 1-neighbour set on its own.
     """
 
     center: int
@@ -36,6 +37,8 @@ class Star:
 def validate_star(instance: Instance, star: Star) -> None:
     """Raise unless ``star`` satisfies all star invariants for ``instance``."""
     instance.check_vertices(star.vertices)
+    if any(a >= b for a, b in zip(star.leaves, star.leaves[1:])):
+        raise ValidationError(f"leaves {star.leaves} are not strictly increasing")
     for leaf in star.leaves:
         if leaf not in instance.adj[star.center]:
             raise ValidationError(f"leaf {leaf} not adjacent to center {star.center}")
@@ -156,6 +159,26 @@ def best_profit_viable_star(instance: Instance, capacity: int, eps) -> Optional[
     return best
 
 
+def _center_bound(profits, weights, keys, center: int, leaves):
+    """Largest :func:`ratio_key` of ``center`` plus any subset of ``leaves``.
+
+    ``keys[v]`` is ``ratio_key(profits[v], weights[v])``.  The leaves join in
+    descending key order while each one's key is strictly above the running
+    set's, since the best subset for a fractional ratio is a prefix in ratio
+    order.  The zero-weight conventions of :func:`ratio_key` hold as they are:
+    a zero-weight leaf with positive profit lifts the set to the top class,
+    which no later leaf exceeds.
+    """
+    p, w, key = profits[center], weights[center], keys[center]
+    for u in sorted(leaves, key=keys.__getitem__, reverse=True):
+        if not keys[u] > key:
+            break
+        p += profits[u]
+        w += weights[u]
+        key = ratio_key(p, w)
+    return key
+
+
 def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[Star]:
     """Feasible star with ratio >= (1 - eps) * best feasible star ratio.
 
@@ -171,13 +194,12 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
     maximum under a total order: higher ratio key, higher profit, then the
     smaller ``(center, leaves)``.
 
-    The search prunes without changing the winner.  A center's bound is the
-    largest ratio key among the center and its fitting leaves: by the
-    mediant property no set's ratio exceeds its best member's, and a
-    zero-weight member with positive profit puts the bound in the top class.
-    Centers are visited in descending bound order, and the scan stops at the
-    first bound strictly below the best ratio key found: no star of that
-    center or a later one can reach it.  Since the order is total, the
+    The search prunes without changing the winner.  A center's bound is
+    :func:`_center_bound`, the best ratio key of the center plus any subset
+    of its fitting leaves; every candidate is such a star, so none exceeds
+    it.  Centers are visited in descending bound order, and the scan stops
+    at the first bound strictly below the best ratio key found: no star of
+    that center or a later one can reach it.  Since the order is total, the
     winner does not depend on the visiting order.  When a table is exact
     (divisor 1), a level's profit and weight are known before its witness is
     walked, so only a level that can win or tie is walked.
@@ -189,7 +211,7 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
         raise ValidationError("capacity must be non-negative")
     weights, profits = instance.weights, instance.profits
     keys = [ratio_key(p, w) for p, w in zip(profits, weights)]
-    centers = [(max([keys[v]] + [keys[u] for u in leaves]), v, leaves)
+    centers = [(_center_bound(profits, weights, keys, v, leaves), v, leaves)
                for v, leaves in _fitting_centers(instance, capacity)]
     centers.sort(key=itemgetter(0), reverse=True)
     best_key = None  # (ratio key, profit)

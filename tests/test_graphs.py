@@ -198,6 +198,30 @@ class TestSmallestCycle:
         with pytest.raises(ValidationError):
             smallest_cycle(inst, [0, 1])
 
+    def test_rejects_undirected_and_empty(self):
+        with pytest.raises(ValidationError):
+            smallest_cycle(undirected(2, [(0, 1)]), [0, 1])
+        with pytest.raises(ValidationError):
+            smallest_cycle(directed(2, [(0, 1), (1, 0)]), [])
+
+    @given(st.integers(1, 12), st.floats(0, 0.5), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_accepts_exactly_the_maximal_sccs(self, n, p, seed, data):
+        inst = random_instance(random.Random(seed), n, True, p, 1, 1, 5)
+        sccs = set(condense(inst).scc_vertices)
+        tried = [set(scc) for scc in sccs]
+        tried += [set(scc) | {v} for scc in sccs for v in range(n) if v not in scc]
+        tried += [set(scc) - {v} for scc in sccs for v in scc if len(scc) > 1]
+        tried.append(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        for members in tried:
+            members = tuple(sorted(members))
+            if members in sccs:
+                assert smallest_cycle(inst, members) \
+                    == graphs._smallest_cycle_in_scc(inst, members)
+            else:
+                with pytest.raises(ValidationError):
+                    smallest_cycle(inst, members)
+
     def test_matches_enumeration_random(self):
         rng = random.Random(3)
         checked = 0

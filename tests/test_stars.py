@@ -5,12 +5,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsack import (Instance, Star, ValidationError, best_profit_viable_star,
-                       best_ratio_viable_star, greedy_1_neighbour, is_1_neighbour_set,
-                       ratio_key, star_partition, validate_star)
+                       best_ratio_viable_star, gen_random, greedy_1_neighbour,
+                       is_1_neighbour_set, ratio_key, star_partition, stars, validate_star)
 from helpers import (best_profit_viable_star_full_scan, best_ratio_viable_star_full_scan,
                      random_instance, ratio_meets)
 
@@ -68,6 +68,16 @@ class TestStarPartition:
             for star in stars:
                 validate_star(inst, star)
                 assert is_1_neighbour_set(inst, star.vertices)
+
+
+class TestValidateStar:
+    def test_accepts_sorted_leaves(self):
+        validate_star(undirected(3, [(0, 1), (0, 2)]), Star(0, (1, 2)))
+
+    @pytest.mark.parametrize("leaves", [(1, 1), (2, 1)])
+    def test_rejects_repeated_or_unsorted_leaves(self, leaves):
+        with pytest.raises(ValidationError):
+            validate_star(undirected(3, [(0, 1), (0, 2)]), Star(0, leaves))
 
 
 class TestBestProfitViableStar:
@@ -188,6 +198,46 @@ class TestBestRatioViableStar:
                 assert ratio_meets(got_p, got_w, best[0], best[1], eps)
 
 
+PROFIT_WEIGHT = st.tuples(st.integers(0, 3) | st.integers(0, 1000),
+                          st.integers(0, 3) | st.integers(0, 60))
+
+
+class TestCenterBound:
+    """The ratio oracle's center bound: the best star of the center at any ε."""
+
+    @given(PROFIT_WEIGHT, st.lists(PROFIT_WEIGHT, max_size=8))
+    @example((0, 0), [(0, 0), (0, 2), (3, 0), (5, 1)])
+    @example((0, 0), [(0, 0), (0, 4)])
+    @settings(max_examples=400, deadline=None)
+    def test_is_the_best_subset_key(self, center, leaves):
+        profits = [center[0]] + [p for p, _ in leaves]
+        weights = [center[1]] + [w for _, w in leaves]
+        keys = [ratio_key(p, w) for p, w in zip(profits, weights)]
+        ids = range(1, len(leaves) + 1)
+        brute = max(ratio_key(sum(profits[u] for u in (0,) + subset),
+                              sum(weights[u] for u in (0,) + subset))
+                    for r in range(len(leaves) + 1) for subset in combinations(ids, r))
+        assert stars._center_bound(profits, weights, keys, 0, list(ids)) == brute
+
+    def test_poor_center_builds_no_table(self, monkeypatch):
+        # Center 0 (w10, p1) sits next to leaf 1 (w1, p10), so its members'
+        # best ratio is 10, but every star of center 0 has ratio at most 1.
+        # The star {2, 3} at ratio 5 wins before center 0 is reached.
+        inst = undirected(4, [(0, 1), (2, 3)], weights=[10, 1, 1, 1], profits=[1, 10, 5, 5])
+        built = []
+
+        class Counting(stars.ProfitTable):
+            def __init__(self, items, eps=None):
+                built.append(tuple(it.id for it in items))
+                super().__init__(items, eps)
+
+        monkeypatch.setattr(stars, "ProfitTable", Counting)
+        star = best_ratio_viable_star(inst, 20, 0.1)
+        assert star == best_ratio_viable_star_full_scan(inst, 20, 0.1) == Star(2, (3,))
+        assert (1,) not in built  # center 0's table, over its one leaf
+        assert sorted(built) == [(0,), (2,), (3,)]
+
+
 @st.composite
 def star_instances(draw, max_n=8):
     """Small undirected instances with zero weights, zero profits and isolated
@@ -227,6 +277,19 @@ class TestPruningMatchesFullScan:
     def test_greedy(self, inst, k, eps):
         got = greedy_1_neighbour(inst, k, eps)
         ref = greedy_1_neighbour(inst, k, eps,
+                                 profit_oracle=best_profit_viable_star_full_scan,
+                                 ratio_oracle=best_ratio_viable_star_full_scan)
+        assert got.chosen == ref.chosen
+        assert got.trace == ref.trace
+
+    @pytest.mark.parametrize("n", [24, 32, 40, 50])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_greedy_at_benchmark_scale(self, n, d):
+        # Degrees the small instances above rarely reach, as in the
+        # star-greedy benchmark pool.
+        inst = gen_random(n, d / n, False, 8, 8, 2 * n, seed=100 * n + d)
+        got = greedy_1_neighbour(inst, None, Fraction(1, 10))
+        ref = greedy_1_neighbour(inst, None, Fraction(1, 10),
                                  profit_oracle=best_profit_viable_star_full_scan,
                                  ratio_oracle=best_ratio_viable_star_full_scan)
         assert got.chosen == ref.chosen
