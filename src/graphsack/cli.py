@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 import time
@@ -25,7 +24,7 @@ from .instance_io import _int_token, parse
 from .knapsack import eps_fraction
 from .one_neighbour import (greedy_1_neighbour, uniform_directed_1n_ptas,
                             uniform_undirected_1n)
-from .oracle import exact_1n, exact_alln
+from .oracle import DEFAULT_MAX_N, exact_1n, exact_alln
 from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution
 from .stars import star_partition
 
@@ -121,17 +120,22 @@ def _read_instance(path: str) -> Instance:
         raise ParseError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
 
 
+def _csv_row(**columns) -> list[str]:
+    """A row of the ``CSV_HEADER`` columns, by name; a column not named, or
+    named with None, stays empty."""
+    row = [columns.pop(name, None) for name in CSV_HEADER]
+    assert not columns, f"not a CSV column: {sorted(columns)}"
+    return ["" if value is None else str(value) for value in row]
+
+
 def _solution_row(path: str, variant: str, instance: Instance, solution: Solution,
-                  eps: float, opt: Optional[int], ms) -> list[str]:
-    ratio = ""
-    if opt is not None and opt > 0:
-        ratio = f"{solution.total_profit / opt:.6f}"
-    return [path, variant, solution.algorithm,
-            f"{eps:g}" if VARIANTS[variant].reads_epsilon else "",
-            str(instance.n), str(instance.m), str(instance.budget),
-            str(solution.total_profit), str(solution.total_weight), "true",
-            solution.guarantee, "" if opt is None else str(opt), ratio,
-            str(ms), ""]
+                  eps: float, opt: Optional[int], ms: int) -> list[str]:
+    return _csv_row(instance=path, variant=variant, algorithm=solution.algorithm,
+                    epsilon=f"{eps:g}" if VARIANTS[variant].reads_epsilon else None,
+                    n=instance.n, m=instance.m, k=instance.budget,
+                    profit=solution.total_profit, weight=solution.total_weight,
+                    feasible="true", guarantee=solution.guarantee, opt=opt,
+                    ratio=f"{solution.total_profit / opt:.6f}" if opt else None, ms=ms)
 
 
 def cmd_solve(args) -> int:
@@ -152,11 +156,8 @@ def cmd_solve(args) -> int:
     _verify(instance, solution, instance.budget)
 
     if args.format == "csvrow":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_solution_row(args.input, variant, instance, solution,
-                                      args.epsilon, None, 0))
-        sys.stdout.write(buf.getvalue())
+        csv.writer(sys.stdout, lineterminator="\n").writerow(
+            _solution_row(args.input, variant, instance, solution, args.epsilon, None, 0))
         return 0
     print(f"instance: {args.input}")
     print(f"n: {instance.n}")
@@ -196,31 +197,16 @@ def cmd_check(args) -> int:
     return 0
 
 
-def applicable_variants(instance: Instance, oracle_max_n: int) -> list[str]:
-    uniform = instance.is_uniform()
-    out = []
-    if instance.directed:
-        if uniform:
-            out += ["ud1n-ptas", "uda-ptas"]
-        elif instance.weights == instance.profits:
-            out.append("uda-ptas")
-    else:
-        out += ["greedy-1n", "gua-fptas"]
-        if uniform:
-            out += ["uu1n-linear", "uua-subsetsum"]
-    if instance.n <= oracle_max_n:
-        out += ["exact-1n", "exact-all"]
-    return sorted(out)
-
-
 def _bench_instance(path: str, eps: float, oracle_max_n: int, timing: bool) -> list[list[str]]:
+    """A row per variant whose solver's guard, which runs before any work,
+    accepts the instance's class and, for the exhaustive oracles, its n."""
     rows: list[list[str]] = []
     try:
         instance = _read_instance(path)
     except GraphsackError as exc:
-        return [[path, "", "", "", "", "", "", "", "", "", "", "", "", "", str(exc)]]
+        return [_csv_row(instance=path, error=exc)]
     opts: dict[str, int] = {}  # constraint -> optimum, from the exact-* rows, which sort first
-    for variant in applicable_variants(instance, oracle_max_n):
+    for variant in sorted(VARIANTS):
         try:
             start = time.perf_counter()
             solution = VARIANTS[variant].run(instance, eps, oracle_max_n)
@@ -230,9 +216,11 @@ def _bench_instance(path: str, eps: float, oracle_max_n: int, timing: bool) -> l
             _verify(instance, solution, instance.budget)
             rows.append(_solution_row(path, variant, instance, solution, eps,
                                       opts.get(solution.constraint), ms))
+        except (UnsupportedVariantError, OracleScaleError):
+            continue
         except GraphsackError as exc:
-            rows.append([path, variant, "", "", str(instance.n), str(instance.m),
-                         str(instance.budget), "", "", "", "", "", "", "", str(exc)])
+            rows.append(_csv_row(instance=path, variant=variant, n=instance.n,
+                                 m=instance.m, k=instance.budget, error=exc))
     return rows
 
 
@@ -243,12 +231,15 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"not a directory: {args.dir}")
     paths = sorted(os.path.join(args.dir, name) for name in os.listdir(args.dir)
                    if os.path.isfile(os.path.join(args.dir, name)))
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    try:
+        fh = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from exc
+    with fh, ThreadPoolExecutor(max_workers=args.jobs) as pool:
         grouped = list(pool.map(
             lambda p: _bench_instance(p, args.epsilon, args.oracle_max_n, args.timing),
             paths))
-    rows = [row for group in grouped for row in group]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        rows = [row for group in grouped for row in group]
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
@@ -263,6 +254,11 @@ def cmd_partition_stars(args) -> int:
     return 0
 
 
+def _int_option(name: str) -> Callable[[str], int]:
+    # a bad value raises ParseError, which main reports like any other
+    return lambda token: _int_token(token, None, name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphsack",
@@ -271,28 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance")
     solve.add_argument("--input", required=True)
-    solve.add_argument("--constraint", required=True, choices=["one", "all"])
+    solve.add_argument("--constraint", required=True, choices=list(CONSTRAINT_NAMES))
     solve.add_argument("--variant", default="auto",
                        choices=["auto"] + sorted(VARIANTS))
     solve.add_argument("--epsilon", type=float, default=0.1)
-    solve.add_argument("--budget", type=int, default=None)
-    solve.add_argument("--oracle-max-n", type=int, default=22)
+    solve.add_argument("--budget", type=_int_option("--budget"), default=None)
+    solve.add_argument("--oracle-max-n", type=_int_option("--oracle-max-n"), default=DEFAULT_MAX_N)
     solve.add_argument("--format", default="kv", choices=["kv", "csvrow"])
     solve.set_defaults(func=cmd_solve)
 
     check = sub.add_parser("check", help="verify feasibility of a vertex set")
     check.add_argument("--input", required=True)
-    check.add_argument("--constraint", required=True, choices=["one", "all"])
+    check.add_argument("--constraint", required=True, choices=list(CONSTRAINT_NAMES))
     check.add_argument("--set", required=True,
                        help="comma- or space-separated vertex ids")
     check.set_defaults(func=cmd_check)
 
-    bench = sub.add_parser("bench", help="run every applicable solver on a directory")
+    bench = sub.add_parser("bench", help="run every solver that accepts each file of a directory")
     bench.add_argument("--dir", required=True)
     bench.add_argument("--epsilon", type=float, default=0.1)
-    bench.add_argument("--oracle-max-n", type=int, default=22)
+    bench.add_argument("--oracle-max-n", type=_int_option("--oracle-max-n"), default=DEFAULT_MAX_N)
     bench.add_argument("--out", required=True)
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=_int_option("--jobs"), default=1)
     bench.add_argument("--timing", action="store_true",
                        help="record wall time in the ms column (breaks "
                             "byte-for-byte reproducibility)")
@@ -305,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GraphsackError as exc:
         print(f"error: {exc}", file=sys.stderr)

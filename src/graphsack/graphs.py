@@ -35,9 +35,9 @@ class Instance:
     Vertices are ``0..n-1``.  ``edges`` are unordered pairs for undirected
     instances (stored with the smaller endpoint first) and ordered arcs
     ``(tail, head)`` for directed ones.  Self-loops and duplicate edges are
-    rejected; vertex ids, weights, profits and the budget must be integers
-    (not bools), and weights, profits and the budget non-negative and below
-    2**63.
+    rejected; the vertex count, vertex ids, weights, profits and the budget
+    must be integers (not bools), and weights, profits and the budget
+    non-negative and below 2**63.
     """
 
     __slots__ = ("directed", "n", "weights", "profits", "edges", "budget",
@@ -47,9 +47,9 @@ class Instance:
                  weights: Sequence[int], profits: Sequence[int], budget: int,
                  provenance: str | None = None):
         self.directed = bool(directed)
+        if not _is_int(n) or n < 0:
+            raise ValidationError("vertex count must be a non-negative integer")
         self.n = n
-        if n < 0:
-            raise ValidationError("vertex count must be non-negative")
         if len(weights) != n or len(profits) != n:
             raise ValidationError("weights/profits must have one entry per vertex")
         for name, values in (("weight", weights), ("profit", profits)):
@@ -80,16 +80,15 @@ class Instance:
         norm.sort()
         self.edges = tuple(norm)
 
+        # One walk over the sorted edges appends every list in ascending
+        # order; undirected, the lower neighbours (y, x) precede (x, z).
         adj: list[list[int]] = [[] for _ in range(n)]
-        radj: list[list[int]] = [[] for _ in range(n)]
+        radj = [[] for _ in range(n)] if self.directed else adj
         for u, v in self.edges:
             adj[u].append(v)
             radj[v].append(u)
-            if not self.directed:
-                adj[v].append(u)
-                radj[u].append(v)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self.radj = tuple(tuple(sorted(a)) for a in radj)
+        self.adj = tuple(map(tuple, adj))
+        self.radj = tuple(map(tuple, radj)) if self.directed else self.adj
         self.provenance = provenance
 
     @property

@@ -18,16 +18,14 @@ import random
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError, ValidationError
-from .graphs import Instance
-
-_VALUE_LIMIT = 1 << 63
+from .graphs import MAX_VALUE, Instance
 
 
 def _int_token(token: str, line: Optional[int], what: str) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ParseError(f"{what} must be a non-negative integer, got {token!r}", line)
     value = int(token)
-    if value >= _VALUE_LIMIT:
+    if value > MAX_VALUE:
         raise ParseError(f"{what} out of range [0, 2^63)", line)
     return value
 

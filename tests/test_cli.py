@@ -1,12 +1,15 @@
 """CLI surface: routing, output formats, exit codes, bench determinism."""
 
+import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from graphsack import Instance, cli, gen_random, serialize
-from graphsack.cli import (CSV_HEADER, VARIANTS, applicable_variants, main, route_auto)
+from graphsack.cli import CSV_HEADER, VARIANTS, main, route_auto
 from graphsack.errors import (GraphsackError, OracleScaleError, ParseError,
                               UnsupportedVariantError, ValidationError)
 from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR
@@ -21,6 +24,22 @@ def write_instance(path, inst):
 def pair_components(tmp_path):
     inst = Instance(False, 4, [(0, 1), (2, 3)], [1] * 4, [1] * 4, 3)
     return write_instance(tmp_path / "pairs.gsk", inst)
+
+
+def bench_rows(tmp_path, inst, *options):
+    """The CSV rows, as dicts, of ``bench`` on a directory holding only ``inst``."""
+    directory = tmp_path / "one"
+    directory.mkdir(parents=True)
+    write_instance(directory / "i.gsk", inst)
+    out = tmp_path / "one.csv"
+    assert main(["bench", "--dir", str(directory), "--out", str(out), *options]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def bench_variants(tmp_path, inst, oracle_max_n=22):
+    return [row["variant"] for row in
+            bench_rows(tmp_path, inst, "--oracle-max-n", str(oracle_max_n))]
 
 
 def routing_instance(directed, uniform, n, weight_is_profit=False):
@@ -181,6 +200,21 @@ class TestSolve:
         assert ("epsilon" in out) == \
             (variant in ("greedy-1n", "gua-fptas", "ud1n-ptas", "uda-ptas"))
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--budget", "1_0", "--budget must be a non-negative integer, got '1_0'"),
+        ("--budget", "\u0663", "--budget must be a non-negative integer"),
+        ("--budget", "-1", "--budget must be a non-negative integer"),
+        ("--budget", str(1 << 63), "--budget out of range [0, 2^63)"),
+        ("--oracle-max-n", "2_2", "--oracle-max-n must be a non-negative integer"),
+        ("--oracle-max-n", "\u00b2", "--oracle-max-n must be a non-negative integer"),
+    ])
+    def test_integer_options_follow_the_file_rule(self, pair_components, capsys,
+                                                  option, value, message):
+        assert main(["solve", "--input", pair_components, "--constraint", "one",
+                     option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript 2, Arabic-Indic 3
     def test_non_ascii_digit_exit_code(self, tmp_path, capsys, digit):
         bad = tmp_path / "digit.gsk"
@@ -294,21 +328,49 @@ class TestBench:
                      "--jobs", jobs]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs,message", [
+        ("0", "--jobs must be at least 1, got 0"),
+        ("1_0", "--jobs must be a non-negative integer, got '1_0'"),
+        ("\u0663", "--jobs must be a non-negative integer"),
+    ])
+    def test_jobs_message(self, tmp_path, capsys, jobs, message):
+        directory = self.make_corpus(tmp_path, count=1)
+        assert main(["bench", "--dir", str(directory), "--out", str(tmp_path / "o.csv"),
+                     "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("out", ["missing/o.csv", "."])
+    def test_unwritable_out_rejected_before_solving(self, tmp_path, capsys, monkeypatch, out):
+        directory = self.make_corpus(tmp_path, count=1)
+
+        def unexpected(*args):
+            raise AssertionError("solved before opening --out")
+        monkeypatch.setattr(cli, "_bench_instance", unexpected)
+        out = str(tmp_path / out)
+        assert main(["bench", "--dir", str(directory), "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}: ")
+
     def test_each_exact_oracle_runs_once_per_instance(self, tmp_path, monkeypatch):
         directory = self.make_corpus(tmp_path)  # n = 5, 6, 7
-        calls = {"exact_1n": 0, "exact_alln": 0}
+        # each oracle is asked once per instance, and runs on the four with n <= 6
+        asked = {"exact_1n": 0, "exact_alln": 0}
+        calls = dict(asked)
 
         def counting(name):
             solver = getattr(cli, name)
 
             def count(*args, **kwargs):
+                asked[name] += 1
+                solution = solver(*args, **kwargs)
                 calls[name] += 1
-                return solver(*args, **kwargs)
+                return solution
             return count
         for name in calls:
             monkeypatch.setattr(cli, name, counting(name))
         assert main(["bench", "--dir", str(directory), "--out", str(tmp_path / "o.csv"),
                      "--oracle-max-n", "6"]) == 0
+        assert asked == {"exact_1n": 6, "exact_alln": 6}
         assert calls == {"exact_1n": 4, "exact_alln": 4}
 
     def test_empty_directory(self, tmp_path):
@@ -356,35 +418,55 @@ class TestBench:
         assert greedy
         assert all(float(r[12]) >= 0.267 for r in greedy)
 
+    def test_solver_errors_get_error_rows(self, tmp_path):
+        # epsilon 1.5 is refused by the epsilon variants that accept the
+        # instance; the exact rows are normal and the other variants get no row
+        inst = Instance(False, 3, [(0, 1)], [1, 2, 1], [1, 1, 1], 2)
+        rows = bench_rows(tmp_path, inst, "--epsilon", "1.5")
+        assert [r["variant"] for r in rows] == \
+            ["exact-1n", "exact-all", "greedy-1n", "gua-fptas"]
+        for row in rows[:2]:
+            assert row["feasible"] == "true" and row["error"] == ""
+        for row in rows[2:]:
+            assert row["error"] == "epsilon must be in (0, 1), got 3/2"
+            assert {name: value for name, value in row.items() if value} == {
+                "instance": str(tmp_path / "one" / "i.gsk"), "variant": row["variant"],
+                "n": "3", "m": "1", "k": "2", "error": row["error"]}
+
 
 class TestApplicableVariants:
+    """``bench`` writes a row for exactly the variants whose solver accepts
+    the instance, in sorted order."""
+
     @pytest.mark.parametrize("directed", [True, False])
     @pytest.mark.parametrize("uniform", [True, False])
-    def test_exact_variants_sort_first(self, directed, uniform):
+    def test_exact_variants_sort_first(self, tmp_path, directed, uniform):
         inst = routing_instance(directed, uniform, 5, weight_is_profit=True)
-        assert applicable_variants(inst, 22)[:2] == ["exact-1n", "exact-all"]
+        assert bench_variants(tmp_path, inst)[:2] == ["exact-1n", "exact-all"]
 
-    def test_directed_uniform(self):
+    def test_directed_uniform(self, tmp_path):
         inst = Instance(True, 3, [(0, 1)], [1] * 3, [1] * 3, 2)
-        assert applicable_variants(inst, 22) == \
+        assert bench_variants(tmp_path, inst) == \
             ["exact-1n", "exact-all", "ud1n-ptas", "uda-ptas"]
 
-    def test_directed_weight_equals_profit(self):
+    def test_directed_weight_equals_profit(self, tmp_path):
         inst = Instance(True, 3, [(0, 1)], [2, 0, 1], [2, 0, 1], 2)
-        assert applicable_variants(inst, 22) == ["exact-1n", "exact-all", "uda-ptas"]
-        assert applicable_variants(inst, 2) == ["uda-ptas"]
+        assert bench_variants(tmp_path / "a", inst) == ["exact-1n", "exact-all", "uda-ptas"]
+        assert bench_variants(tmp_path / "b", inst, 2) == ["uda-ptas"]
 
-    def test_undirected_general_large(self):
+    def test_undirected_general_large(self, tmp_path):
         inst = Instance(False, 3, [(0, 1)], [1, 2, 1], [1, 1, 1], 2)
-        assert applicable_variants(inst, 2) == ["greedy-1n", "gua-fptas"]
+        assert bench_variants(tmp_path, inst, 2) == ["greedy-1n", "gua-fptas"]
 
 
 def test_module_entry_point(tmp_path):
     inst = Instance(False, 2, [(0, 1)], [1, 1], [1, 1], 2)
     path = tmp_path / "e.gsk"
     path.write_text(serialize(inst))
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "graphsack", "solve", "--input", str(path),
-         "--constraint", "one"], capture_output=True, text=True)
+         "--constraint", "one"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0
     assert "count: 2" in proc.stdout

@@ -53,6 +53,29 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             Instance(False, 1, [], [0], [0], -1)
 
+    @pytest.mark.parametrize("n", [True, 1.0, "1", -1])
+    def test_rejects_bad_vertex_count(self, n):
+        with pytest.raises(ValidationError, match="vertex count"):
+            Instance(False, n, [], [0], [0], 0)
+
+    def test_adjacency_lists_ascend_random(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            is_directed = rng.random() < 0.5
+            pairs = [(u, v) for u in range(n) for v in range(n)
+                     if u < v or is_directed and u != v]
+            edges = [(v, u) if not is_directed and rng.random() < 0.5 else (u, v)
+                     for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+            inst = Instance(is_directed, n, edges, [1] * n, [1] * n, n)
+            arcs = set(inst.edges) | ({(v, u) for u, v in inst.edges} if not is_directed
+                                      else set())
+            for v in range(n):
+                assert inst.adj[v] == tuple(sorted(b for a, b in arcs if a == v))
+                assert inst.radj[v] == tuple(sorted(a for a, b in arcs if b == v))
+            if not is_directed:
+                assert inst.radj is inst.adj
+
     @pytest.mark.parametrize("edge", [(True, 1), (0, True), (0.0, 1), (0, 1.0), ("0", 1)])
     def test_rejects_non_int_edge_endpoints(self, edge):
         with pytest.raises(ValidationError, match="invalid vertex"):
