@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import time
@@ -259,6 +260,7 @@ def _int_option(name: str) -> Callable[[str], int]:
     return lambda token: _int_token(token, None, name)
 
 
+@functools.cache  # one per process; main looks each cmd_* up when it runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphsack",
@@ -274,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", type=_int_option("--budget"), default=None)
     solve.add_argument("--oracle-max-n", type=_int_option("--oracle-max-n"), default=DEFAULT_MAX_N)
     solve.add_argument("--format", default="kv", choices=["kv", "csvrow"])
-    solve.set_defaults(func=cmd_solve)
 
     check = sub.add_parser("check", help="verify feasibility of a vertex set")
     check.add_argument("--input", required=True)
     check.add_argument("--constraint", required=True, choices=list(CONSTRAINT_NAMES))
     check.add_argument("--set", required=True,
                        help="comma- or space-separated vertex ids")
-    check.set_defaults(func=cmd_check)
 
     bench = sub.add_parser("bench", help="run every solver that accepts each file of a directory")
     bench.add_argument("--dir", required=True)
@@ -292,18 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--timing", action="store_true",
                        help="record wall time in the ms column (breaks "
                             "byte-for-byte reproducibility)")
-    bench.set_defaults(func=cmd_bench)
 
     stars = sub.add_parser("partition-stars", help="print a star partition")
     stars.add_argument("--input", required=True)
-    stars.set_defaults(func=cmd_partition_stars)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except GraphsackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

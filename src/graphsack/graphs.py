@@ -53,6 +53,10 @@ class Instance:
         if len(weights) != n or len(profits) != n:
             raise ValidationError("weights/profits must have one entry per vertex")
         for name, values in (("weight", weights), ("profit", profits)):
+            # plain ints in range pass at C speed; the loop names the first bad vertex
+            if {*map(type, values)} <= {int} and \
+                    0 <= min(values, default=0) and max(values, default=0) <= MAX_VALUE:
+                continue
             for v, x in enumerate(values):
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValidationError(f"{name} of vertex {v} is not an integer")

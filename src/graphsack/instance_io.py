@@ -7,14 +7,19 @@ File format (UTF-8, line oriented, ``#`` starts a comment anywhere):
     v <id> <weight> <profit>      # exactly n lines, ids 0..n-1 in order
     e <u> <v>                     # exactly m lines; undirected edges u < v
 
-All numbers are base-10 non-negative integers below 2**63.  ``serialize``
-emits the canonical comment-free form (plus provenance comments when the
-instance carries them), and ``parse(serialize(x)) == x``.
+All numbers are base-10 non-negative integers below 2**63.  ``parse`` reads
+*canonical* text, exactly what ``serialize`` writes (provenance comments
+first, single spaces, ``\n`` line ends, numbers of at most 18 digits), in
+bulk; any other valid text gives the same ``Instance`` through the line walk,
+and ``parse(serialize(x)) == x``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import operator
 import random
+import re
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError, ValidationError
@@ -30,8 +35,30 @@ def _int_token(token: str, line: Optional[int], what: str) -> int:
     return value
 
 
+# With re.ASCII, \d is [0-9], and 18 digits are always below 2**63.  A comment
+# holds no str.splitlines boundary, so the line walk sees it as one line too.
+_CANONICAL = re.compile(
+    r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*"
+    r"graph (directed|undirected) (\d{1,18}) (\d{1,18})\nbudget (\d{1,18})\n"
+    r"((?:v \d{1,18} \d{1,18} \d{1,18}\n)*)((?:e \d{1,18} \d{1,18}\n)*)", re.ASCII)
+
+
 def parse(text: str) -> Instance:
     """Parse instance text, validating every format and graph invariant."""
+    # canonical text in bulk; anything else, or a failed check, takes the line
+    # walk, the one code that words a ParseError
+    match = _CANONICAL.fullmatch(text)
+    if match:
+        kind, n, m, budget, vertices, edges = match.groups()
+        n, directed = int(n), kind == "directed"
+        vertices, edges = vertices.split(), edges.split()
+        tails, heads = list(map(int, edges[1::3])), list(map(int, edges[2::3]))
+        if (len(vertices) == 4 * n and len(tails) == int(m)
+                and list(map(int, vertices[1::4])) == list(range(n))
+                and all(map(operator.ne if directed else operator.lt, tails, heads))):
+            with contextlib.suppress(ValidationError):
+                return Instance(directed, n, zip(tails, heads), list(map(int, vertices[2::4])),
+                                list(map(int, vertices[3::4])), int(budget))
     lines: list[tuple[int, list[str]]] = []
     for no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()

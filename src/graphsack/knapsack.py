@@ -37,12 +37,12 @@ def eps_fraction(eps) -> Fraction:
     Anything that is not a number, ``nan`` and ``inf`` included, is rejected.
     """
     try:
-        eps = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
+        value = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     except (ValueError, TypeError, ArithmeticError) as exc:
         raise ValidationError(f"epsilon must be a number in (0, 1), got {eps!r}") from exc
-    if not 0 < eps < 1:
+    if not 0 < value < 1:
         raise ValidationError(f"epsilon must be in (0, 1), got {eps}")
-    return eps
+    return value
 
 
 class _RatioKey:

@@ -215,6 +215,15 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
+    def test_options_do_not_leak_between_calls(self, pair_components, capsys):
+        # the parser is shared by every main call of the process
+        solve = ["solve", "--input", pair_components, "--constraint", "one"]
+        assert main(solve + ["--budget", "1", "--format", "csvrow"]) == 0
+        assert main(solve) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split(",")[CSV_HEADER.index("k")] == "1"
+        assert lines[1:5] == [f"instance: {pair_components}", "n: 4", "m: 2", "k: 3"]
+
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript 2, Arabic-Indic 3
     def test_non_ascii_digit_exit_code(self, tmp_path, capsys, digit):
         bad = tmp_path / "digit.gsk"
@@ -233,6 +242,10 @@ class TestSolve:
 def test_exit_code_per_error_class(monkeypatch, capsys, error, code):
     def fail(args):
         raise error
+    # the argument parser is built once per process, so it must already exist
+    # here: main looks cmd_partition_stars up when it runs, not when it builds
+    assert main(["partition-stars", "--input", "unused"]) == 2
+    capsys.readouterr()
     monkeypatch.setattr(cli, "cmd_partition_stars", fail)
     assert main(["partition-stars", "--input", "unused"]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
@@ -428,7 +441,7 @@ class TestBench:
         for row in rows[:2]:
             assert row["feasible"] == "true" and row["error"] == ""
         for row in rows[2:]:
-            assert row["error"] == "epsilon must be in (0, 1), got 3/2"
+            assert row["error"] == "epsilon must be in (0, 1), got 1.5"
             assert {name: value for name, value in row.items() if value} == {
                 "instance": str(tmp_path / "one" / "i.gsk"), "variant": row["variant"],
                 "n": "3", "m": "1", "k": "2", "error": row["error"]}

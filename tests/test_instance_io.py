@@ -1,13 +1,17 @@
 """Text format round-trips, parse errors, and generator constructions."""
 
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphsack import (ParseError, ValidationError, exact_1n,
+from graphsack import (Instance, ParseError, ValidationError, exact_1n,
                        gen_max_k_cover, gen_network_budget, gen_random,
-                       gen_set_cover_cycles, is_1_neighbour_set, parse,
-                       serialize)
+                       gen_set_cover_cycles, instance_io, is_1_neighbour_set,
+                       parse, serialize)
 
 SAMPLE = """\
 graph undirected 3 2
@@ -18,6 +22,7 @@ v 2 3 0
 e 0 1
 e 1 2
 """
+MAX = (1 << 63) - 1
 
 
 class TestParseSerialize:
@@ -76,6 +81,139 @@ class TestParseSerialize:
     def test_directed_round_trip(self):
         inst = gen_random(5, 0.6, True, 2, 2, 3, seed=9)
         assert parse(serialize(inst)) == inst
+
+
+def outcome(text):
+    """What ``parse`` makes of ``text``: the instance, or the error's text and line."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def line_walk_outcome(text):
+    """``outcome`` with the bulk path switched off: the line walk alone."""
+    with mock.patch.object(instance_io, "_CANONICAL", re.compile(r"(?!)")):
+        return outcome(text)
+
+
+def bulk_parse(text):
+    """``parse`` that fails if the line walk reads a single token."""
+    with mock.patch.object(instance_io, "_int_token", side_effect=AssertionError):
+        return parse(text)
+
+
+def mutation_sources():
+    """About 50 canonical texts: directed and undirected, with and without
+    provenance comments, n = 0 included."""
+    texts = []
+    for seed in range(48):
+        inst = gen_random(seed % 12, 0.3, seed % 2 == 0, 30, 30, 2 * seed, seed=seed)
+        if seed % 3 == 0:  # no provenance
+            inst = Instance(inst.directed, inst.n, inst.edges, inst.weights,
+                            inst.profits, inst.budget)
+        texts.append(serialize(inst))
+    texts.append("graph directed 0 0\nbudget 0\n")
+    texts.append("# empty\ngraph undirected 0 0\nbudget 7\n")
+    return texts
+
+
+def mutations(text, rng):
+    """Named variants of ``text``, most of them not canonical."""
+    lines = text.splitlines(keepends=True)
+    records = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    numbers = [(i, j) for i in records for j, token in enumerate(lines[i].split())
+               if token.isdigit()]
+
+    def with_line(i, line):
+        return "".join(lines[:i] + [line] + lines[i + 1:])
+
+    def with_token(i, j, token):
+        tokens = lines[i].split()
+        tokens[j] = token
+        return with_line(i, " ".join(tokens) + "\n")
+
+    out = {}
+    i = rng.choice(records)
+    tokens = lines[i].split()
+    j = rng.randrange(len(tokens))
+    out["drop token"] = with_line(i, " ".join(tokens[:j] + tokens[j + 1:]) + "\n")
+    out["duplicate token"] = with_line(i, " ".join(tokens[:j + 1] + tokens[j:]) + "\n")
+    i, j = rng.choice(numbers)
+    token = lines[i].split()[j]
+    out["non-ASCII digit"] = with_token(i, j, token[:-1] + rng.choice("\u0663\u00b2\uff11"))
+    out["2^63"] = with_token(i, j, str(1 << 63))
+    out["2^63 - 1"] = with_token(i, j, str((1 << 63) - 1))
+    out["19 digits, leading zeros"] = with_token(i, j, token.zfill(19))
+    out["leading zero"] = with_token(i, j, "0" + token)
+    out["sign"] = with_token(i, j, rng.choice("+-") + token)
+    out["one more"] = with_token(i, j, str(int(token) + 1))
+    a, b = rng.sample(range(len(lines)), 2) if len(lines) > 1 else (0, 0)
+    swapped = list(lines)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    out["swap lines"] = "".join(swapped)
+    edges = [i for i in records if lines[i].startswith("e ")]
+    if edges:
+        i = rng.choice(edges)
+        u, v = lines[i].split()[1:]
+        out["reverse edge"] = with_line(i, f"e {v} {u}\n")
+        out["self-loop"] = with_line(i, f"e {u} {u}\n")
+        out["repeat edge"] = with_line(i, lines[rng.choice(edges)]) if len(edges) > 1 else text
+    i = rng.choice(records)
+    header = records[0]
+    for j, name in [(2, "n"), (3, "m")]:
+        count = int(lines[header].split()[j])
+        out[f"{name} + 1"] = with_token(header, j, str(count + 1))
+        out[f"{name} - 1"] = with_token(header, j, str(max(count - 1, 0)))
+        out[f"huge {name}"] = with_token(header, j, "9" * 18)
+    out["truncate"] = text[:rng.randrange(len(text))]
+    out["no final newline"] = text[:-1]
+    out["CRLF"] = text.replace("\n", "\r\n")
+    out["tab"] = text.replace(" ", "\t", 1)
+    out["trailing space"] = with_line(i, lines[i][:-1] + " \n")
+    out["inline comment"] = with_line(i, lines[i][:-1] + " # note\n")
+    at = rng.randrange(len(lines) + 1)
+    out["blank line"] = "".join(lines[:at] + ["\n"] + lines[at:])
+    out["header in comment"] = "# graph directed 1 0\n" + text
+    out["header in comment, inside"] = "".join(lines[:at] + ["# graph directed 1 0\n"] + lines[at:])
+    # every str.splitlines boundary other than \n ends a comment for the line walk
+    for boundary in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        out[f"{boundary!r} in comment"] = f"# x{boundary}graph directed 1 0\n" + text
+    return out
+
+
+class TestBulkParse:
+    """Canonical text is read in bulk; every other text gives what the line
+    walk gives, down to the error text and line number."""
+
+    @pytest.mark.parametrize("text", mutation_sources())
+    def test_canonical_text_takes_the_bulk_path(self, text):
+        assert bulk_parse(text) == parse(text)
+        assert outcome(text) == line_walk_outcome(text)
+
+    def test_mutations_match_the_line_walk(self):
+        rng = random.Random(12)
+        checked = 0
+        for text in mutation_sources():
+            for name, mutant in mutations(text, rng).items():
+                assert outcome(mutant) == line_walk_outcome(mutant), (name, mutant)
+                checked += 1
+        assert checked > 1000
+
+    @given(st.booleans(), st.integers(0, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, directed, n, data):
+        value = st.one_of(st.sampled_from([0, 1, MAX]), st.integers(0, MAX))
+        pairs = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and (directed or u < v)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        provenance = data.draw(st.one_of(st.none(), st.text(max_size=20)))
+        inst = Instance(directed, n, edges, data.draw(st.lists(value, min_size=n, max_size=n)),
+                        data.draw(st.lists(value, min_size=n, max_size=n)),
+                        data.draw(value), provenance=provenance)
+        text = serialize(inst)
+        assert parse(text) == inst
+        assert outcome(text) == line_walk_outcome(text)
 
 
 class TestGenRandom:
