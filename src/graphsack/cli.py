@@ -36,27 +36,30 @@ CSV_HEADER = ["instance", "variant", "algorithm", "epsilon", "n", "m", "k",
 
 class Variant(NamedTuple):
     """A solver variant: the constraint it solves, whether it reads
-    ``--epsilon``, and ``run(instance, epsilon, oracle_max_n)``."""
+    ``--epsilon``, and ``run(instance, epsilon, oracle_max_n, k)``, where a
+    ``k`` of None is the instance's budget."""
     constraint: str
     reads_epsilon: bool
-    run: Callable[[Instance, float, int], Solution]
+    run: Callable[[Instance, float, int, Optional[int]], Solution]
 
 
 # Each run looks its solver up by module-level name at call time, so a wrapper
 # re-bound on that name (a tracer, a test's counter) sees every call.
 VARIANTS = {
-    "exact-1n": Variant(ONE_NEIGHBOUR, False, lambda g, eps, max_n: exact_1n(g, max_n=max_n)),
+    "exact-1n": Variant(ONE_NEIGHBOUR, False,
+                        lambda g, eps, max_n, k: exact_1n(g, k, max_n=max_n)),
     "exact-all": Variant(ALL_NEIGHBOUR, False,
-                         lambda g, eps, max_n: exact_alln(g, max_n=max_n)),
-    "greedy-1n": Variant(ONE_NEIGHBOUR, True, lambda g, eps, _: greedy_1_neighbour(g, eps=eps)),
+                         lambda g, eps, max_n, k: exact_alln(g, k, max_n=max_n)),
+    "greedy-1n": Variant(ONE_NEIGHBOUR, True, lambda g, eps, _, k: greedy_1_neighbour(g, k, eps)),
     "gua-fptas": Variant(ALL_NEIGHBOUR, True,
-                         lambda g, eps, _: general_undirected_alln_fptas(g, eps=eps)),
+                         lambda g, eps, _, k: general_undirected_alln_fptas(g, k, eps)),
     "uda-ptas": Variant(ALL_NEIGHBOUR, True,
-                        lambda g, eps, _: uniform_directed_alln_ptas(g, eps=eps)),
+                        lambda g, eps, _, k: uniform_directed_alln_ptas(g, k, eps)),
     "ud1n-ptas": Variant(ONE_NEIGHBOUR, True,
-                         lambda g, eps, _: uniform_directed_1n_ptas(g, eps=eps)),
-    "uu1n-linear": Variant(ONE_NEIGHBOUR, False, lambda g, eps, _: uniform_undirected_1n(g)),
-    "uua-subsetsum": Variant(ALL_NEIGHBOUR, False, lambda g, eps, _: uniform_undirected_alln(g)),
+                         lambda g, eps, _, k: uniform_directed_1n_ptas(g, k, eps)),
+    "uu1n-linear": Variant(ONE_NEIGHBOUR, False, lambda g, eps, _, k: uniform_undirected_1n(g, k)),
+    "uua-subsetsum": Variant(ALL_NEIGHBOUR, False,
+                             lambda g, eps, _, k: uniform_undirected_alln(g, k)),
 }
 
 CONSTRAINT_NAMES = {"one": ONE_NEIGHBOUR, "all": ALL_NEIGHBOUR}
@@ -129,11 +132,11 @@ def _csv_row(**columns) -> list[str]:
     return ["" if value is None else str(value) for value in row]
 
 
-def _solution_row(path: str, variant: str, instance: Instance, solution: Solution,
+def _solution_row(path: str, variant: str, instance: Instance, k: int, solution: Solution,
                   eps: float, opt: Optional[int], ms: int) -> list[str]:
     return _csv_row(instance=path, variant=variant, algorithm=solution.algorithm,
                     epsilon=f"{eps:g}" if VARIANTS[variant].reads_epsilon else None,
-                    n=instance.n, m=instance.m, k=instance.budget,
+                    n=instance.n, m=instance.m, k=k,
                     profit=solution.total_profit, weight=solution.total_weight,
                     feasible="true", guarantee=solution.guarantee, opt=opt,
                     ratio=f"{solution.total_profit / opt:.6f}" if opt else None, ms=ms)
@@ -141,9 +144,7 @@ def _solution_row(path: str, variant: str, instance: Instance, solution: Solutio
 
 def cmd_solve(args) -> int:
     instance = _read_instance(args.input)
-    if args.budget is not None:
-        instance = Instance(instance.directed, instance.n, instance.edges,
-                            instance.weights, instance.profits, args.budget)
+    k = instance.budget if args.budget is None else args.budget
     eps_fraction(args.epsilon)  # rejected even where the variant ignores it
     constraint = CONSTRAINT_NAMES[args.constraint]
     variant = args.variant
@@ -153,17 +154,17 @@ def cmd_solve(args) -> int:
         raise UnsupportedVariantError(
             f"variant {variant} solves the {VARIANTS[variant].constraint} "
             f"constraint, not {constraint}")
-    solution = VARIANTS[variant].run(instance, args.epsilon, args.oracle_max_n)
-    _verify(instance, solution, instance.budget)
+    solution = VARIANTS[variant].run(instance, args.epsilon, args.oracle_max_n, k)
+    _verify(instance, solution, k)
 
     if args.format == "csvrow":
         csv.writer(sys.stdout, lineterminator="\n").writerow(
-            _solution_row(args.input, variant, instance, solution, args.epsilon, None, 0))
+            _solution_row(args.input, variant, instance, k, solution, args.epsilon, None, 0))
         return 0
     print(f"instance: {args.input}")
     print(f"n: {instance.n}")
     print(f"m: {instance.m}")
-    print(f"k: {instance.budget}")
+    print(f"k: {k}")
     print(f"constraint: {args.constraint}")
     print(f"variant: {variant}")
     print(f"algorithm: {solution.algorithm}")
@@ -210,12 +211,12 @@ def _bench_instance(path: str, eps: float, oracle_max_n: int, timing: bool) -> l
     for variant in sorted(VARIANTS):
         try:
             start = time.perf_counter()
-            solution = VARIANTS[variant].run(instance, eps, oracle_max_n)
+            solution = VARIANTS[variant].run(instance, eps, oracle_max_n, None)
             ms = int((time.perf_counter() - start) * 1000) if timing else 0
             if variant.startswith("exact-"):
                 opts[solution.constraint] = solution.total_profit
             _verify(instance, solution, instance.budget)
-            rows.append(_solution_row(path, variant, instance, solution, eps,
+            rows.append(_solution_row(path, variant, instance, instance.budget, solution, eps,
                                       opts.get(solution.constraint), ms))
         except (UnsupportedVariantError, OracleScaleError):
             continue

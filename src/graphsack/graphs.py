@@ -174,22 +174,13 @@ def connected_components(instance: Instance) -> list[tuple[int, ...]]:
     """
     if instance.directed:
         raise ValidationError("connected_components requires an undirected instance")
-    seen = [False] * instance.n
+    seen: set[int] = set()
     comps: list[tuple[int, ...]] = []
     for start in range(instance.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in instance.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
+        if start not in seen:
+            comp = sorted([v for layer in _bfs_layers(instance.adj, start) for v in layer])
+            seen.update(comp)
+            comps.append(tuple(comp))
     comps.sort(key=lambda c: (-len(c), c[0]))
     return comps
 

@@ -56,6 +56,7 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
 
+    weights, profits = instance.weights, instance.profits
     chosen: set[int] = set()                               # U
     remaining = k                                          # K
     boundary: tuple[int, ...] = ()                         # Z = N^-(U)
@@ -67,27 +68,17 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
         star = ratio_oracle(sub, remaining, eps)
         if star is not None:
             star = Star(ids[star.center], tuple(sorted(ids[u] for u in star.leaves)))
-        node = None
-        for v in boundary:
-            if instance.weights[v] > remaining:
-                continue
-            if node is None or ratio_key(instance.profits[v], instance.weights[v]) \
-                    > ratio_key(instance.profits[node], instance.weights[node]):
-                node = v
-        if star is None and node is None:
-            break
-        if star is None:
+        # of equal ratios, max keeps the first vertex (Z is sorted) and the star wins
+        node = max((v for v in boundary if weights[v] <= remaining),
+                   key=lambda v: ratio_key(profits[v], weights[v]), default=None)
+        if node is not None and (star is None or ratio_key(profits[node], weights[node])
+                                 > ratio_key(instance.total_profit(star.vertices),
+                                             instance.total_weight(star.vertices))):
             pick, kind = (node,), "vertex"
-        elif node is None:
+        elif star is not None:
             pick, kind = star.vertices, "star"
         else:
-            star_p = instance.total_profit(star.vertices)
-            star_w = instance.total_weight(star.vertices)
-            if ratio_key(instance.profits[node], instance.weights[node]) \
-                    > ratio_key(star_p, star_w):
-                pick, kind = (node,), "vertex"
-            else:
-                pick, kind = star.vertices, "star"
+            break
         chosen.update(pick)
         remaining -= instance.total_weight(pick)
         alive.difference_update(pick)

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ValidationError
-from .graphs import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, is_1_neighbour_set,
-                     is_all_neighbour_set)
+from .graphs import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, first_violation
 
 
 @dataclass(frozen=True)
@@ -36,13 +35,7 @@ def make_solution(instance: Instance, vertices, constraint: str, algorithm: str,
                   guarantee: str, budget: int, trace: Optional[dict] = None) -> Solution:
     """Build a Solution, re-verifying feasibility and the budget."""
     chosen = instance.check_vertices(vertices)
-    if constraint == ONE_NEIGHBOUR:
-        ok = is_1_neighbour_set(instance, chosen)
-    elif constraint == ALL_NEIGHBOUR:
-        ok = is_all_neighbour_set(instance, chosen)
-    else:
-        raise ValidationError(f"unknown constraint {constraint!r}")
-    if not ok:
+    if first_violation(instance, chosen, constraint) is not None:
         raise ValidationError(f"{algorithm} produced an infeasible {constraint} set")
     weight = instance.total_weight(chosen)
     if weight > budget:

@@ -9,6 +9,7 @@ near-optimal feasible stars by profit and by profit-to-weight ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Optional
 
@@ -82,21 +83,83 @@ def star_partition(instance: Instance) -> list[Star]:
     return [Star(c, tuple(sorted(ls))) for c, ls in sorted(center_leaves.items())]
 
 
-def _fitting_centers(instance: Instance, capacity: int):
-    """``(v, fitting leaves)`` for every center ``v`` with a feasible star.
+class _StarSearch:
+    """The branch-and-bound scan both star oracles run, under an oracle's key.
 
-    A center fits when its weight is within ``capacity``; its fitting leaves
-    are the neighbours that fit beside it.  A non-isolated center with no
-    fitting leaf has no feasible star and is left out.
+    A candidate star of ``profit`` and ``weight`` ranks by
+    ``key(profit, weight, center)``, higher first, then by the smaller
+    ``(center, leaves)``.  The order is total, so the winner, :attr:`best`,
+    does not depend on the order in which candidates are offered.
+
+    The search prunes without changing the winner.  :meth:`centers` visits the
+    centers in descending order of a bound that no star of the center exceeds
+    in the key's first component, and stops at the first bound strictly below
+    the best key's: no star of that center or a later one can reach it.  When
+    a table is exact (divisor 1), a level's profit and weight are known before
+    its witness is walked, so :meth:`offer_levels` walks only a level that can
+    win or tie.
     """
-    weights = instance.weights
-    for v in range(instance.n):
-        if weights[v] > capacity:
-            continue
-        budget = capacity - weights[v]
-        leaves = [u for u in instance.adj[v] if weights[u] <= budget]
-        if leaves or not instance.adj[v]:
-            yield v, leaves
+
+    def __init__(self, instance: Instance, capacity: int, eps, key):
+        if instance.directed:
+            raise ValidationError("star oracles require an undirected instance")
+        self.eps = eps_fraction(eps)
+        if capacity < 0:
+            raise ValidationError("capacity must be non-negative")
+        self.instance, self.capacity, self.key = instance, capacity, key
+        self.best_key = self.best = None
+
+    def centers(self, bound):
+        """``(v, fitting leaves)`` per center, in descending ``bound(v, leaves)``
+        order, until a bound falls strictly below the best key's first part.
+
+        A center fits when its weight is within the capacity; its fitting
+        leaves are the neighbours that fit beside it.  A non-isolated center
+        with no fitting leaf has no feasible star and is left out; an isolated
+        one's only star, the bare center, is offered here.
+        """
+        g, weights = self.instance, self.instance.weights
+        ranked = []
+        for v in range(g.n):
+            budget = self.capacity - weights[v]
+            if budget >= 0:
+                leaves = [u for u in g.adj[v] if weights[u] <= budget]
+                if leaves or not g.adj[v]:
+                    ranked.append((bound(v, leaves), v, leaves))
+        ranked.sort(key=itemgetter(0), reverse=True)
+        for b, v, leaves in ranked:
+            if self.best_key is not None and b < self.best_key[0]:
+                return
+            if leaves:
+                yield v, leaves
+            else:
+                self.offer(g.profits[v], weights[v], v, ())
+
+    def offer(self, profit: int, weight: int, center: int, leaves: tuple[int, ...]):
+        """Offer the star ``center`` plus the sorted ``leaves``, of that profit
+        and weight."""
+        key, best = self.key(profit, weight, center), self.best
+        if best is None or key > self.best_key or (
+                key == self.best_key and (center, leaves) < (best.center, best.leaves)):
+            self.best_key, self.best = key, Star(center, leaves)
+
+    def offer_levels(self, v: int, items: list[Item], budget: int,
+                     forced: tuple[int, ...] = ()) -> ProfitTable:
+        """Offer center ``v`` and the ``forced`` leaves with each level above 0,
+        within ``budget``, of the scaled table over ``items``; return the table.
+        Level 0 adds no leaf, so its star is the caller's to offer first."""
+        weights, profits, key = self.instance.weights, self.instance.profits, self.key
+        table = ProfitTable(items, self.eps)
+        base_p = profits[v] + sum(profits[u] for u in forced)
+        base_w = weights[v] + sum(weights[u] for u in forced)
+        for p, w in table.levels_within(budget):
+            if p == 0:
+                break
+            if table.divisor == 1 and key(base_p + p, base_w + w, v) < self.best_key:
+                continue
+            ids = table.witness(p)
+            self.offer(base_p + table.true_profit(ids), base_w + w, v, tuple(sorted(ids + forced)))
+        return table
 
 
 def best_profit_viable_star(instance: Instance, capacity: int, eps) -> Optional[Star]:
@@ -109,54 +172,20 @@ def best_profit_viable_star(instance: Instance, capacity: int, eps) -> Optional[
     fitting leaf (lowest id on ties).  That leaf is the best non-empty set
     of level 0 when every leaf profit is 0; otherwise it is its own level's
     witness, or its profit is below the divisor and every witness above
-    level 0 beats it.  The winner is the maximum under a total order: higher
-    profit, smaller weight, smaller center, then the smaller leaf tuple.
-    Returns None when no feasible star fits.
-
-    The search prunes without changing the winner.  A center's bound is its
-    profit plus the profits of all its fitting leaves, which no star of that
-    center exceeds.  Centers are visited in descending bound order, and the
-    scan stops at the first bound strictly below the best profit found: no
-    star of that center or a later one can reach it.  Since the order is
-    total, the winner does not depend on the visiting order.  When the table
-    is exact (divisor 1), a level's profit and weight are known before its
-    witness is walked, so only a level that can win or tie is walked.
+    level 0 beats it.  The key is higher profit, then smaller weight, then
+    smaller center; a center's bound is its profit plus the profits of all
+    its fitting leaves.  Returns None when no feasible star fits; the search
+    is :class:`_StarSearch`.
     """
-    if instance.directed:
-        raise ValidationError("star oracles require an undirected instance")
-    eps = eps_fraction(eps)
-    if capacity < 0:
-        raise ValidationError("capacity must be non-negative")
+    search = _StarSearch(instance, capacity, eps, lambda p, w, v: (p, -w, -v))
     weights, profits = instance.weights, instance.profits
-    centers = [(profits[v] + sum(profits[u] for u in leaves), v, leaves)
-               for v, leaves in _fitting_centers(instance, capacity)]
-    centers.sort(key=itemgetter(0), reverse=True)
-    best_key: Optional[tuple[int, int, int]] = None  # profit, -weight, -center
-    best: Optional[Star] = None
-
-    def offer(key: tuple[int, int, int], star: Star):
-        nonlocal best_key, best
-        if best_key is None or key > best_key or (key == best_key and star.leaves < best.leaves):
-            best_key, best = key, star
-
-    for bound, v, leaves in centers:
-        if best_key is not None and bound < best_key[0]:
-            break
-        wv, pv = weights[v], profits[v]
-        if not leaves:
-            offer((pv, -wv, -v), Star(v, ()))
-            continue
+    for v, leaves in search.centers(lambda v, ls: profits[v] + sum(profits[u] for u in ls)):
         lightest = min(leaves, key=lambda u: (weights[u], u))
-        offer((pv + profits[lightest], -wv - weights[lightest], -v), Star(v, (lightest,)))
-        table = ProfitTable([Item(u, weights[u], profits[u]) for u in leaves], eps)
-        for p, w in table.levels_within(capacity - wv):
-            if p == 0:
-                break
-            if table.divisor == 1 and (pv + p, -wv - w, -v) < best_key:
-                continue
-            ids = table.witness(p)
-            offer((pv + table.true_profit(ids), -wv - w, -v), Star(v, tuple(sorted(ids))))
-    return best
+        search.offer(profits[v] + profits[lightest], weights[v] + weights[lightest], v,
+                     (lightest,))
+        search.offer_levels(v, [Item(u, weights[u], profits[u]) for u in leaves],
+                            capacity - weights[v])
+    return search.best
 
 
 def _center_bound(profits, weights, keys, center: int, leaves):
@@ -182,81 +211,32 @@ def _center_bound(profits, weights, keys, center: int, leaves):
 def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[Star]:
     """Feasible star with ratio >= (1 - eps) * best feasible star ratio.
 
-    The objective is the full star ratio (center included), ordered by
-    :func:`ratio_key`.  Candidates per center: every fitting single leaf,
-    the witnesses of the fitting levels above 0 of the scaled min-weight
-    table over all fitting leaves, and - when scaling actually rounds - the
-    same levels of per-leaf rescaled tables that force one leaf and restrict
-    the rest to no larger profits.  Level 0 adds no leaf to a table's base,
-    so its star is a single-leaf star offered already.  The forced-leaf
-    tables keep the rounding error proportional to the candidate's own
-    profit, which the shared table alone cannot guarantee.  The winner is the
-    maximum under a total order: higher ratio key, higher profit, then the
-    smaller ``(center, leaves)``.
-
-    The search prunes without changing the winner.  A center's bound is
-    :func:`_center_bound`, the best ratio key of the center plus any subset
-    of its fitting leaves; every candidate is such a star, so none exceeds
-    it.  Centers are visited in descending bound order, and the scan stops
-    at the first bound strictly below the best ratio key found: no star of
-    that center or a later one can reach it.  Since the order is total, the
-    winner does not depend on the visiting order.  When a table is exact
-    (divisor 1), a level's profit and weight are known before its witness is
-    walked, so only a level that can win or tie is walked.
+    The objective is the full star ratio (center included).  Candidates per
+    center: every fitting single leaf, the witnesses of the fitting levels
+    above 0 of the scaled min-weight table over all fitting leaves, and -
+    when scaling actually rounds - the same levels of per-leaf rescaled
+    tables that force one leaf and restrict the rest to no larger profits.
+    The forced-leaf tables keep the rounding error proportional to the
+    candidate's own profit, which the shared table alone cannot guarantee.
+    The key is the higher :func:`ratio_key`, then the higher profit; a
+    center's bound is :func:`_center_bound`, the best ratio key of the
+    center plus any subset of its fitting leaves.  The search is
+    :class:`_StarSearch`.
     """
-    if instance.directed:
-        raise ValidationError("star oracles require an undirected instance")
-    eps = eps_fraction(eps)
-    if capacity < 0:
-        raise ValidationError("capacity must be non-negative")
+    search = _StarSearch(instance, capacity, eps, lambda p, w, v: (ratio_key(p, w), p))
     weights, profits = instance.weights, instance.profits
     keys = [ratio_key(p, w) for p, w in zip(profits, weights)]
-    centers = [(_center_bound(profits, weights, keys, v, leaves), v, leaves)
-               for v, leaves in _fitting_centers(instance, capacity)]
-    centers.sort(key=itemgetter(0), reverse=True)
-    best_key = None  # (ratio key, profit)
-    best: Optional[Star] = None
-
-    def offer(key, star: Star):
-        nonlocal best_key, best
-        if best_key is None or key > best_key or (key == best_key and (
-                star.center, star.leaves) < (best.center, best.leaves)):
-            best_key, best = key, star
-
-    def offer_levels(v: int, table: ProfitTable, budget: int, forced: tuple[int, ...] = ()):
-        """Offer center ``v`` and the ``forced`` leaves with each level above 0
-        of ``table`` within ``budget``."""
-        base_p = profits[v] + sum(profits[u] for u in forced)
-        base_w = weights[v] + sum(weights[u] for u in forced)
-        for p, w in table.levels_within(budget):
-            if p == 0:
-                break
-            if table.divisor == 1 and (ratio_key(base_p + p, base_w + w), base_p + p) < best_key:
-                continue
-            ids = table.witness(p)
-            profit = base_p + table.true_profit(ids)
-            offer((ratio_key(profit, base_w + w), profit), Star(v, tuple(sorted(ids + forced))))
-
-    for bound, v, leaves in centers:
-        if best_key is not None and bound < best_key[0]:
-            break
-        wv, pv = weights[v], profits[v]
-        if not leaves:
-            offer((keys[v], pv), Star(v, ()))
-            continue
-        # the single leaves are offered first, so best_key is set for the tables
+    offer, offer_levels = search.offer, search.offer_levels
+    for v, leaves in search.centers(partial(_center_bound, profits, weights, keys)):
+        wv, pv, leaf_budget = weights[v], profits[v], capacity - weights[v]
         items = [Item(u, weights[u], profits[u]) for u in leaves]
         for it in items:
-            offer((ratio_key(pv + it.profit, wv + it.weight), pv + it.profit),
-                  Star(v, (it.id,)))
-        leaf_budget = capacity - wv
-        table = ProfitTable(items, eps)
-        offer_levels(v, table, leaf_budget)
-        if table.divisor > 1:
+            offer(pv + it.profit, wv + it.weight, v, (it.id,))
+        if offer_levels(v, items, leaf_budget).divisor > 1:
             for guess in items:
                 rest_budget = leaf_budget - guess.weight
                 others = [it for it in items
                           if it.id != guess.id and it.profit <= guess.profit
                           and it.weight <= rest_budget]
-                offer_levels(v, ProfitTable(others, eps), rest_budget, (guess.id,))
-    return best
+                offer_levels(v, others, rest_budget, (guess.id,))
+    return search.best

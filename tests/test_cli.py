@@ -110,6 +110,35 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "count: 4" in out
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_budget_option_equals_budget_in_file(self, tmp_path, capsys, monkeypatch, variant):
+        # the option is the solver's k: the parsed instance is the only one built
+        # (greedy-1n also builds one per round, for the remaining graph)
+        directed = variant in ("ud1n-ptas", "uda-ptas")
+        uniform = variant not in ("exact-1n", "exact-all", "greedy-1n", "gua-fptas")
+        weights = [1] * 5 if uniform else [1, 2, 1, 3, 2]
+        profits = [1] * 5 if uniform else [3, 1, 2, 4, 1]
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4)]
+        path = tmp_path / "i.gsk"
+        constraint = "one" if VARIANTS[variant].constraint == ONE_NEIGHBOUR else "all"
+        built = []
+        init = Instance.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(Instance, "__init__", counting)
+        outputs = []
+        for budget, option in ((9, ["--budget", "3"]), (3, [])):
+            write_instance(path, Instance(directed, 5, edges, weights, profits, budget))
+            built.clear()
+            assert main(["solve", "--input", str(path), "--constraint", constraint,
+                         "--variant", variant, *option]) == 0
+            outputs.append((capsys.readouterr().out, len(built)))
+        assert outputs[0] == outputs[1]
+        assert "k: 3\n" in outputs[0][0]
+        assert outputs[0][1] == 1 or variant == "greedy-1n"
+
     def test_greedy_guarantee_string(self, tmp_path, capsys):
         inst = Instance(False, 3, [(0, 1), (1, 2)], [1, 1, 1], [2, 0, 1], 3)
         path = write_instance(tmp_path / "general.gsk", inst)
@@ -385,6 +414,27 @@ class TestBench:
                      "--oracle-max-n", "6"]) == 0
         assert asked == {"exact_1n": 6, "exact_alln": 6}
         assert calls == {"exact_1n": 4, "exact_alln": 4}
+
+    @pytest.mark.parametrize("eps", ["0.25", "1.5"])  # 1.5: solver error rows
+    def test_timing_fills_only_the_ms_column(self, tmp_path, eps):
+        directory = self.make_corpus(tmp_path)
+        (directory / "bad.gsk").write_text("graph undirected 1 0\n")
+        tables = []
+        for name, timing in (("plain.csv", []), ("timed.csv", ["--timing"])):
+            out = tmp_path / name
+            assert main(["bench", "--dir", str(directory), "--epsilon", eps,
+                         "--out", str(out), *timing]) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        plain, timed = tables
+        assert len(plain) == len(timed)
+        assert any(row["error"] for row in timed) and any(row["ms"] for row in timed)
+        for before, after in zip(plain, timed):
+            if after["error"]:
+                assert after["ms"] == ""
+            else:
+                assert after["ms"].isascii() and after["ms"].isdigit()
+            assert {**after, "ms": before["ms"]} == before
 
     def test_empty_directory(self, tmp_path):
         directory = tmp_path / "empty"

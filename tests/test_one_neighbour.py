@@ -67,6 +67,42 @@ class TestGreedy:
         assert sol.trace["returned"] in ("greedy-set", "best-profit-star")
 
 
+class TestGreedyRoundTieBreaks:
+    """Greedy's own choice per round, with the real oracles: round 1 takes the
+    star {0, 1} of ratio 10, and a heavy zero-profit pendant keeps each
+    boundary vertex from having a star of its own in the remaining graph."""
+
+    def test_equal_ratio_boundary_vertices_take_the_lower_id(self):
+        # 2 and 3 both hang off 0 with ratio 3; the budget leaves room for one
+        inst = undirected(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5)],
+                          weights=[1, 1, 1, 1, 100, 100], profits=[10, 10, 3, 3, 0, 0])
+        sol = greedy_1_neighbour(inst, 3, 0.1)
+        assert sol.trace["iterations"] == [
+            {"index": 1, "kind": "star", "vertices": (0, 1)},
+            {"index": 2, "kind": "vertex", "vertices": (2,)}]
+        assert sol.chosen == (0, 1, 2) and sol.trace["returned"] == "greedy-set"
+
+    def test_star_wins_a_ratio_tie_with_a_boundary_vertex(self):
+        # boundary vertex 2 and the star {4, 5} both have ratio 3
+        inst = undirected(6, [(0, 1), (0, 2), (2, 3), (4, 5)],
+                          weights=[1, 1, 1, 100, 1, 1], profits=[10, 10, 3, 0, 3, 3])
+        sol = greedy_1_neighbour(inst, 4, 0.1)
+        assert sol.trace["iterations"] == [
+            {"index": 1, "kind": "star", "vertices": (0, 1)},
+            {"index": 2, "kind": "star", "vertices": (4, 5)}]
+        assert sol.chosen == (0, 1, 4, 5) and sol.trace["returned"] == "greedy-set"
+
+    def test_boundary_vertex_over_the_budget_is_skipped(self):
+        # 2 (ratio 9, weight 3) beats 3 (ratio 2, weight 1) but does not fit
+        inst = undirected(5, [(0, 1), (0, 2), (0, 3), (3, 4)],
+                          weights=[1, 1, 3, 1, 100], profits=[10, 10, 27, 2, 0])
+        sol = greedy_1_neighbour(inst, 3, 0.1)
+        assert sol.trace["iterations"] == [
+            {"index": 1, "kind": "star", "vertices": (0, 1)},
+            {"index": 2, "kind": "vertex", "vertices": (3,)}]
+        assert sol.chosen == (0, 1, 3) and sol.trace["returned"] == "greedy-set"
+
+
 class TestUniformUndirected:
     def test_odd_budget_all_pairs(self):
         # components of sizes [2, 2] with k=3: optimum has size k-1 = 2
