@@ -231,13 +231,14 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     if not os.path.isdir(args.dir):
         raise ValidationError(f"not a directory: {args.dir}")
-    paths = sorted(os.path.join(args.dir, name) for name in os.listdir(args.dir)
-                   if os.path.isfile(os.path.join(args.dir, name)))
     try:
         fh = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from exc
     with fh, ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        paths = sorted(path for name in os.listdir(args.dir)
+                       if os.path.isfile(path := os.path.join(args.dir, name))
+                       and not os.path.samefile(path, args.out))
         grouped = list(pool.map(
             lambda p: _bench_instance(p, args.epsilon, args.oracle_max_n, args.timing),
             paths))

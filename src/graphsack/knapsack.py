@@ -111,25 +111,29 @@ def _check_items(items: Sequence[Item]) -> list[Item]:
 
 
 class ProfitTable:
-    """Minimum subset weight per exact (adjusted) profit level.
+    """Minimum subset weight per exact (adjusted) profit level, within a capacity.
 
-    ``min_weight(p)`` is the least total weight of any subset whose adjusted
-    profit is exactly ``p`` (``None`` if unachievable), and ``witness(p)``
-    the lexicographically smallest id set among those minimum-weight
-    subsets.  ``levels_within(capacity)`` is the one scan over the table.
+    ``min_weight(p)`` is the least total weight, within ``capacity``, of any
+    subset whose adjusted profit is exactly ``p`` (``None`` if none fits), and
+    ``witness(p)`` the lexicographically smallest id set among those
+    minimum-weight subsets.  ``levels()`` is the one scan over the table.
     Level 0 always has minimum weight 0 and witness ``()``, so a scan for
-    non-empty sets stops before it.  With ``eps`` given, profits
-    are scaled by the standard FPTAS divisor ``eps * max_profit / n``; the
-    divisor is clamped to >= 1 so adjusted profits never exceed true profits
-    (the table is then exact).
+    non-empty sets stops before it.  With ``eps`` given, profits are scaled by
+    the FPTAS divisor ``eps * max_profit / n``, clamped to >= 1 so adjusted
+    profits never exceed true profits (the table is then exact).
 
-    Row ``i`` covers ``items[i:]`` and is trimmed to their adjusted profit
-    sum; it is built from row ``i + 1`` by whole-row list operations.
-    Unachievable cells hold the sentinel ``sum(weights) + 1`` inside the
-    class and read as ``None`` outside it.
+    Row ``i`` covers ``items[i:]``, is built from row ``i + 1`` by whole-row
+    list operations, and ends at the highest level they reach within the
+    capacity; heavier cells hold ``capacity + 1``.  A fitting cell is a
+    minimum over lighter cells of row ``i + 1``, and the scan and the witness
+    walk read only fitting cells or compare a cell plus a weight with a
+    fitting weight.  The walk's ``rem_p`` fits in row ``i`` (in row ``i + 1``
+    or by taking item ``i``), so ``rem_p - a`` is inside row ``i + 1``.
     """
 
-    def __init__(self, items: Iterable[Item], eps=None):
+    def __init__(self, items: Iterable[Item], capacity: int, eps=None):
+        if capacity < 0:
+            raise ValidationError("capacity must be non-negative")
         self.items = _check_items(list(items))
         n = len(self.items)
         profits = [it.profit for it in self.items]
@@ -141,21 +145,22 @@ class ProfitTable:
                 num = den = 1
         self.divisor = Fraction(num, den)
         self.adjusted = tuple(p * den // num for p in profits)
-        self.level_count = sum(self.adjusted) + 1
         self._profit = {it.id: it.profit for it in self.items}
-        absent = self._absent = sum(it.weight for it in self.items) + 1
+        absent = self._absent = capacity + 1
 
         rows = [[0]]
         for it, a in zip(reversed(self.items), reversed(self.adjusted)):
             nxt, w = rows[-1], it.weight
-            # taking item i moves level q of row i + 1 to level q + a; cells
-            # stay <= absent, since a minimum with x <= absent needs no clamp
+            # taking item i moves level q of row i + 1 to level q + a; a minimum
+            # with x <= absent needs no clamp, and a new cell y + w is clamped
             row = nxt[:a] + [absent] * (a - len(nxt))
             row += [x if x <= (t := y + w) else t for x, y in zip(nxt[a:], nxt)]
-            row += [y + w if y < absent else absent for y in nxt[len(row) - a:]]
+            row += [t if (t := y + w) < absent else absent for y in nxt[len(row) - a:]]
+            while row[-1] == absent:
+                row.pop()
             rows.append(row)
         rows.reverse()
-        self._rows = rows
+        self._rows, self.level_count = rows, len(rows[0])
 
     def true_profit(self, ids: Iterable[int]) -> int:
         return sum(self._profit[i] for i in ids)
@@ -165,10 +170,10 @@ class ProfitTable:
             return self._rows[0][p]
         return None
 
-    def levels_within(self, capacity: int) -> Iterator[tuple[int, int]]:
-        """``(p, min_weight(p))`` for each level within ``capacity``, highest first."""
-        row, limit = self._rows[0], min(capacity, self._absent - 1)
-        return ((p, row[p]) for p in range(self.level_count - 1, -1, -1) if row[p] <= limit)
+    def levels(self) -> Iterator[tuple[int, int]]:
+        """``(p, min_weight(p))`` for each level within the capacity, highest first."""
+        row, absent = self._rows[0], self._absent
+        return ((p, row[p]) for p in range(self.level_count - 1, -1, -1) if row[p] < absent)
 
     def witness(self, p: int) -> Optional[tuple[int, ...]]:
         """The smallest id set among the minimum-weight subsets at level ``p``."""
@@ -180,7 +185,6 @@ class ProfitTable:
         for i, it in enumerate(self.items):
             if rem_p == 0 and rem_w == 0:
                 break
-            # rem_p stays within row i's levels, so rem_p - a is within row i + 1's
             a = adjusted[i]
             if a <= rem_p and it.weight + rows[i + 1][rem_p - a] == rem_w:
                 ids.append(it.id)
@@ -201,8 +205,8 @@ def knapsack_exact(items: Sequence[Item], capacity: int) -> tuple[tuple[int, ...
     items = _check_items(items)
     if sum(it.profit for it in items) >= PROFIT_TABLE_BOUND:
         raise ValidationError("total profit exceeds the DP table bound (2^40)")
-    table = ProfitTable(items)
-    best_p, _ = next(table.levels_within(capacity))
+    table = ProfitTable(items, capacity)
+    best_p, _ = next(table.levels())
     return table.witness(best_p), best_p
 
 
@@ -224,8 +228,8 @@ def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int
     fitting = [it for it in _check_items(items) if it.weight <= capacity]
     if not fitting or max(it.profit for it in fitting) == 0:
         return (), 0
-    table = ProfitTable(fitting, eps)
-    levels = table.levels_within(capacity)
+    table = ProfitTable(fitting, capacity, eps)
+    levels = table.levels()
     if table.divisor == 1:
         best_p, _ = next(levels)
         return table.witness(best_p), best_p
@@ -273,8 +277,8 @@ def ratio_fptas(items: Sequence[Item], capacity: int, eps):
 
     for it in fitting:
         offer((it.id,), it.profit, it.weight)
-    table = ProfitTable(fitting, eps)
-    for p, w in table.levels_within(capacity):
+    table = ProfitTable(fitting, capacity, eps)
+    for p, w in table.levels():
         if p == 0:
             break
         ids = table.witness(p)

@@ -149,10 +149,10 @@ class _StarSearch:
         within ``budget``, of the scaled table over ``items``; return the table.
         Level 0 adds no leaf, so its star is the caller's to offer first."""
         weights, profits, key = self.instance.weights, self.instance.profits, self.key
-        table = ProfitTable(items, self.eps)
+        table = ProfitTable(items, budget, self.eps)
         base_p = profits[v] + sum(profits[u] for u in forced)
         base_w = weights[v] + sum(weights[u] for u in forced)
-        for p, w in table.levels_within(budget):
+        for p, w in table.levels():
             if p == 0:
                 break
             if table.divisor == 1 and key(base_p + p, base_w + w, v) < self.best_key:

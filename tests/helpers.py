@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from graphsack import (Instance, Item, Star, UnsupportedVariantError,
                        ValidationError, condense, descendants, ratio_key)
-from graphsack.knapsack import eps_fraction
+from graphsack.knapsack import _check_items, eps_fraction
 from graphsack.solution import ALL_NEIGHBOUR, Solution, make_solution
 
 
@@ -263,6 +263,103 @@ class NonemptyProfitTable:
                 rem_w -= it.weight
         assert rem_p == 0 and rem_w == 0, "table walk out of sync"
         return tuple(ids)
+
+
+# The package's min-weight table as it was before its rows were bounded by a
+# capacity, copied unchanged: rows run to the full adjusted profit sum, and
+# ``levels_within(capacity)`` scans for any capacity.  The reference for the
+# bounded ``graphsack.ProfitTable``.
+
+class UnboundedProfitTable:
+    """Minimum subset weight per exact (adjusted) profit level.
+
+    ``min_weight(p)`` is the least total weight of any subset whose adjusted
+    profit is exactly ``p`` (``None`` if unachievable), and ``witness(p)``
+    the lexicographically smallest id set among those minimum-weight
+    subsets.  ``levels_within(capacity)`` is the one scan over the table.
+    Level 0 always has minimum weight 0 and witness ``()``, so a scan for
+    non-empty sets stops before it.  With ``eps`` given, profits
+    are scaled by the standard FPTAS divisor ``eps * max_profit / n``; the
+    divisor is clamped to >= 1 so adjusted profits never exceed true profits
+    (the table is then exact).
+
+    Row ``i`` covers ``items[i:]`` and is trimmed to their adjusted profit
+    sum; it is built from row ``i + 1`` by whole-row list operations.
+    Unachievable cells hold the sentinel ``sum(weights) + 1`` inside the
+    class and read as ``None`` outside it.
+    """
+
+    def __init__(self, items: Iterable[Item], eps=None):
+        self.items = _check_items(list(items))
+        n = len(self.items)
+        profits = [it.profit for it in self.items]
+        num = den = 1  # the divisor is num / den
+        if eps is not None and n > 0:
+            eps = eps_fraction(eps)
+            num, den = eps.numerator * max(profits), eps.denominator * n
+            if num <= den:
+                num = den = 1
+        self.divisor = Fraction(num, den)
+        self.adjusted = tuple(p * den // num for p in profits)
+        self.level_count = sum(self.adjusted) + 1
+        self._profit = {it.id: it.profit for it in self.items}
+        absent = self._absent = sum(it.weight for it in self.items) + 1
+
+        rows = [[0]]
+        for it, a in zip(reversed(self.items), reversed(self.adjusted)):
+            nxt, w = rows[-1], it.weight
+            # taking item i moves level q of row i + 1 to level q + a; cells
+            # stay <= absent, since a minimum with x <= absent needs no clamp
+            row = nxt[:a] + [absent] * (a - len(nxt))
+            row += [x if x <= (t := y + w) else t for x, y in zip(nxt[a:], nxt)]
+            row += [y + w if y < absent else absent for y in nxt[len(row) - a:]]
+            rows.append(row)
+        rows.reverse()
+        self._rows = rows
+
+    def true_profit(self, ids: Iterable[int]) -> int:
+        return sum(self._profit[i] for i in ids)
+
+    def min_weight(self, p: int) -> Optional[int]:
+        if 0 <= p < self.level_count and self._rows[0][p] < self._absent:
+            return self._rows[0][p]
+        return None
+
+    def levels_within(self, capacity: int) -> Iterator[tuple[int, int]]:
+        """``(p, min_weight(p))`` for each level within ``capacity``, highest first."""
+        row, limit = self._rows[0], min(capacity, self._absent - 1)
+        return ((p, row[p]) for p in range(self.level_count - 1, -1, -1) if row[p] <= limit)
+
+    def witness(self, p: int) -> Optional[tuple[int, ...]]:
+        """The smallest id set among the minimum-weight subsets at level ``p``."""
+        rem_p, rem_w = p, self.min_weight(p)
+        if rem_w is None:
+            return None
+        ids: list[int] = []
+        rows, adjusted = self._rows, self.adjusted
+        for i, it in enumerate(self.items):
+            if rem_p == 0 and rem_w == 0:
+                break
+            # rem_p stays within row i's levels, so rem_p - a is within row i + 1's
+            a = adjusted[i]
+            if a <= rem_p and it.weight + rows[i + 1][rem_p - a] == rem_w:
+                ids.append(it.id)
+                rem_p -= a
+                rem_w -= it.weight
+        assert rem_p == 0 and rem_w == 0, "table walk out of sync"
+        return tuple(ids)
+
+
+class CapacityProfitTable(UnboundedProfitTable):
+    """``UnboundedProfitTable`` behind the bounded table's constructor and
+    scan, so the package's knapsack routines can run on it."""
+
+    def __init__(self, items, capacity: int, eps=None):
+        super().__init__(items, eps)
+        self.capacity = capacity
+
+    def levels(self):
+        return self.levels_within(self.capacity)
 
 
 def knapsack_fptas_full_scan(items, capacity: int, eps, table_cls):

@@ -354,6 +354,16 @@ class TestBench:
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) > len(list(directory.iterdir()))
 
+    def test_out_inside_dir_is_not_an_instance(self, tmp_path):
+        directory = self.make_corpus(tmp_path, count=3)
+        out = directory / "o.csv"
+        written = []
+        for _ in range(2):
+            assert main(["bench", "--dir", str(directory), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert "o.csv" not in written[1].decode()
+
     def test_jobs_equal_sequential(self, tmp_path):
         directory = self.make_corpus(tmp_path)
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from graphsack import (Item, ProfitTable, ValidationError, knapsack_exact,
                        knapsack_fptas, ratio_fptas, ratio_key, subset_sum_max)
 from graphsack.knapsack import eps_fraction, fitting_picks
-from helpers import (BruteProfitTable, NonemptyProfitTable, best_ratio_subset,
-                     knapsack_fptas_full_scan, ratio_key_reference, ratio_meets)
+from helpers import (BruteProfitTable, CapacityProfitTable, NonemptyProfitTable,
+                     UnboundedProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
+                     ratio_key_reference, ratio_meets)
 
 
 def items_of(*pairs):
@@ -156,7 +158,7 @@ class TestKnapsackFptas:
         # divisor 20/3: {0} sits at level 6, {1, 2} at level 3 + 2 = 5, both
         # with true profit 40 and weight 2; the larger id tuple wins the tie.
         items = items_of((2, 40), (1, 21), (1, 19))
-        assert ProfitTable(items, Fraction(1, 2)).adjusted == (6, 3, 2)
+        assert ProfitTable(items, 2, Fraction(1, 2)).adjusted == (6, 3, 2)
         assert knapsack_fptas(items, 2, Fraction(1, 2)) == ((1, 2), 40)
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 5, 10, 19, 20, 21, 40])),
@@ -167,9 +169,12 @@ class TestKnapsackFptas:
     def test_stopping_scan_matches_full_scan(self, pairs, capacity, top, eps):
         # The heavy item fits, so the divisor is at least (1/3) * 40 / 7 > 1.
         items = items_of((capacity // 2, top), *pairs)
-        assert ProfitTable(items, eps).divisor > 1
+        assert ProfitTable(items, capacity, eps).divisor > 1
         got = knapsack_fptas(items, capacity, eps)
-        assert got == knapsack_fptas_full_scan(items, capacity, eps, ProfitTable)
+
+        def bounded(fitting, eps):
+            return ProfitTable(fitting, capacity, eps)
+        assert got == knapsack_fptas_full_scan(items, capacity, eps, bounded)
         assert got == knapsack_fptas_full_scan(items, capacity, eps, BruteProfitTable)
 
 
@@ -235,9 +240,9 @@ class TestSubsetSum:
 
 
 def capacities_around(table):
-    """Capacities below, at and above each fitting level's min weight."""
+    """Capacities from 0 up, below, at and above each level's min weight."""
     weights = {table.min_weight(p) for p in range(table.level_count)} - {None}
-    return sorted({c for w in weights for c in (w - 1, w, w + 1)})
+    return sorted({c for w in weights for c in (w - 1, w, w + 1) if c >= 0})
 
 
 class TestProfitTable:
@@ -246,11 +251,11 @@ class TestProfitTable:
     @settings(max_examples=80, deadline=None)
     def test_witnesses_match_entries(self, pairs):
         items = items_of(*pairs)
-        table = ProfitTable(items)
-        assert table.min_weight(0) == 0 and table.witness(0) == ()
         by_id = {it.id: it for it in items}
-        for capacity in capacities_around(table):
-            levels = list(table.levels_within(capacity))
+        for capacity in capacities_around(BruteProfitTable(items)):
+            table = ProfitTable(items, capacity)
+            assert table.min_weight(0) == 0 and table.witness(0) == ()
+            levels = list(table.levels())
             assert [p for p, _ in levels] == sorted({p for p, _ in levels}, reverse=True)
             assert {p for p, _ in levels} == {
                 p for p in range(table.level_count)
@@ -269,36 +274,79 @@ class TestProfitTable:
     def test_matches_enumeration(self, triples, eps):
         # Ids are unordered and sparse; small profits round to 0 under scaling.
         items = [Item(i, w, p) for i, w, p in triples]
-        table, ref = ProfitTable(items, eps), BruteProfitTable(items, eps)
-        assert (table.divisor, table.adjusted, table.level_count) == \
-            (ref.divisor, ref.adjusted, ref.level_count)
-        for p in range(-1, table.level_count + 1):
-            assert table.min_weight(p) == ref.min_weight(p)
-            assert table.witness(p) == ref.witness(p)
-        for capacity in [-1, 0] + capacities_around(table):
-            assert list(table.levels_within(capacity)) == ref.levels_within(capacity)
+        ref = BruteProfitTable(items, eps)
+        with pytest.raises(ValidationError):
+            ProfitTable(items, -1, eps)
+        for capacity in [0] + capacities_around(ref):
+            table = ProfitTable(items, capacity, eps)
+            assert (table.divisor, table.adjusted) == (ref.divisor, ref.adjusted)
+            for p in range(-1, ref.level_count + 1):
+                fits = ref.min_weight(p) is not None and ref.min_weight(p) <= capacity
+                assert table.min_weight(p) == (ref.min_weight(p) if fits else None)
+                assert table.witness(p) == (ref.witness(p) if fits else None)
+            levels = ref.levels_within(capacity)
+            assert list(table.levels()) == levels
+            assert table.level_count == levels[0][0] + 1
         # the test-side table behind the full-scan star oracles
         old = NonemptyProfitTable(items, eps)
-        for p in range(-1, table.level_count + 1):
+        for p in range(-1, ref.level_count + 1):
             assert old.nonempty_min_weight(p) == ref.nonempty_min_weight(p)
             assert old.nonempty_witness(p) == ref.nonempty_witness(p)
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9),
+                              st.one_of(st.integers(0, 3), st.integers(0, 1000))),
+                    max_size=8, unique_by=lambda t: t[0]),
+           st.sampled_from([None, Fraction(1, 100), Fraction(1, 10), Fraction(1, 3)]),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unbounded_table(self, triples, eps, data):
+        # Sparse ids, zero weights and profits; the capacity is 0, below, at
+        # or above the total weight.
+        items = [Item(i, w, p) for i, w, p in triples]
+        total = sum(it.weight for it in items)
+        capacity = data.draw(st.one_of(st.just(0), st.integers(0, max(total - 1, 0)),
+                                       st.just(total), st.integers(total + 1, total + 10)))
+        table, ref = ProfitTable(items, capacity, eps), UnboundedProfitTable(items, eps)
+        levels = list(ref.levels_within(capacity))
+        assert list(table.levels()) == levels
+        for p, _ in levels:
+            assert table.witness(p) == ref.witness(p)
+        for p in range(-1, ref.level_count + 1):
+            w = ref.min_weight(p)
+            assert table.min_weight(p) == (w if w is not None and w <= capacity else None)
+
+        def routines():
+            out = [knapsack_exact(items, capacity)]
+            if eps is not None:
+                out += [knapsack_fptas(items, capacity, eps), ratio_fptas(items, capacity, eps)]
+            return out
+
+        got = routines()
+        with mock.patch("graphsack.knapsack.ProfitTable", CapacityProfitTable):
+            assert got == routines()
+
+    def test_row_ends_at_highest_fitting_level(self):
+        # Levels 0 and 4 fit within capacity 2; levels 5 and 9 weigh 3 and 4.
+        table = ProfitTable(items_of((1, 4), (3, 5)), 2)
+        assert table.level_count == 5 and len(table._rows[0]) == 5
+        assert list(table.levels()) == [(4, 1), (0, 0)]
+        assert table.min_weight(5) is None and table.min_weight(9) is None
 
     def test_level_zero_is_the_empty_set(self):
         # Items 3 and 5 both round to level 0 with weight 1, and item 7 weighs
         # 0; level 0 still has weight 0 and the empty witness.
-        table = ProfitTable([Item(7, 0, 60), Item(5, 1, 2), Item(3, 1, 1)], Fraction(1, 2))
+        table = ProfitTable([Item(7, 0, 60), Item(5, 1, 2), Item(3, 1, 1)], 0, Fraction(1, 2))
         assert table.adjusted == (0, 0, 6)
-        assert list(table.levels_within(0)) == [(6, 0), (0, 0)]
+        assert list(table.levels()) == [(6, 0), (0, 0)]
         assert table.witness(6) == (7,) and table.witness(0) == ()
-        zero = ProfitTable([Item(2, 0, 0), Item(1, 3, 0)])
-        assert list(zero.levels_within(5)) == [(0, 0)] and zero.witness(0) == ()
-        single = ProfitTable([Item(0, 1, 4)])
-        assert list(single.levels_within(0)) == [(0, 0)]
-        assert list(single.levels_within(1)) == [(4, 1), (0, 0)]
+        zero = ProfitTable([Item(2, 0, 0), Item(1, 3, 0)], 5)
+        assert list(zero.levels()) == [(0, 0)] and zero.witness(0) == ()
+        assert list(ProfitTable([Item(0, 1, 4)], 0).levels()) == [(0, 0)]
+        assert list(ProfitTable([Item(0, 1, 4)], 1).levels()) == [(4, 1), (0, 0)]
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError):
-            ProfitTable([Item(1, 1, 1), Item(1, 2, 2)])
+            ProfitTable([Item(1, 1, 1), Item(1, 2, 2)], 3)
 
 
 def filtered_combinations(candidates, k, cost):

@@ -227,9 +227,9 @@ class TestCenterBound:
         built = []
 
         class Counting(stars.ProfitTable):
-            def __init__(self, items, eps=None):
+            def __init__(self, items, capacity, eps=None):
                 built.append(tuple(it.id for it in items))
-                super().__init__(items, eps)
+                super().__init__(items, capacity, eps)
 
         monkeypatch.setattr(stars, "ProfitTable", Counting)
         star = best_ratio_viable_star(inst, 20, 0.1)
