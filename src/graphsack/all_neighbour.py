@@ -38,9 +38,10 @@ def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
     For each pick of heavy SCCs whose closure fits the budget (fewer than
     1/eps of them, as each weighs over eps * k), take that closure, then
     repeatedly absorb the lowest-id light SCC whose out-neighbours are
-    already inside and that fits the budget; the best closure found wins.
-    Ready light SCCs wait in a heap, with Kahn's count of missing successors
-    per SCC; one that does not fit is dropped, as the weight only grows.
+    already inside and that fits the budget; the first heaviest closure
+    wins, so guessing stops at one that weighs k.  Ready light SCCs wait in
+    a heap, with Kahn's count of missing successors per SCC; one that does
+    not fit is dropped, as the weight only grows.
     """
     if not instance.directed:
         raise UnsupportedVariantError("uda-ptas requires a directed instance")
@@ -89,6 +90,8 @@ def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
                     heappush(ready, u)
         if weight > best_weight:
             best_units, best_weight = frozenset(units), weight
+        if best_weight == k:  # no pick weighs more, and only a heavier one wins
+            break
 
     chosen = sorted(v for u in best_units for v in cond.scc_vertices[u])
     trace = {"guesses": guesses, "units": tuple(sorted(best_units))}

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 parse/validation error, 3 unsupported variant or
 known-hardness refusal, 4 exhaustive-oracle scale exceeded, 1 any other
-package error (an internal error caught by the feasibility re-check).
+package error, such as a solver output that fails the feasibility or budget
+re-check in ``make_solution``.
 """
 
 from __future__ import annotations

@@ -203,51 +203,6 @@ def bfs_parents(instance: Instance, root: int) -> dict[int, int]:
     return parent
 
 
-def _tarjan_sccs(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs in reverse topological order."""
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(adj[root]))]  # the DFS path, each with its arcs left
-        while work:
-            v, arcs = work[-1]
-            for w in arcs:
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
-                    break
-                if on_stack[w] and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(comp)
-    return sccs
-
-
 def _bfs_layers(nbrs, s: int):
     """Breadth-first layers from ``s`` over ``nbrs``: ``[s]``, then one list
     per distance.  A layer is built only when the caller asks for it."""
@@ -308,27 +263,61 @@ def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[
 
 
 def condense(instance: Instance) -> Condensation:
-    """Contract maximal SCCs of a directed instance into a DAG."""
+    """Contract maximal SCCs of a directed instance into a DAG.
+
+    Two passes (Kosaraju and Sharir; Sharir, Comput. Math. Appl. 7(1), 1981):
+    a depth-first search over ``adj`` lists the vertices as they finish;
+    then, in decreasing finish order, each unclaimed vertex starts the next
+    SCC and claims over ``radj`` the unclaimed vertices that reach it.  An
+    arc from an SCC numbered earlier is a DAG arc into the new one.
+    """
     if not instance.directed:
         raise ValidationError("condense requires a directed instance")
-    sccs = _tarjan_sccs(instance.n, instance.adj)
-    sccs.reverse()  # topological order: sources first
-    membership = [0] * instance.n
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            membership[v] = i
-    dag: list[set[int]] = [set() for _ in sccs]
-    for u, v in instance.edges:
-        cu, cv = membership[u], membership[v]
-        if cu != cv:
-            dag[cu].add(cv)
-    scc_vertices = tuple(tuple(sorted(comp)) for comp in sccs)
+    adj, radj = instance.adj, instance.radj
+    seen = [False] * instance.n
+    finished: list[int] = []
+    for root in range(instance.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(adj[root]))]  # the DFS path, each with its arcs left
+        while work:
+            v, arcs = work[-1]
+            for w in arcs:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(adj[w])))
+                    break
+            else:
+                work.pop()
+                finished.append(v)
+
+    membership = [-1] * instance.n
+    sccs: list[list[int]] = []
+    dag: list[list[int]] = []  # each list grows in ascending order
+    for s in reversed(finished):
+        if membership[s] != -1:
+            continue
+        i = len(sccs)
+        membership[s] = i
+        comp = [s]
+        dag.append([])
+        for v in comp:  # grows as members are claimed
+            for u in radj[v]:
+                j = membership[u]
+                if j == -1:
+                    membership[u] = i
+                    comp.append(u)
+                elif j != i and (not dag[j] or dag[j][-1] != i):
+                    dag[j].append(i)
+        comp.sort()
+        sccs.append(comp)
     return Condensation(
         scc_count=len(sccs),
         membership=tuple(membership),
-        scc_vertices=scc_vertices,
-        dag_adjacency=tuple(tuple(sorted(s)) for s in dag),
-        scc_weight=tuple(instance.total_weight(comp) for comp in scc_vertices),
+        scc_vertices=tuple(map(tuple, sccs)),
+        dag_adjacency=tuple(map(tuple, dag)),
+        scc_weight=tuple(map(instance.total_weight, sccs)),
     )
 
 

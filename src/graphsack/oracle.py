@@ -49,40 +49,39 @@ def exact_1n(instance: Instance, k: Optional[int] = None,
     for i in range(n - 1, -1, -1):
         future[i] = future[i + 1] | (1 << i)
 
-    best: list = [0, 0, ()]  # profit, weight, sorted vertex tuple
-
-    def consider(mask: int, profit: int, weight: int):
-        if profit < best[0]:
-            return
-        verts = tuple(v for v in range(n) if mask >> v & 1)
-        if (profit, -weight) > (best[0], -best[1]) or \
-                ((profit, weight) == (best[0], best[1]) and verts < best[2]):
-            best[0], best[1], best[2] = profit, weight, verts
-
-    def search(i: int, mask: int, profit: int, weight: int, unsupported: int):
-        if profit + suffix_profit[i] < best[0]:
-            return
+    best_profit, best_weight, best_verts = 0, 0, ()
+    # depth-first over (next vertex, mask, profit, weight, unsupported members),
+    # on a stack: the include branch is pushed last, so it is searched first
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        i, mask, profit, weight, unsupported = stack.pop()
+        if profit + suffix_profit[i] < best_profit:
+            continue
         u = unsupported
         while u:
             v = (u & -u).bit_length() - 1
             if not adj_mask[v] & future[i]:
-                return  # v can never gain a neighbour
+                break  # v can never gain a neighbour
             u &= u - 1
+        if u:
+            continue
         if i == n:
-            if not unsupported:
-                consider(mask, profit, weight)
-            return
+            if unsupported:
+                continue
+            verts = tuple(v for v in range(n) if mask >> v & 1)
+            if (profit, -weight) > (best_profit, -best_weight) or \
+                    ((profit, weight) == (best_profit, best_weight) and verts < best_verts):
+                best_profit, best_weight, best_verts = profit, weight, verts
+            continue
+        stack.append((i + 1, mask, profit, weight, unsupported))
         w = instance.weights[i]
         if weight + w <= k:
             new_unsupported = unsupported & ~radj_mask[i]
             if adj_mask[i] and not adj_mask[i] & mask:
                 new_unsupported |= 1 << i
-            search(i + 1, mask | (1 << i), profit + instance.profits[i],
-                   weight + w, new_unsupported)
-        search(i + 1, mask, profit, weight, unsupported)
-
-    search(0, 0, 0, 0, 0)
-    return make_solution(instance, best[2], ONE_NEIGHBOUR, "exact-1n", "exact", k)
+            stack.append((i + 1, mask | (1 << i), profit + instance.profits[i],
+                          weight + w, new_unsupported))
+    return make_solution(instance, best_verts, ONE_NEIGHBOUR, "exact-1n", "exact", k)
 
 
 def exact_alln(instance: Instance, k: Optional[int] = None,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import GraphsackError
 from .graphs import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, first_violation
 
 
@@ -33,12 +33,13 @@ class Solution:
 
 def make_solution(instance: Instance, vertices, constraint: str, algorithm: str,
                   guarantee: str, budget: int, trace: Optional[dict] = None) -> Solution:
-    """Build a Solution, re-verifying feasibility and the budget."""
+    """Build a Solution, re-verifying feasibility and the budget; a set that
+    breaks either is a solver fault, a plain :class:`GraphsackError`."""
     chosen = instance.check_vertices(vertices)
     if first_violation(instance, chosen, constraint) is not None:
-        raise ValidationError(f"{algorithm} produced an infeasible {constraint} set")
+        raise GraphsackError(f"{algorithm} produced an infeasible {constraint} set")
     weight = instance.total_weight(chosen)
     if weight > budget:
-        raise ValidationError(f"{algorithm} exceeded the budget")
+        raise GraphsackError(f"{algorithm} exceeded the budget")
     return Solution(chosen, constraint, weight, instance.total_profit(chosen),
                     algorithm, guarantee, trace)

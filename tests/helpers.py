@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from graphsack import (Instance, Item, Star, UnsupportedVariantError,
+from graphsack import (Condensation, Instance, Item, Star, UnsupportedVariantError,
                        ValidationError, condense, descendants, ratio_key)
 from graphsack.knapsack import _check_items, eps_fraction
 from graphsack.solution import ALL_NEIGHBOUR, Solution, make_solution
@@ -507,8 +507,9 @@ def best_ratio_viable_star_full_scan(instance: Instance, capacity: int, eps) -> 
 
 
 # The directed all-neighbour PTAS as it was before its ready heap: a closure
-# for every SCC, and a rescan of the light list after each absorption.  Its
-# ``guesses`` counts the picks that fit the budget, as the solver's does.
+# for every SCC, and a rescan of the light list after each absorption.  It
+# still tries every pick that fits the budget; its ``guesses`` counts them up
+# to the first whose padded closure weighs k, where the solver stops.
 # Differential reference for ``graphsack.all_neighbour``.
 
 def uniform_directed_alln_ptas_rescan(instance: Instance, k: Optional[int] = None,
@@ -531,6 +532,7 @@ def uniform_directed_alln_ptas_rescan(instance: Instance, k: Optional[int] = Non
     best_units: frozenset[int] = frozenset()
     best_weight = 0
     guesses = 0
+    filled_at = None  # guesses up to the first whose closure weighs k
     for size in range(0, int(1 / eps) + 1):
         for pick in combinations(heavy, size):
             units: set[int] = set()
@@ -551,9 +553,11 @@ def uniform_directed_alln_ptas_rescan(instance: Instance, k: Optional[int] = Non
                 weight += scc_w[addable]
             if weight > best_weight:
                 best_units, best_weight = frozenset(units), weight
+            if weight == k and filled_at is None:
+                filled_at = guesses
 
     chosen = sorted(v for u in best_units for v in cond.scc_vertices[u])
-    trace = {"guesses": guesses, "units": tuple(sorted(best_units))}
+    trace = {"guesses": filled_at or guesses, "units": tuple(sorted(best_units))}
     return make_solution(instance, chosen, ALL_NEIGHBOUR, "uda-ptas",
                          f"{float(1 - eps):g}", k, trace)
 
@@ -627,3 +631,77 @@ def random_uniform(rng: random.Random, n: int, directed: bool,
                    edge_prob: float, k: int) -> Instance:
     inst = random_instance(rng, n, directed, edge_prob, 1, 1, k)
     return Instance(directed, n, inst.edges, [1] * n, [1] * n, k)
+
+
+# ``condense`` as it was before its two-pass (Kosaraju-Sharir) form: an
+# iterative Tarjan, then a membership loop and a loop over the edges.
+# Differential reference for ``graphsack.graphs.condense``.
+
+def _tarjan_sccs(n: int, adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan; returns SCCs in reverse topological order."""
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]  # the DFS path, each with its arcs left
+        while work:
+            v, arcs = work[-1]
+            for w in arcs:
+                if index[w] == -1:
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
+                    break
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
+    return sccs
+
+
+def condense_tarjan(instance: Instance) -> Condensation:
+    """Contract maximal SCCs of a directed instance into a DAG."""
+    if not instance.directed:
+        raise ValidationError("condense requires a directed instance")
+    sccs = _tarjan_sccs(instance.n, instance.adj)
+    sccs.reverse()  # topological order: sources first
+    membership = [0] * instance.n
+    for i, comp in enumerate(sccs):
+        for v in comp:
+            membership[v] = i
+    dag: list[set[int]] = [set() for _ in sccs]
+    for u, v in instance.edges:
+        cu, cv = membership[u], membership[v]
+        if cu != cv:
+            dag[cu].add(cv)
+    scc_vertices = tuple(tuple(sorted(comp)) for comp in sccs)
+    return Condensation(
+        scc_count=len(sccs),
+        membership=tuple(membership),
+        scc_vertices=scc_vertices,
+        dag_adjacency=tuple(tuple(sorted(s)) for s in dag),
+        scc_weight=tuple(instance.total_weight(comp) for comp in scc_vertices),
+    )

@@ -137,7 +137,8 @@ def closure_weight(cond, pick):
 
 
 class TestGuessesFitTheBudget:
-    """uda-ptas guesses exactly the heavy picks whose closure fits."""
+    """uda-ptas guesses the heavy picks whose closure fits, in order, up to
+    the first whose padded closure weighs exactly the budget."""
 
     def test_many_heavy_sccs(self):
         # 33 singleton SCCs, all heavy at k = 2, eps = 1/10 (weight > 0.2):
@@ -149,11 +150,35 @@ class TestGuessesFitTheBudget:
         cond = condense(inst)
         assert cond.scc_count == 33 and min(cond.scc_weight) >= 1
         sol = uniform_directed_alln_ptas(inst, eps=Fraction(1, 10))
-        fitting = sum(1 for size in range(3)
-                      for pick in combinations(range(33), size)
-                      if closure_weight(cond, pick) <= 2)
-        assert sol.trace["guesses"] == fitting
+        fitting = [pick for size in range(3) for pick in combinations(range(33), size)
+                   if closure_weight(cond, pick) <= 2]
+        first_full = next(i for i, pick in enumerate(fitting)
+                          if closure_weight(cond, pick) == 2)
+        assert 1 < first_full + 1 < len(fitting)
+        assert sol.trace["guesses"] == first_full + 1
         assert sol.total_weight == 2
+
+    def test_stops_when_the_empty_pick_fills_the_budget(self):
+        # 50 isolated heavy vertices of weight 2 and 10 light ones of weight 1,
+        # k = 10, eps = 1/10: every pick of at most 5 heavy vertices fits,
+        # over 2.3 million picks, but the empty pick absorbs the ten light
+        # vertices and already weighs k.
+        weights = [2] * 50 + [1] * 10
+        inst = Instance(True, 60, [], weights, weights, 10)
+        assert sum(math.comb(50, size) for size in range(6)) > 2_300_000
+        sol = uniform_directed_alln_ptas(inst, eps=Fraction(1, 10))
+        assert sol.trace == {"guesses": 1, "units": tuple(range(10))}
+        assert sol.chosen == tuple(range(50, 60)) and sol.total_weight == 10
+
+    def test_filled_budget_keeps_the_winner(self):
+        # the first closure to weigh k wins: later picks that also weigh k
+        # are never tried, and could not have replaced it
+        weights = [3, 2, 2, 1, 1, 1]
+        inst = Instance(True, 6, [(0, 3), (1, 4)], weights, weights, 4)
+        sol = uniform_directed_alln_ptas(inst, eps=Fraction(1, 2))
+        want = uniform_directed_alln_ptas_rescan(inst, eps=Fraction(1, 2))
+        assert (sol.chosen, sol.trace) == (want.chosen, want.trace)
+        assert sol.total_weight == 4
 
     @given(weight_equals_profit_digraphs(max_n=12),
            st.sampled_from([Fraction(1, 10), Fraction(1, 5), Fraction(1, 4),
@@ -172,11 +197,15 @@ class TestGuessesFitTheBudget:
             sol = uniform_directed_alln_ptas(inst, eps=eps)
         k, cond = inst.budget, condense(inst)
         heavy = [u for u in range(cond.scc_count) if cond.scc_weight[u] > eps * k]
-        assert seen == [pick for size in range(int(1 / eps) + 1)
-                        for pick in combinations(heavy, size)
-                        if closure_weight(cond, pick) <= k]
+        fitting = [pick for size in range(int(1 / eps) + 1)
+                   for pick in combinations(heavy, size)
+                   if closure_weight(cond, pick) <= k]
+        guesses = uniform_directed_alln_ptas_rescan(inst, eps=eps).trace["guesses"]
+        assert seen == fitting[:guesses]
         assert max(map(len, seen)) <= int(1 / eps)
         assert sol.trace["guesses"] == len(seen)
+        if len(seen) < len(fitting):
+            assert sol.total_weight == k
 
 
 class TestClosureCatalog:

@@ -12,7 +12,7 @@ from graphsack import Instance, cli, gen_random, serialize
 from graphsack.cli import CSV_HEADER, VARIANTS, main, route_auto
 from graphsack.errors import (GraphsackError, OracleScaleError, ParseError,
                               UnsupportedVariantError, ValidationError)
-from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR
+from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, make_solution
 
 
 def write_instance(path, inst):
@@ -260,6 +260,14 @@ class TestSolve:
         assert main(["solve", "--input", str(bad), "--constraint", "one"]) == 2
         assert "line 2: budget must be a non-negative integer" in capsys.readouterr().err
 
+    def test_exact_1n_on_a_long_path(self, tmp_path, capsys):
+        n = 1200
+        path = write_instance(tmp_path / "path.gsk", Instance(
+            True, n, [(v, v + 1) for v in range(n - 1)], [1] * n, [1] * n, 0))
+        assert main(["solve", "--input", path, "--constraint", "one", "--variant",
+                     "exact-1n", "--oracle-max-n", "5000"]) == 0
+        assert "chosen: \ncount: 0\n" in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("error,code", [
     (ParseError("bad token", 3), 2),
@@ -505,6 +513,42 @@ class TestBench:
             assert {name: value for name, value in row.items() if value} == {
                 "instance": str(tmp_path / "one" / "i.gsk"), "variant": row["variant"],
                 "n": "3", "m": "1", "k": "2", "error": row["error"]}
+
+
+def infeasible_greedy(instance, k=None, eps=0.1):
+    """A broken stand-in for greedy-1n: vertex 0 alone, without a neighbour."""
+    return make_solution(instance, [0], ONE_NEIGHBOUR, "greedy-1n", "broken", k)
+
+
+class TestInfeasibleSolverOutput:
+    """A solver output that fails make_solution's re-check is an internal
+    error: exit 1 from solve, an error row from bench."""
+
+    INSTANCE = Instance(False, 3, [(0, 1)], [1, 2, 1], [1, 1, 1], 2)
+
+    def test_solve_exits_1(self, tmp_path, capsys, monkeypatch):
+        path = write_instance(tmp_path / "i.gsk", self.INSTANCE)
+        monkeypatch.setattr(cli, "greedy_1_neighbour", infeasible_greedy)
+        assert main(["solve", "--input", path, "--constraint", "one",
+                     "--variant", "greedy-1n"]) == 1
+        assert capsys.readouterr().err == \
+            "error: greedy-1n produced an infeasible one-neighbour set\n"
+
+    def test_bench_writes_an_error_row(self, tmp_path, monkeypatch):
+        want = bench_rows(tmp_path / "before", self.INSTANCE)
+        monkeypatch.setattr(cli, "greedy_1_neighbour", infeasible_greedy)
+        got = bench_rows(tmp_path / "after", self.INSTANCE)
+        assert [r["variant"] for r in got] == [r["variant"] for r in want]
+        for before, after in zip(want, got):
+            before = {**before, "instance": ""}
+            after = {**after, "instance": ""}
+            if after["variant"] != "greedy-1n":
+                assert after == before
+                continue
+            assert after["error"] == "greedy-1n produced an infeasible one-neighbour set"
+            assert {name: value for name, value in after.items() if value} == {
+                "variant": "greedy-1n", "n": "3", "m": "1", "k": "2",
+                "error": after["error"]}
 
 
 class TestApplicableVariants:

@@ -1,7 +1,10 @@
 """Graph core: validation, components, condensation, cycles, predicates."""
 
+import importlib.util
 import random
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,10 @@ from graphsack import graphs
 from graphsack import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, ValidationError,
                        condense, connected_components, descendants, first_violation,
                        in_boundary, is_1_neighbour_set, is_all_neighbour_set,
-                       smallest_cycle)
-from helpers import random_instance, smallest_cycle_full_scan
+                       parse, smallest_cycle)
+from helpers import condense_tarjan, random_instance, smallest_cycle_full_scan
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def undirected(n, edges, k=10):
@@ -120,6 +125,61 @@ class TestConnectedComponents:
             flat = [v for c in comps for v in c]
             assert sorted(flat) == list(range(inst.n))
             assert len(set(flat)) == len(flat)
+
+
+@st.composite
+def condensable_digraphs(draw):
+    """Digraphs on 0 to 40 vertices: each arc present with probability p
+    (0 and 1 included, so no arcs and complete digraphs), optionally on top
+    of disjoint cycles through a permutation of the vertices."""
+    n = draw(st.integers(0, 40))
+    p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n // 2)))
+        for a, b in zip([0] + cuts, cuts + [n]):
+            cycle = order[a:b]
+            if len(cycle) > 1:
+                arcs.update(zip(cycle, cycle[1:] + cycle[:1]))
+    weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return Instance(True, n, sorted(arcs), weights, weights, 0)
+
+
+def load_perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path and only read from."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCondenseMatchesTarjan:
+    """The two-pass condensation equals the old Tarjan one in every field:
+    the same SCC ids, so every tie-break that reads them is unchanged."""
+
+    @given(condensable_digraphs())
+    @settings(max_examples=400, deadline=None)
+    def test_random_digraphs(self, inst):
+        assert condense(inst) == condense_tarjan(inst)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_long_path_and_cycle_do_not_recurse(self, closed):
+        n = 20_000
+        arcs = [(v, v + 1) for v in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+        inst = directed(n, arcs)
+        cond = condense(inst)
+        assert cond == condense_tarjan(inst)
+        assert cond.scc_count == (1 if closed else n)
+
+    def test_scc_closure_pool(self):
+        members = list(load_perfbench_workloads().pool_members("scc-closure"))
+        assert len(members) == 288
+        for stem, text, _constraint, _variant in members:
+            inst = parse(text)
+            assert condense(inst) == condense_tarjan(inst), stem
 
 
 def cycle_lengths(inst, cond):

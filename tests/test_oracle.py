@@ -49,6 +49,13 @@ class TestExact1n:
             exact_1n(inst, 1)
         assert exact_1n(inst, 1, max_n=23).size == 1
 
+    def test_long_path_searches_without_recursion(self):
+        # 1200 levels of search, past the default recursion limit
+        n = 1200
+        inst = Instance(True, n, [(v, v + 1) for v in range(n - 1)], [1] * n, [1] * n, 0)
+        sol = exact_1n(inst, 0, max_n=5000)
+        assert sol.chosen == () and sol.total_profit == 0
+
     def test_matches_raw_enumeration(self):
         rng = random.Random(606)
         for _ in range(120):
