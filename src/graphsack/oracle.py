@@ -3,9 +3,9 @@
 These are the ground truth the approximation solvers are tested against, and
 the only route for the variants where no approximation is implemented.  The
 1-neighbour search branches over vertices with support/profit pruning; the
-all-neighbour search enumerates unions of SCC descendant closures instead of
-raw vertex subsets, so the two optimizers share no code path and can
-cross-validate each other.
+all-neighbour search builds only the closed sets of the condensation DAG that
+fit within k, in (closed sets within k) x units steps, so the two optimizers
+share no code path and can cross-validate each other.
 """
 
 from __future__ import annotations
@@ -88,42 +88,37 @@ def exact_alln(instance: Instance, k: Optional[int] = None,
                max_n: int = DEFAULT_MAX_N) -> Solution:
     """Maximum-profit all-neighbour set of weight <= k.
 
-    Feasible sets are exactly unions of descendant closures in the
-    condensation (connected components in the undirected case), so the
-    enumeration runs over closed SCC subsets, not vertex subsets.
+    Feasible sets are the closed sets of the condensation DAG (unions of SCC
+    descendant closures; connected components when undirected).  A unit joins
+    only once its DAG successors are in and it fits, so the search builds each
+    closed set within k once: (closed sets within k) x units steps.
     """
     k = _check_scale(instance, k, max_n)
     if instance.directed:
         cond = condense(instance)
-        units = list(cond.scc_vertices)
-        succ = [0] * cond.scc_count
-        for u, nbrs in enumerate(cond.dag_adjacency):
-            for w in nbrs:
-                succ[u] |= 1 << w
+        units = cond.scc_vertices
+        succ = [sum(1 << w for w in nbrs) for nbrs in cond.dag_adjacency]
     else:
         units = connected_components(instance)
         succ = [0] * len(units)
     weights = [instance.total_weight(c) for c in units]
     profits = [instance.total_profit(c) for c in units]
-    s = len(units)
 
     best_profit, best_weight, best_verts = 0, 0, ()
-    for mask in range(1 << s):
-        weight = 0
-        profit = 0
-        closed = True
-        m = mask
-        while m:
-            u = (m & -m).bit_length() - 1
-            if succ[u] & ~mask:
-                closed = False
-                break
-            weight += weights[u]
-            profit += profits[u]
-            m &= m - 1
-        if not closed or weight > k or (profit, -weight) < (best_profit, -best_weight):
+    # (undecided units, mask, profit, weight): ids are topological, sources
+    # first, so the successors of unit u - 1 are all decided before it
+    stack = [(len(units), 0, 0, 0)]
+    while stack:
+        u, mask, profit, weight = stack.pop()
+        if u:
+            u -= 1
+            stack.append((u, mask, profit, weight))
+            if not succ[u] & ~mask and weight + weights[u] <= k:
+                stack.append((u, mask | 1 << u, profit + profits[u], weight + weights[u]))
             continue
-        verts = tuple(sorted(v for u in range(s) if mask >> u & 1 for v in units[u]))
+        if (profit, -weight) < (best_profit, -best_weight):
+            continue
+        verts = tuple(sorted(v for i, c in enumerate(units) if mask >> i & 1 for v in c))
         if (profit, weight) == (best_profit, best_weight) and verts >= best_verts:
             continue
         best_profit, best_weight, best_verts = profit, weight, verts

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import GraphsackError
+from .errors import GraphsackError, ValidationError
 from .graphs import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, first_violation
 
 
@@ -33,9 +33,12 @@ class Solution:
 
 def make_solution(instance: Instance, vertices, constraint: str, algorithm: str,
                   guarantee: str, budget: int, trace: Optional[dict] = None) -> Solution:
-    """Build a Solution, re-verifying feasibility and the budget; a set that
-    breaks either is a solver fault, a plain :class:`GraphsackError`."""
-    chosen = instance.check_vertices(vertices)
+    """Build a Solution, re-verifying ids, feasibility and the budget; a set
+    that fails any of them is a solver fault, a plain :class:`GraphsackError`."""
+    try:
+        chosen = instance.check_vertices(vertices)
+    except ValidationError as exc:
+        raise GraphsackError(f"{algorithm} produced an {exc}") from exc
     if first_violation(instance, chosen, constraint) is not None:
         raise GraphsackError(f"{algorithm} produced an infeasible {constraint} set")
     weight = instance.total_weight(chosen)

@@ -7,15 +7,24 @@ functions can serve as oracles for the solvers *and* for `graphsack.oracle`.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
+from hypothesis import strategies as st
+
 from graphsack import (Condensation, Instance, Item, Star, UnsupportedVariantError,
-                       ValidationError, condense, descendants, ratio_key)
+                       ValidationError, condense, connected_components, descendants,
+                       ratio_key)
 from graphsack.knapsack import _check_items, eps_fraction
+from graphsack.oracle import DEFAULT_MAX_N, _check_scale
 from graphsack.solution import ALL_NEIGHBOUR, Solution, make_solution
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def adjacency_masks(inst: Instance) -> list[int]:
@@ -633,6 +642,46 @@ def random_uniform(rng: random.Random, n: int, directed: bool,
     return Instance(directed, n, inst.edges, [1] * n, [1] * n, k)
 
 
+@st.composite
+def planted_cycle_graphs(draw, directed=st.just(True), max_n: int = 40,
+                         values=st.integers(0, 9)) -> Instance:
+    """Graphs on 0 to ``max_n`` vertices: each arc present with probability p
+    (0 and 1 included, so no arcs and complete graphs; up to 3/n, so sparse
+    graphs whose condensation has arcs), optionally kept only from lower to
+    higher ids (a DAG, so a dense condensation), optionally on top of disjoint
+    cycles through a permutation of the vertices, so that some SCCs are large.
+    Weights and profits are drawn from ``values``; the budget is 0."""
+    is_directed = draw(directed)
+    n = draw(st.integers(0, max_n))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1),
+                       st.integers(1, 30).map(lambda t: t / 10 / max(n, 1))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+    if draw(st.booleans()):
+        arcs = {(u, v) for u, v in arcs if u < v}
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n // 2)))
+        for a, b in zip([0] + cuts, cuts + [n]):
+            cycle = order[a:b]
+            if len(cycle) > 1:
+                arcs.update(zip(cycle, cycle[1:] + cycle[:1]))
+    if not is_directed:
+        arcs = {(min(u, v), max(u, v)) for u, v in arcs}
+    weights = draw(st.lists(values, min_size=n, max_size=n))
+    profits = draw(st.lists(values, min_size=n, max_size=n))
+    return Instance(is_directed, n, sorted(arcs), weights, profits, 0)
+
+
+def load_perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path and only read from."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # ``condense`` as it was before its two-pass (Kosaraju-Sharir) form: an
 # iterative Tarjan, then a membership loop and a loop over the edges.
 # Differential reference for ``graphsack.graphs.condense``.
@@ -705,3 +754,53 @@ def condense_tarjan(instance: Instance) -> Condensation:
         dag_adjacency=tuple(tuple(sorted(s)) for s in dag),
         scc_weight=tuple(instance.total_weight(comp) for comp in scc_vertices),
     )
+
+
+# ``exact_alln`` as it was before its closed-set search: a scan of all 2^s
+# unit subsets that drops the unclosed ones.  Differential reference for
+# ``graphsack.oracle.exact_alln``.
+
+def exact_alln_mask_scan(instance: Instance, k: Optional[int] = None,
+                         max_n: int = DEFAULT_MAX_N) -> Solution:
+    """Maximum-profit all-neighbour set of weight <= k.
+
+    Feasible sets are exactly unions of descendant closures in the
+    condensation (connected components in the undirected case), so the
+    enumeration runs over closed SCC subsets, not vertex subsets.
+    """
+    k = _check_scale(instance, k, max_n)
+    if instance.directed:
+        cond = condense(instance)
+        units = list(cond.scc_vertices)
+        succ = [0] * cond.scc_count
+        for u, nbrs in enumerate(cond.dag_adjacency):
+            for w in nbrs:
+                succ[u] |= 1 << w
+    else:
+        units = connected_components(instance)
+        succ = [0] * len(units)
+    weights = [instance.total_weight(c) for c in units]
+    profits = [instance.total_profit(c) for c in units]
+    s = len(units)
+
+    best_profit, best_weight, best_verts = 0, 0, ()
+    for mask in range(1 << s):
+        weight = 0
+        profit = 0
+        closed = True
+        m = mask
+        while m:
+            u = (m & -m).bit_length() - 1
+            if succ[u] & ~mask:
+                closed = False
+                break
+            weight += weights[u]
+            profit += profits[u]
+            m &= m - 1
+        if not closed or weight > k or (profit, -weight) < (best_profit, -best_weight):
+            continue
+        verts = tuple(sorted(v for u in range(s) if mask >> u & 1 for v in units[u]))
+        if (profit, weight) == (best_profit, best_weight) and verts >= best_verts:
+            continue
+        best_profit, best_weight, best_verts = profit, weight, verts
+    return make_solution(instance, best_verts, ALL_NEIGHBOUR, "exact-all", "exact", k)

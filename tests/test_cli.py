@@ -515,28 +515,28 @@ class TestBench:
                 "n": "3", "m": "1", "k": "2", "error": row["error"]}
 
 
-def infeasible_greedy(instance, k=None, eps=0.1):
-    """A broken stand-in for greedy-1n: vertex 0 alone, without a neighbour."""
-    return make_solution(instance, [0], ONE_NEIGHBOUR, "greedy-1n", "broken", k)
-
-
 class TestInfeasibleSolverOutput:
     """A solver output that fails make_solution's re-check is an internal
     error: exit 1 from solve, an error row from bench."""
 
     INSTANCE = Instance(False, 3, [(0, 1)], [1, 2, 1], [1, 1, 1], 2)
+    VERTICES = [0]  # vertex 0 alone, without a neighbour
+    MESSAGE = "greedy-1n produced an infeasible one-neighbour set"
+
+    def broken_greedy(self, instance, k=None, eps=0.1):
+        """A stand-in for greedy-1n that hands ``VERTICES`` to make_solution."""
+        return make_solution(instance, self.VERTICES, ONE_NEIGHBOUR, "greedy-1n", "broken", k)
 
     def test_solve_exits_1(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path / "i.gsk", self.INSTANCE)
-        monkeypatch.setattr(cli, "greedy_1_neighbour", infeasible_greedy)
+        monkeypatch.setattr(cli, "greedy_1_neighbour", self.broken_greedy)
         assert main(["solve", "--input", path, "--constraint", "one",
                      "--variant", "greedy-1n"]) == 1
-        assert capsys.readouterr().err == \
-            "error: greedy-1n produced an infeasible one-neighbour set\n"
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
 
     def test_bench_writes_an_error_row(self, tmp_path, monkeypatch):
         want = bench_rows(tmp_path / "before", self.INSTANCE)
-        monkeypatch.setattr(cli, "greedy_1_neighbour", infeasible_greedy)
+        monkeypatch.setattr(cli, "greedy_1_neighbour", self.broken_greedy)
         got = bench_rows(tmp_path / "after", self.INSTANCE)
         assert [r["variant"] for r in got] == [r["variant"] for r in want]
         for before, after in zip(want, got):
@@ -545,10 +545,18 @@ class TestInfeasibleSolverOutput:
             if after["variant"] != "greedy-1n":
                 assert after == before
                 continue
-            assert after["error"] == "greedy-1n produced an infeasible one-neighbour set"
+            assert after["error"] == self.MESSAGE
             assert {name: value for name, value in after.items() if value} == {
                 "variant": "greedy-1n", "n": "3", "m": "1", "k": "2",
                 "error": after["error"]}
+
+
+class TestInvalidVertexIdOutput(TestInfeasibleSolverOutput):
+    """A vertex id outside 0..n-1 from a solver is a solver fault as well, not
+    bad input: exit 1 (not 2) from solve, an error row from bench."""
+
+    VERTICES = [7]
+    MESSAGE = "greedy-1n produced an invalid vertex id 7"
 
 
 class TestApplicableVariants:

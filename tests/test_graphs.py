@@ -1,10 +1,7 @@
 """Graph core: validation, components, condensation, cycles, predicates."""
 
-import importlib.util
 import random
-import sys
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +12,8 @@ from graphsack import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, ValidationError,
                        condense, connected_components, descendants, first_violation,
                        in_boundary, is_1_neighbour_set, is_all_neighbour_set,
                        parse, smallest_cycle)
-from helpers import condense_tarjan, random_instance, smallest_cycle_full_scan
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from helpers import (condense_tarjan, load_perfbench_workloads, planted_cycle_graphs,
+                     random_instance, smallest_cycle_full_scan)
 
 
 def undirected(n, edges, k=10):
@@ -127,40 +123,11 @@ class TestConnectedComponents:
             assert len(set(flat)) == len(flat)
 
 
-@st.composite
-def condensable_digraphs(draw):
-    """Digraphs on 0 to 40 vertices: each arc present with probability p
-    (0 and 1 included, so no arcs and complete digraphs), optionally on top
-    of disjoint cycles through a permutation of the vertices."""
-    n = draw(st.integers(0, 40))
-    p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)))
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
-    if draw(st.booleans()):
-        order = draw(st.permutations(range(n)))
-        cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n // 2)))
-        for a, b in zip([0] + cuts, cuts + [n]):
-            cycle = order[a:b]
-            if len(cycle) > 1:
-                arcs.update(zip(cycle, cycle[1:] + cycle[:1]))
-    weights = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
-    return Instance(True, n, sorted(arcs), weights, weights, 0)
-
-
-def load_perfbench_workloads():
-    """``perfbench/workloads.py``, loaded by path and only read from."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestCondenseMatchesTarjan:
     """The two-pass condensation equals the old Tarjan one in every field:
     the same SCC ids, so every tie-break that reads them is unchanged."""
 
-    @given(condensable_digraphs())
+    @given(planted_cycle_graphs())
     @settings(max_examples=400, deadline=None)
     def test_random_digraphs(self, inst):
         assert condense(inst) == condense_tarjan(inst)

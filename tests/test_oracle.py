@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsack import (Instance, OracleScaleError, ValidationError, exact_1n, exact_alln,
                        general_undirected_alln_fptas, greedy_1_neighbour,
-                       is_1_neighbour_set, is_all_neighbour_set,
+                       is_1_neighbour_set, is_all_neighbour_set, parse,
                        uniform_directed_1n_ptas, uniform_directed_alln_ptas,
                        uniform_undirected_1n, uniform_undirected_alln)
-from helpers import (adjacency_masks, feasible_all_mask, feasible_one_mask,
+from graphsack.graphs import MAX_VALUE
+from helpers import (adjacency_masks, exact_alln_mask_scan, feasible_all_mask,
+                     feasible_one_mask, load_perfbench_workloads, planted_cycle_graphs,
                      random_instance)
 
 
@@ -98,6 +102,48 @@ class TestExactAlln:
             p, w, verts = raw_best(inst, k, feasible_all_mask)
             assert (sol.total_profit, sol.total_weight, sol.chosen) == (p, w, verts)
             assert is_all_neighbour_set(inst, sol.chosen)
+
+    def test_long_path_searches_closed_sets_only(self):
+        # 61 closed sets (the suffixes of the path) among 2^60 subsets
+        n = 60
+        inst = Instance(True, n, [(v, v + 1) for v in range(n - 1)], [1] * n,
+                        list(range(n)), 10)
+        sol = exact_alln(inst, 10, max_n=60)
+        assert sol.chosen == tuple(range(50, 60)) and sol.total_profit == 545
+
+
+def totals(sol):
+    return sol.chosen, sol.total_profit, sol.total_weight
+
+
+@st.composite
+def oracle_cases(draw):
+    """An instance on at most 14 vertices, with weights and profits from 0, 1,
+    small values and 2^63 - 1, and a budget of 0, a random value, or at
+    least the total weight."""
+    values = st.one_of(st.sampled_from([0, 1, MAX_VALUE]), st.integers(2, 9))
+    inst = draw(planted_cycle_graphs(st.booleans(), 14, values))
+    total = sum(inst.weights)
+    k = draw(st.one_of(st.just(0), st.integers(0, total), st.integers(total, total + 3)))
+    return inst, k
+
+
+class TestExactAllnMatchesMaskScan:
+    """The closed-set search picks the same set as the old scan of all unit
+    subsets, since both keep the best candidate under one total order."""
+
+    @given(oracle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_instances(self, case):
+        inst, k = case
+        assert totals(exact_alln(inst, k)) == totals(exact_alln_mask_scan(inst, k))
+
+    def test_bench_corpus_pool(self):
+        members = list(load_perfbench_workloads().pool_members("bench-corpus"))
+        assert len(members) == 168
+        for stem, text, _constraint, _variant in members:
+            inst = parse(text)
+            assert totals(exact_alln(inst)) == totals(exact_alln_mask_scan(inst)), stem
 
 
 @pytest.mark.parametrize("solve, directed", [
