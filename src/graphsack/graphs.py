@@ -153,7 +153,7 @@ class Instance:
 
 @dataclass(frozen=True)
 class Condensation:
-    """The DAG of maximal SCCs of a directed instance.
+    """The DAG of maximal SCCs of an instance (undirected: its components).
 
     SCC ids are assigned in a topological order of the DAG (sources first).
     :func:`smallest_cycle` gives the shortest cycle of one SCC.
@@ -167,22 +167,13 @@ class Condensation:
 
 
 def connected_components(instance: Instance) -> list[tuple[int, ...]]:
-    """Connected components of an undirected instance.
-
-    Returned in decreasing order of size, ties broken by smallest contained
+    """Connected components of an undirected instance: its :func:`condense`
+    SCCs, in decreasing order of size, ties broken by smallest contained
     vertex id; each component is a sorted vertex tuple.
     """
     if instance.directed:
         raise ValidationError("connected_components requires an undirected instance")
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in range(instance.n):
-        if start not in seen:
-            comp = sorted([v for layer in _bfs_layers(instance.adj, start) for v in layer])
-            seen.update(comp)
-            comps.append(tuple(comp))
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
+    return sorted(condense(instance).scc_vertices, key=lambda c: (-len(c), c[0]))
 
 
 def bfs_parents(instance: Instance, root: int) -> dict[int, int]:
@@ -263,16 +254,16 @@ def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[
 
 
 def condense(instance: Instance) -> Condensation:
-    """Contract maximal SCCs of a directed instance into a DAG.
+    """Contract the maximal SCCs of an instance into a DAG.
 
     Two passes (Kosaraju and Sharir; Sharir, Comput. Math. Appl. 7(1), 1981):
     a depth-first search over ``adj`` lists the vertices as they finish;
     then, in decreasing finish order, each unclaimed vertex starts the next
     SCC and claims over ``radj`` the unclaimed vertices that reach it.  An
     arc from an SCC numbered earlier is a DAG arc into the new one.
+    Undirected, ``radj`` is ``adj``: every edge is an arc both ways, so the
+    SCCs are the connected components and the DAG has no arcs.
     """
-    if not instance.directed:
-        raise ValidationError("condense requires a directed instance")
     adj, radj = instance.adj, instance.radj
     seen = [False] * instance.n
     finished: list[int] = []
@@ -325,20 +316,16 @@ def smallest_cycle(instance: Instance, scc_vertices: Iterable[int]) -> tuple[int
     """Shortest directed cycle inside a maximal SCC of ``instance``.
 
     A singleton SCC yields its single vertex (length 1, not a true cycle).
-    Rejects vertex sets that are not maximal SCCs: the maximal SCC of the
-    smallest member is the set of vertices it both reaches and is reached
-    from.
+    Rejects vertex sets that are not maximal SCCs: the set must be the SCC
+    that the condensation assigns to its smallest member.
     """
     members = instance.check_vertices(scc_vertices)
     if not members:
         raise ValidationError("empty set is not an SCC")
     if not instance.directed:
         raise ValidationError("smallest_cycle requires a directed instance")
-    s = members[0]
-    reach = {v for layer in _bfs_layers(instance.adj, s) for v in layer}
-    scc = tuple(sorted(v for layer in _bfs_layers(instance.radj, s)
-                       for v in layer if v in reach))
-    if scc != members:
+    cond = condense(instance)
+    if cond.scc_vertices[cond.membership[members[0]]] != members:
         raise ValidationError("vertex set is not a maximal SCC")
     return _smallest_cycle_in_scc(instance, members)
 

@@ -240,7 +240,8 @@ def gen_network_budget(n_vertices: int, topology: Sequence[tuple[int, int]],
     Every topology edge gets a mid-edge vertex carrying the activation cost
     (zero profit); original vertices are weightless, customers carry their
     profit, and the sink is a plain zero/zero vertex.  Selecting a customer
-    then forces selecting activated structure next to it.
+    then forces selecting activated structure next to it.  Each topology edge
+    must join two distinct vertices of ``0..n_vertices-1``.
     """
     if not 0 <= sink < n_vertices:
         raise ValidationError("sink must be a topology vertex")
@@ -258,6 +259,8 @@ def gen_network_budget(n_vertices: int, topology: Sequence[tuple[int, int]],
     weights = [0] * n_vertices
     edges = []
     for j, (u, v) in enumerate(topology):
+        if not 0 <= u < n_vertices or not 0 <= v < n_vertices or u == v:
+            raise ValidationError(f"topology edge ({u}, {v}) needs two distinct topology vertices")
         if edge_costs[j] < 0:
             raise ValidationError("edge costs must be non-negative")
         mid = n_vertices + j

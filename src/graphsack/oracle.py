@@ -3,9 +3,9 @@
 These are the ground truth the approximation solvers are tested against, and
 the only route for the variants where no approximation is implemented.  The
 1-neighbour search branches over vertices with support/profit pruning; the
-all-neighbour search builds only the closed sets of the condensation DAG that
-fit within k, in (closed sets within k) x units steps, so the two optimizers
-share no code path and can cross-validate each other.
+all-neighbour search builds only the closed sets of the condensation DAG (no
+arcs between the components, when undirected) that fit within k, so the two
+optimizers share no code path and can cross-validate each other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import OracleScaleError
-from .graphs import Instance, condense, connected_components
+from .graphs import Instance, condense
 from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
 
 DEFAULT_MAX_N = 22
@@ -89,19 +89,15 @@ def exact_alln(instance: Instance, k: Optional[int] = None,
     """Maximum-profit all-neighbour set of weight <= k.
 
     Feasible sets are the closed sets of the condensation DAG (unions of SCC
-    descendant closures; connected components when undirected).  A unit joins
-    only once its DAG successors are in and it fits, so the search builds each
-    closed set within k once: (closed sets within k) x units steps.
+    descendant closures; undirected, the DAG has no arcs and the SCCs are the
+    components).  A unit joins only once its DAG successors are in and it
+    fits, so the search builds each closed set within k once: (closed sets
+    within k) x units steps.
     """
     k = _check_scale(instance, k, max_n)
-    if instance.directed:
-        cond = condense(instance)
-        units = cond.scc_vertices
-        succ = [sum(1 << w for w in nbrs) for nbrs in cond.dag_adjacency]
-    else:
-        units = connected_components(instance)
-        succ = [0] * len(units)
-    weights = [instance.total_weight(c) for c in units]
+    cond = condense(instance)
+    units, weights = cond.scc_vertices, cond.scc_weight
+    succ = [sum(1 << w for w in nbrs) for nbrs in cond.dag_adjacency]
     profits = [instance.total_profit(c) for c in units]
 
     best_profit, best_weight, best_verts = 0, 0, ()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from graphsack import (Condensation, Instance, Item, Star, UnsupportedVariantError,
                        ValidationError, condense, connected_components, descendants,
                        ratio_key)
+from graphsack.graphs import _bfs_layers
 from graphsack.knapsack import _check_items, eps_fraction
 from graphsack.oracle import DEFAULT_MAX_N, _check_scale
 from graphsack.solution import ALL_NEIGHBOUR, Solution, make_solution
@@ -673,12 +674,17 @@ def planted_cycle_graphs(draw, directed=st.just(True), max_n: int = 40,
     return Instance(is_directed, n, sorted(arcs), weights, profits, 0)
 
 
-def load_perfbench_workloads():
-    """``perfbench/workloads.py``, loaded by path and only read from."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
+def load_perfbench(stem: str):
+    """``perfbench/<stem>.py``, loaded by path and only read from.  Its own
+    imports of other ``perfbench`` modules resolve while it loads."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}",
+                                                  PERFBENCH / f"{stem}.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
@@ -754,6 +760,29 @@ def condense_tarjan(instance: Instance) -> Condensation:
         dag_adjacency=tuple(tuple(sorted(s)) for s in dag),
         scc_weight=tuple(instance.total_weight(comp) for comp in scc_vertices),
     )
+
+
+# ``connected_components`` as it was before it became a sorted view of
+# ``condense``: a breadth-first search from every unseen vertex.  Differential
+# reference for ``graphsack.graphs.connected_components``.
+
+def connected_components_bfs(instance: Instance) -> list[tuple[int, ...]]:
+    """Connected components of an undirected instance.
+
+    Returned in decreasing order of size, ties broken by smallest contained
+    vertex id; each component is a sorted vertex tuple.
+    """
+    if instance.directed:
+        raise ValidationError("connected_components requires an undirected instance")
+    seen: set[int] = set()
+    comps: list[tuple[int, ...]] = []
+    for start in range(instance.n):
+        if start not in seen:
+            comp = sorted([v for layer in _bfs_layers(instance.adj, start) for v in layer])
+            seen.update(comp)
+            comps.append(tuple(comp))
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
 
 
 # ``exact_alln`` as it was before its closed-set search: a scan of all 2^s

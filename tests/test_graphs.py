@@ -12,8 +12,8 @@ from graphsack import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, ValidationError,
                        condense, connected_components, descendants, first_violation,
                        in_boundary, is_1_neighbour_set, is_all_neighbour_set,
                        parse, smallest_cycle)
-from helpers import (condense_tarjan, load_perfbench_workloads, planted_cycle_graphs,
-                     random_instance, smallest_cycle_full_scan)
+from helpers import (condense_tarjan, connected_components_bfs, load_perfbench,
+                     planted_cycle_graphs, random_instance, smallest_cycle_full_scan)
 
 
 def undirected(n, edges, k=10):
@@ -123,6 +123,26 @@ class TestConnectedComponents:
             assert len(set(flat)) == len(flat)
 
 
+class TestComponentsMatchBfs:
+    """Components read off the condensation equal the old breadth-first ones,
+    in the same order."""
+
+    @given(planted_cycle_graphs(directed=st.just(False)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, inst):
+        assert connected_components(inst) == connected_components_bfs(inst)
+
+    @pytest.mark.parametrize("workload, undirected_count",
+                             [("component-dp", 144), ("bench-corpus", 84)])
+    def test_undirected_pool_members(self, workload, undirected_count):
+        members = load_perfbench("workloads").pool_members(workload)
+        instances = [(stem, parse(text)) for stem, text, _c, _v in members]
+        instances = [(stem, inst) for stem, inst in instances if not inst.directed]
+        assert len(instances) == undirected_count
+        for stem, inst in instances:
+            assert connected_components(inst) == connected_components_bfs(inst), stem
+
+
 class TestCondenseMatchesTarjan:
     """The two-pass condensation equals the old Tarjan one in every field:
     the same SCC ids, so every tie-break that reads them is unchanged."""
@@ -142,7 +162,7 @@ class TestCondenseMatchesTarjan:
         assert cond.scc_count == (1 if closed else n)
 
     def test_scc_closure_pool(self):
-        members = list(load_perfbench_workloads().pool_members("scc-closure"))
+        members = list(load_perfbench("workloads").pool_members("scc-closure"))
         assert len(members) == 288
         for stem, text, _constraint, _variant in members:
             inst = parse(text)
@@ -185,9 +205,27 @@ class TestCondense:
         cond = condense(directed(4, [(0, 1), (1, 2), (2, 0), (2, 3)]))
         assert cond.scc_vertices == ((0, 1, 2), (3,))
 
-    def test_rejects_undirected(self):
-        with pytest.raises(ValidationError):
-            condense(undirected(2, [(0, 1)]))
+    def test_undirected_units_are_components(self):
+        # components {0, 3}, {1, 2, 4} and {5}; every edge is an arc both ways,
+        # so no arc joins two units
+        inst = Instance(False, 6, [(0, 3), (1, 4), (2, 4)], [1, 2, 3, 4, 5, 6],
+                        [0] * 6, 10)
+        cond = condense(inst)
+        assert cond.scc_count == 3
+        assert cond.scc_vertices == ((5,), (1, 2, 4), (0, 3))
+        assert cond.membership == (2, 1, 1, 2, 1, 0)
+        assert cond.dag_adjacency == ((), (), ())
+        assert cond.scc_weight == (6, 10, 5)
+
+    @given(planted_cycle_graphs(directed=st.just(False)))
+    @settings(max_examples=200, deadline=None)
+    def test_undirected_units_random(self, inst):
+        cond = condense(inst)
+        assert sorted(cond.scc_vertices) == sorted(connected_components_bfs(inst))
+        assert all(nbrs == () for nbrs in cond.dag_adjacency)
+        for u, members in enumerate(cond.scc_vertices):
+            assert cond.scc_weight[u] == inst.total_weight(members)
+            assert all(cond.membership[v] == u for v in members)
 
     def test_invariants_random(self):
         rng = random.Random(11)

@@ -322,6 +322,16 @@ class TestGenNetworkBudget:
         with pytest.raises(ValidationError):
             gen_network_budget(2, [(0, 1)], 0, [1], {0: 3}, 2)
 
+    @pytest.mark.parametrize("edge", [(0, 2), (2, 0), (-1, 1)])
+    def test_rejects_endpoint_outside_topology(self, edge):
+        # vertex 2 is the activation vertex of link 0, not a topology vertex
+        with pytest.raises(ValidationError, match=re.escape(f"topology edge {edge}")):
+            gen_network_budget(2, [(0, 1), edge], 0, [5, 7], {1: 3}, 10)
+
+    def test_rejects_self_loop_link(self):
+        with pytest.raises(ValidationError, match=re.escape("topology edge (1, 1)")):
+            gen_network_budget(2, [(0, 1), (1, 1)], 0, [5, 7], {1: 3}, 10)
+
 
 def test_generator_outputs_pass_validation_and_reserialize():
     gens = [

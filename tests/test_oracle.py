@@ -13,7 +13,7 @@ from graphsack import (Instance, OracleScaleError, ValidationError, exact_1n, ex
                        uniform_undirected_1n, uniform_undirected_alln)
 from graphsack.graphs import MAX_VALUE
 from helpers import (adjacency_masks, exact_alln_mask_scan, feasible_all_mask,
-                     feasible_one_mask, load_perfbench_workloads, planted_cycle_graphs,
+                     feasible_one_mask, load_perfbench, planted_cycle_graphs,
                      random_instance)
 
 
@@ -139,7 +139,7 @@ class TestExactAllnMatchesMaskScan:
         assert totals(exact_alln(inst, k)) == totals(exact_alln_mask_scan(inst, k))
 
     def test_bench_corpus_pool(self):
-        members = list(load_perfbench_workloads().pool_members("bench-corpus"))
+        members = list(load_perfbench("workloads").pool_members("bench-corpus"))
         assert len(members) == 168
         for stem, text, _constraint, _variant in members:
             inst = parse(text)
