@@ -2,14 +2,16 @@
 
 These are the ground truth the approximation solvers are tested against, and
 the only route for the variants where no approximation is implemented.  The
-1-neighbour search branches over vertices with support/profit pruning; the
-all-neighbour search builds only the closed sets of the condensation DAG (no
-arcs between the components, when undirected) that fit within k, so the two
-optimizers share no code path and can cross-validate each other.
+1-neighbour search branches over vertices; the all-neighbour search builds
+only the closed sets of the condensation DAG (no arcs between the components,
+when undirected) that fit within k.  Both prune by a profit bound; they share
+no code, so they can cross-validate each other.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
 from typing import Optional
 
 from .errors import OracleScaleError
@@ -30,24 +32,22 @@ def exact_1n(instance: Instance, k: Optional[int] = None,
              max_n: int = DEFAULT_MAX_N) -> Solution:
     """Maximum-profit 1-neighbour set of weight <= k, by pruned search.
 
-    Ties break toward smaller weight, then the lexicographically smallest
-    vertex tuple.
+    A node is pruned when its profit plus all undecided profit is below the
+    best, or when a member has no chosen neighbour and none still undecided:
+    no completion can then win or be feasible, so both prunes are exact.  Ties
+    break toward smaller weight, then the lexicographically smallest tuple.
     """
     k = _check_scale(instance, k, max_n)
     n = instance.n
-    adj_mask = [0] * n
-    radj_mask = [0] * n
-    for v in range(n):
-        for u in instance.adj[v]:
-            adj_mask[v] |= 1 << u
-        for u in instance.radj[v]:
-            radj_mask[v] |= 1 << u
-    suffix_profit = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_profit[i] = suffix_profit[i + 1] + instance.profits[i]
-    future = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        future[i] = future[i + 1] | (1 << i)
+    adj_mask = [sum(1 << u for u in nbrs) for nbrs in instance.adj]
+    radj_mask = [sum(1 << u for u in nbrs) for nbrs in instance.radj]
+    suffix_profit = [*accumulate(reversed(instance.profits), initial=0)][::-1]
+    # doomed[i]: the vertices whose neighbours all lie below i (lists ascend)
+    doomed = [0] * (n + 1)
+    for v, nbrs in enumerate(instance.adj):
+        if nbrs:
+            doomed[nbrs[-1] + 1] |= 1 << v
+    doomed = [*accumulate(doomed, or_)]
 
     best_profit, best_weight, best_verts = 0, 0, ()
     # depth-first over (next vertex, mask, profit, weight, unsupported members),
@@ -55,23 +55,15 @@ def exact_1n(instance: Instance, k: Optional[int] = None,
     stack = [(0, 0, 0, 0, 0)]
     while stack:
         i, mask, profit, weight, unsupported = stack.pop()
-        if profit + suffix_profit[i] < best_profit:
-            continue
-        u = unsupported
-        while u:
-            v = (u & -u).bit_length() - 1
-            if not adj_mask[v] & future[i]:
-                break  # v can never gain a neighbour
-            u &= u - 1
-        if u:
+        if profit + suffix_profit[i] < best_profit or unsupported & doomed[i]:
             continue
         if i == n:
-            if unsupported:
+            if (profit, -weight) < (best_profit, -best_weight):
                 continue
             verts = tuple(v for v in range(n) if mask >> v & 1)
-            if (profit, -weight) > (best_profit, -best_weight) or \
-                    ((profit, weight) == (best_profit, best_weight) and verts < best_verts):
-                best_profit, best_weight, best_verts = profit, weight, verts
+            if (profit, weight) == (best_profit, best_weight) and verts >= best_verts:
+                continue
+            best_profit, best_weight, best_verts = profit, weight, verts
             continue
         stack.append((i + 1, mask, profit, weight, unsupported))
         w = instance.weights[i]
@@ -91,14 +83,17 @@ def exact_alln(instance: Instance, k: Optional[int] = None,
     Feasible sets are the closed sets of the condensation DAG (unions of SCC
     descendant closures; undirected, the DAG has no arcs and the SCCs are the
     components).  A unit joins only once its DAG successors are in and it
-    fits, so the search builds each closed set within k once: (closed sets
-    within k) x units steps.
+    fits, so each closed set within k is built once: at most (closed sets
+    within k) x units steps.  A node whose profit plus all undecided profit
+    is below the best is pruned: no completion can win, and ties still reach
+    the full-key comparison.
     """
     k = _check_scale(instance, k, max_n)
     cond = condense(instance)
     units, weights = cond.scc_vertices, cond.scc_weight
     succ = [sum(1 << w for w in nbrs) for nbrs in cond.dag_adjacency]
     profits = [instance.total_profit(c) for c in units]
+    below = [0, *accumulate(profits)]  # below[u]: profit of units 0..u-1
 
     best_profit, best_weight, best_verts = 0, 0, ()
     # (undecided units, mask, profit, weight): ids are topological, sources
@@ -106,6 +101,8 @@ def exact_alln(instance: Instance, k: Optional[int] = None,
     stack = [(len(units), 0, 0, 0)]
     while stack:
         u, mask, profit, weight = stack.pop()
+        if profit + below[u] < best_profit:
+            continue
         if u:
             u -= 1
             stack.append((u, mask, profit, weight))

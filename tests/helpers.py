@@ -23,7 +23,7 @@ from graphsack import (Condensation, Instance, Item, Star, UnsupportedVariantErr
 from graphsack.graphs import _bfs_layers
 from graphsack.knapsack import _check_items, eps_fraction
 from graphsack.oracle import DEFAULT_MAX_N, _check_scale
-from graphsack.solution import ALL_NEIGHBOUR, Solution, make_solution
+from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -833,3 +833,65 @@ def exact_alln_mask_scan(instance: Instance, k: Optional[int] = None,
             continue
         best_profit, best_weight, best_verts = profit, weight, verts
     return make_solution(instance, best_verts, ALL_NEIGHBOUR, "exact-all", "exact", k)
+
+
+# ``exact_1n`` as it was before its ``doomed`` mask: a scan of the unsupported
+# members against a ``future`` table at every node.  Differential reference
+# for ``graphsack.oracle.exact_1n``.
+
+def exact_1n_support_scan(instance: Instance, k: Optional[int] = None,
+                          max_n: int = DEFAULT_MAX_N) -> Solution:
+    """Maximum-profit 1-neighbour set of weight <= k, by pruned search.
+
+    Ties break toward smaller weight, then the lexicographically smallest
+    vertex tuple.
+    """
+    k = _check_scale(instance, k, max_n)
+    n = instance.n
+    adj_mask = [0] * n
+    radj_mask = [0] * n
+    for v in range(n):
+        for u in instance.adj[v]:
+            adj_mask[v] |= 1 << u
+        for u in instance.radj[v]:
+            radj_mask[v] |= 1 << u
+    suffix_profit = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_profit[i] = suffix_profit[i + 1] + instance.profits[i]
+    future = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        future[i] = future[i + 1] | (1 << i)
+
+    best_profit, best_weight, best_verts = 0, 0, ()
+    # depth-first over (next vertex, mask, profit, weight, unsupported members),
+    # on a stack: the include branch is pushed last, so it is searched first
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        i, mask, profit, weight, unsupported = stack.pop()
+        if profit + suffix_profit[i] < best_profit:
+            continue
+        u = unsupported
+        while u:
+            v = (u & -u).bit_length() - 1
+            if not adj_mask[v] & future[i]:
+                break  # v can never gain a neighbour
+            u &= u - 1
+        if u:
+            continue
+        if i == n:
+            if unsupported:
+                continue
+            verts = tuple(v for v in range(n) if mask >> v & 1)
+            if (profit, -weight) > (best_profit, -best_weight) or \
+                    ((profit, weight) == (best_profit, best_weight) and verts < best_verts):
+                best_profit, best_weight, best_verts = profit, weight, verts
+            continue
+        stack.append((i + 1, mask, profit, weight, unsupported))
+        w = instance.weights[i]
+        if weight + w <= k:
+            new_unsupported = unsupported & ~radj_mask[i]
+            if adj_mask[i] and not adj_mask[i] & mask:
+                new_unsupported |= 1 << i
+            stack.append((i + 1, mask | (1 << i), profit + instance.profits[i],
+                          weight + w, new_unsupported))
+    return make_solution(instance, best_verts, ONE_NEIGHBOUR, "exact-1n", "exact", k)

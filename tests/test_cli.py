@@ -399,6 +399,14 @@ class TestBench:
                      "--jobs", jobs]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_dir_naming_a_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "i.gsk"
+        path.write_text(serialize(Instance(False, 1, [], [1], [1], 1)))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--dir", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: not a directory: {path}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["missing/o.csv", "."])
     def test_unwritable_out_rejected_before_solving(self, tmp_path, capsys, monkeypatch, out):
         directory = self.make_corpus(tmp_path, count=1)
@@ -524,8 +532,10 @@ class TestInfeasibleSolverOutput:
     MESSAGE = "greedy-1n produced an infeasible one-neighbour set"
 
     def broken_greedy(self, instance, k=None, eps=0.1):
-        """A stand-in for greedy-1n that hands ``VERTICES`` to make_solution."""
-        return make_solution(instance, self.VERTICES, ONE_NEIGHBOUR, "greedy-1n", "broken", k)
+        """A stand-in for greedy-1n that hands ``VERTICES`` to make_solution,
+        with the budget resolved as the solvers resolve it."""
+        return make_solution(instance, self.VERTICES, ONE_NEIGHBOUR, "greedy-1n", "broken",
+                             instance.solver_budget(k))
 
     def test_solve_exits_1(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path / "i.gsk", self.INSTANCE)
@@ -557,6 +567,14 @@ class TestInvalidVertexIdOutput(TestInfeasibleSolverOutput):
 
     VERTICES = [7]
     MESSAGE = "greedy-1n produced an invalid vertex id 7"
+
+
+class TestOverBudgetSolverOutput(TestInfeasibleSolverOutput):
+    """A feasible solver output heavier than the budget is a solver fault:
+    exit 1 from solve, an error row from bench."""
+
+    VERTICES = [0, 1]  # the edge's endpoints, weight 3 against budget 2
+    MESSAGE = "greedy-1n exceeded the budget"
 
 
 class TestApplicableVariants:

@@ -54,6 +54,16 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             Instance(False, 1, [], [0], [0], -1)
 
+    @pytest.mark.parametrize("weights, profits", [([0], [0, 0]), ([0, 0], [0]),
+                                                  ([0, 0, 0], [0, 0])])
+    def test_rejects_value_lists_of_the_wrong_length(self, weights, profits):
+        with pytest.raises(ValidationError, match="one entry per vertex"):
+            Instance(False, 2, [], weights, profits, 0)
+
+    def test_rejects_non_integer_weight(self):
+        with pytest.raises(ValidationError, match="weight of vertex 1 is not an integer"):
+            Instance(False, 2, [], [0, 1.5], [0, 0], 0)
+
     @pytest.mark.parametrize("n", [True, 1.0, "1", -1])
     def test_rejects_bad_vertex_count(self, n):
         with pytest.raises(ValidationError, match="vertex count"):
@@ -421,6 +431,12 @@ class TestDescendants:
         b, c = cond.membership[1], cond.membership[2]
         d = cond.membership[3]
         assert descendants(cond, [b, c]) == {b, c, d}
+
+    @pytest.mark.parametrize("scc_id", [2, -1])
+    def test_rejects_out_of_range_scc_id(self, scc_id):
+        cond = condense(directed(2, [(0, 1)]))
+        with pytest.raises(ValidationError, match=f"invalid SCC id {scc_id}"):
+            descendants(cond, [0, scc_id])
 
 
 class TestPredicates:

@@ -78,6 +78,11 @@ class TestParseSerialize:
         with pytest.raises(ParseError, match="duplicate"):
             parse(SAMPLE.replace("e 1 2", "e 0 1"))
 
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ParseError, match=re.escape(
+                "line 1: direction must be directed|undirected, got 'sideways'")):
+            parse("graph sideways 1 0\nbudget 0\nv 0 0 0\n")
+
     def test_directed_round_trip(self):
         inst = gen_random(5, 0.6, True, 2, 2, 3, seed=9)
         assert parse(serialize(inst)) == inst
@@ -231,6 +236,17 @@ class TestGenRandom:
         assert all(0 <= w <= 4 for w in inst.weights)
         assert all(0 <= p <= 7 for p in inst.profits)
 
+    @pytest.mark.parametrize("edge_prob", [-0.1, 1.5])
+    def test_rejects_edge_prob_outside_unit_interval(self, edge_prob):
+        with pytest.raises(ValidationError, match=re.escape("edge_prob must lie in [0, 1]")):
+            gen_random(4, edge_prob, False, 1, 1, 1, seed=1)
+
+    @pytest.mark.parametrize("n, w_max, p_max, k", [(-1, 1, 1, 1), (4, -1, 1, 1),
+                                                    (4, 1, -1, 1), (4, 1, 1, -1)])
+    def test_rejects_negative_sizes(self, n, w_max, p_max, k):
+        with pytest.raises(ValidationError, match="n, w_max, p_max, k must be non-negative"):
+            gen_random(n, 0.5, False, w_max, p_max, k, seed=1)
+
 
 class TestGenMaxKCover:
     def test_single_set_instance(self):
@@ -256,6 +272,21 @@ class TestGenMaxKCover:
     def test_rejects_empty_collection(self):
         with pytest.raises(ValidationError):
             gen_max_k_cover(2, [], 1)
+
+    def test_rejects_negative_element_count(self):
+        with pytest.raises(ValidationError, match="n_elements must be non-negative"):
+            gen_max_k_cover(-1, [[]], 1)
+
+    @pytest.mark.parametrize("overrides", [{"element_profits": [1]},
+                                           {"set_weights": [1, 1]}])
+    def test_rejects_mismatched_overrides(self, overrides):
+        with pytest.raises(ValidationError, match="overrides must match the set system"):
+            gen_max_k_cover(2, [[0, 1]], 1, **overrides)
+
+    @pytest.mark.parametrize("element", [2, -1])
+    def test_rejects_out_of_range_element(self, element):
+        with pytest.raises(ValidationError, match=f"set 1 names invalid element {element}"):
+            gen_max_k_cover(2, [[0], [1, element]], 1)
 
     def test_optimum_equals_cover_value(self):
         rng = random.Random(31)
@@ -302,6 +333,13 @@ class TestGenSetCoverCycles:
             gen_set_cover_cycles(2, [], 1)
         with pytest.raises(ValidationError):
             gen_set_cover_cycles(2, [[0]], 0)
+        with pytest.raises(ValidationError, match="n_elements must be non-negative"):
+            gen_set_cover_cycles(-1, [[]], 1)
+
+    @pytest.mark.parametrize("element", [2, -1])
+    def test_rejects_out_of_range_element(self, element):
+        with pytest.raises(ValidationError, match=f"set 1 names invalid element {element}"):
+            gen_set_cover_cycles(2, [[0], [1, element]], 1)
 
 
 class TestGenNetworkBudget:
@@ -331,6 +369,20 @@ class TestGenNetworkBudget:
     def test_rejects_self_loop_link(self):
         with pytest.raises(ValidationError, match=re.escape("topology edge (1, 1)")):
             gen_network_budget(2, [(0, 1), (1, 1)], 0, [5, 7], {1: 3}, 10)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, [(0, 1)], 2, [5], {1: 7}, 5), "sink must be a topology vertex"),
+        ((2, [(0, 1)], -1, [5], {1: 7}, 5), "sink must be a topology vertex"),
+        ((2, [(0, 1)], 0, [5, 6], {1: 7}, 5), "edge_costs must align with the topology"),
+        ((2, [(0, 1)], 0, [], {1: 7}, 5), "edge_costs must align with the topology"),
+        ((2, [(0, 1)], 0, [5], {2: 7}, 5), "customer 2 is not a topology vertex"),
+        ((2, [(0, 1)], 0, [5], {-1: 7}, 5), "customer -1 is not a topology vertex"),
+        ((2, [(0, 1)], 0, [5], {1: -7}, 5), "customer profits must be non-negative"),
+        ((2, [(0, 1)], 0, [-5], {1: 7}, 5), "edge costs must be non-negative"),
+    ])
+    def test_rejects_bad_arguments(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            gen_network_budget(*args)
 
 
 def test_generator_outputs_pass_validation_and_reserialize():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from unittest import mock
 
@@ -31,6 +32,19 @@ def enumerate_best(items, capacity):
             if w <= capacity and (p, -w) > (best[0], -best[1]):
                 best = (p, w)
     return best
+
+
+@pytest.mark.parametrize("weight, profit", [(-1, 0), (0, -1)])
+def test_item_rejects_negative_values(weight, profit):
+    with pytest.raises(ValidationError, match="item 3: negative weight or profit"):
+        Item(3, weight, profit)
+
+
+@pytest.mark.parametrize("solve", [knapsack_exact, partial(knapsack_fptas, eps=0.1),
+                                   partial(ratio_fptas, eps=0.1)])
+def test_solvers_reject_negative_capacity(solve):
+    with pytest.raises(ValidationError, match="capacity must be non-negative"):
+        solve(items_of((1, 1)), -1)
 
 
 class TestRatioKey:
@@ -225,6 +239,10 @@ class TestSubsetSum:
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ValidationError):
             subset_sum_max([3, 0], 4)
+
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValidationError, match="k must be non-negative"):
+            subset_sum_max([3, 2], -1)
 
     def test_matches_enumeration(self):
         rng = random.Random(321)

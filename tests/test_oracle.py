@@ -12,9 +12,9 @@ from graphsack import (Instance, OracleScaleError, ValidationError, exact_1n, ex
                        uniform_directed_1n_ptas, uniform_directed_alln_ptas,
                        uniform_undirected_1n, uniform_undirected_alln)
 from graphsack.graphs import MAX_VALUE
-from helpers import (adjacency_masks, exact_alln_mask_scan, feasible_all_mask,
-                     feasible_one_mask, load_perfbench, planted_cycle_graphs,
-                     random_instance)
+from helpers import (adjacency_masks, exact_1n_support_scan, exact_alln_mask_scan,
+                     feasible_all_mask, feasible_one_mask, load_perfbench,
+                     planted_cycle_graphs, random_instance)
 
 
 def raw_best(inst, k, check):
@@ -111,6 +111,14 @@ class TestExactAlln:
         sol = exact_alln(inst, 10, max_n=60)
         assert sol.chosen == tuple(range(50, 60)) and sol.total_profit == 545
 
+    def test_isolated_units_that_all_fit(self):
+        # every one of the 2^30 subsets is a closed set within k; once the
+        # whole set is found, the profit bound prunes every other branch
+        n = 30
+        inst = Instance(True, n, [], [1] * n, list(range(1, n + 1)), n)
+        sol = exact_alln(inst, n, max_n=n)
+        assert sol.chosen == tuple(range(n)) and sol.total_profit == n * (n + 1) // 2
+
 
 def totals(sol):
     return sol.chosen, sol.total_profit, sol.total_weight
@@ -144,6 +152,25 @@ class TestExactAllnMatchesMaskScan:
         for stem, text, _constraint, _variant in members:
             inst = parse(text)
             assert totals(exact_alln(inst)) == totals(exact_alln_mask_scan(inst)), stem
+
+
+class TestExact1nMatchesSupportScan:
+    """The one-test ``doomed`` prune picks the same set as the old scan of the
+    unsupported members: both prune exactly the nodes where some member's
+    neighbours all lie below the next vertex."""
+
+    @given(oracle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_instances(self, case):
+        inst, k = case
+        assert totals(exact_1n(inst, k)) == totals(exact_1n_support_scan(inst, k))
+
+    def test_bench_corpus_pool(self):
+        members = list(load_perfbench("workloads").pool_members("bench-corpus"))
+        assert len(members) == 168
+        for stem, text, _constraint, _variant in members:
+            inst = parse(text)
+            assert totals(exact_1n(inst)) == totals(exact_1n_support_scan(inst)), stem
 
 
 @pytest.mark.parametrize("solve, directed", [

@@ -79,6 +79,29 @@ class TestValidateStar:
         with pytest.raises(ValidationError):
             validate_star(undirected(3, [(0, 1), (0, 2)]), Star(0, leaves))
 
+    def test_rejects_leaf_not_adjacent_to_center(self):
+        with pytest.raises(ValidationError, match="leaf 2 not adjacent to center 0"):
+            validate_star(undirected(3, [(0, 1), (1, 2)]), Star(0, (1, 2)))
+
+    def test_rejects_bare_center_of_positive_degree(self):
+        with pytest.raises(ValidationError, match="bare center with positive degree"):
+            validate_star(undirected(2, [(0, 1)]), Star(0, ()))
+
+    def test_rejects_star_that_is_not_a_1_neighbour_set(self):
+        # directed 0 -> 1 -> 2: leaf 1 needs its own out-neighbour 2
+        inst = Instance(True, 3, [(0, 1), (1, 2)], [1] * 3, [1] * 3, 3)
+        with pytest.raises(ValidationError, match="not a 1-neighbour set"):
+            validate_star(inst, Star(0, (1,)))
+
+
+@pytest.mark.parametrize("oracle", [best_profit_viable_star, best_ratio_viable_star])
+def test_star_oracles_reject_bad_arguments(oracle):
+    inst = Instance(True, 2, [(0, 1)], [1, 1], [1, 1], 2)
+    with pytest.raises(ValidationError, match="require an undirected instance"):
+        oracle(inst, 2, 0.1)
+    with pytest.raises(ValidationError, match="capacity must be non-negative"):
+        oracle(undirected(2, [(0, 1)]), -1, 0.1)
+
 
 class TestBestProfitViableStar:
     def test_single_edge(self):

@@ -22,3 +22,11 @@ def test_package_imports_only_the_standard_library():
     outside = {(path.name, name) for path in paths for name in absolute_imports(path)
                if name not in sys.stdlib_module_names}
     assert outside == set()
+
+
+def test_package_parses_as_python_3_10():
+    """Every source file parses under the oldest grammar ``requires-python``
+    allows.  This checks syntax only: a call into a newer standard library
+    module or function still passes, and is caught only by running on 3.10."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
