@@ -7,6 +7,7 @@ by cross-multiplication with explicit conventions for zero weights.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -15,6 +16,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .errors import ValidationError
 
 PROFIT_TABLE_BOUND = 1 << 40
+_ONE = Fraction(1)
+_CELL_FORMATS = {2: "H", 4: "I", 8: "Q"}  # memoryview formats by cell size
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ def eps_fraction(eps) -> Fraction:
     Floats are read through their decimal string form, so ``0.1`` means 1/10.
     Anything that is not a number, ``nan`` and ``inf`` included, is rejected.
     """
+    if type(eps) is Fraction and 0 < eps.numerator < eps.denominator:
+        return eps
     try:
         value = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     except (ValueError, TypeError, ArithmeticError) as exc:
@@ -122,13 +127,22 @@ class ProfitTable:
     the FPTAS divisor ``eps * max_profit / n``, clamped to >= 1 so adjusted
     profits never exceed true profits (the table is then exact).
 
-    Row ``i`` covers ``items[i:]``, is built from row ``i + 1`` by whole-row
-    list operations, and ends at the highest level they reach within the
-    capacity; heavier cells hold ``capacity + 1``.  A fitting cell is a
-    minimum over lighter cells of row ``i + 1``, and the scan and the witness
-    walk read only fitting cells or compare a cell plus a weight with a
-    fitting weight.  The walk's ``rem_p`` fits in row ``i`` (in row ``i + 1``
-    or by taking item ``i``), so ``rem_p - a`` is inside row ``i + 1``.
+    Row ``i`` covers ``items[i:]`` and ends at the highest level they reach
+    within the capacity; heavier cells hold ``capacity + 1``.  It is built
+    from row ``i + 1`` by a few whole-row int operations on packed cells
+    (SWAR; Lamport, CACM 18(8), 1975).  A packed cell holds the slack
+    ``capacity + 1 - weight`` under a guard bit, so taking item ``i`` is a
+    saturating subtraction of its weight, shifted up its adjusted profit, and
+    the new row is the fieldwise maximum of the two; an item heavier than the
+    capacity leaves the row as it is.  Each row is then decoded once into min
+    weights: ``bytes`` for one-byte cells, a ``memoryview`` for cells of 2 to
+    8 bytes, else a list.
+
+    A fitting cell is a minimum over lighter cells of row ``i + 1``, and the
+    scan and the witness walk read only fitting cells or compare a cell plus a
+    weight with a fitting weight.  The walk's ``rem_p`` fits in row ``i`` (in
+    row ``i + 1`` or by taking item ``i``), so ``rem_p - a`` is inside row
+    ``i + 1``.
     """
 
     def __init__(self, items: Iterable[Item], capacity: int, eps=None):
@@ -137,30 +151,55 @@ class ProfitTable:
         self.items = _check_items(list(items))
         n = len(self.items)
         profits = [it.profit for it in self.items]
-        num = den = 1  # the divisor is num / den
+        self.divisor, self.adjusted = _ONE, tuple(profits)
         if eps is not None and n > 0:
             eps = eps_fraction(eps)
             num, den = eps.numerator * max(profits), eps.denominator * n
-            if num <= den:
-                num = den = 1
-        self.divisor = Fraction(num, den)
-        self.adjusted = tuple(p * den // num for p in profits)
+            if num > den:  # else the divisor is clamped to 1
+                self.divisor = Fraction(num, den)
+                self.adjusted = tuple(p * den // num for p in profits)
         self._profit = {it.id: it.profit for it in self.items}
         absent = self._absent = capacity + 1
 
-        rows = [[0]]
+        # A row is one int of ``size`` bytes per cell; a cell holds the slack
+        # ``absent - weight`` under a zero guard bit, so an absent cell is 0.
+        size = (absent.bit_length() + 8) // 8
+        if size <= 8:
+            size = 1 << (size - 1).bit_length()  # a memoryview format's width
+        bits, top = 8 * size, 8 * size - 1
+        guard = (1 << top).to_bytes(size, "little")
+        row, length = absent, 1
+        cells, guards = 1, 1 << top  # the guard bits of ``cells`` cells
+        rows = [row]
         for it, a in zip(reversed(self.items), reversed(self.adjusted)):
-            nxt, w = rows[-1], it.weight
-            # taking item i moves level q of row i + 1 to level q + a; a minimum
-            # with x <= absent needs no clamp, and a new cell y + w is clamped
-            row = nxt[:a] + [absent] * (a - len(nxt))
-            row += [x if x <= (t := y + w) else t for x, y in zip(nxt[a:], nxt)]
-            row += [t if (t := y + w) < absent else absent for y in nxt[len(row) - a:]]
-            while row[-1] == absent:
-                row.pop()
+            w = it.weight
+            if w <= capacity:  # else no cell of the take row fits
+                # take: each slack less w, saturating at 0, moved up a cells
+                h = guards >> (cells - length) * bits
+                d = (row | h) - (h >> top) * w
+                g = d & h
+                take = (d & (g - (g >> top))) << a * bits
+                length = -(-max(row.bit_length(), take.bit_length()) // bits)
+                if length > cells:
+                    cells = max(length, 2 * cells)
+                    guards = int.from_bytes(guard * cells, "little")
+                # the fieldwise max: a guard bit survives where row >= take
+                h = guards >> (cells - length) * bits
+                g = ((row | h) - take) & h
+                row = take ^ ((row ^ take) & (g - (g >> top)))
             rows.append(row)
         rows.reverse()
-        self._rows, self.level_count = rows, len(rows[0])
+        # decode each row once into min weights, absent - slack in every cell
+        full = absent * (guards >> top)
+        fmt = _CELL_FORMATS.get(size) if sys.byteorder == "little" else None
+        for i, row in enumerate(rows):
+            m = -(-row.bit_length() // bits)
+            buf = ((full >> (cells - m) * bits) - row).to_bytes(m * size, "little")
+            if size > 1:  # bytes index as one-byte cells
+                buf = (memoryview(buf).cast(fmt) if fmt else
+                       [int.from_bytes(buf[j:j + size], "little") for j in range(0, m * size, size)])
+            rows[i] = buf
+        self._rows, self.level_count = rows, length
 
     def true_profit(self, ids: Iterable[int]) -> int:
         return sum(self._profit[i] for i in ids)

@@ -396,6 +396,29 @@ def knapsack_fptas_full_scan(items, capacity: int, eps, table_cls):
     return best[2], best[0]
 
 
+# ``ProfitTable``'s row loop as it was before its rows were packed ints,
+# copied unchanged: whole-row list operations, then a trim.  Differential
+# reference for the packed kernel of ``graphsack.ProfitTable``.
+
+def list_kernel_rows(items: Sequence[Item], adjusted: Sequence[int],
+                     absent: int) -> list[list[int]]:
+    """The min-weight rows of ``items`` (sorted by id) at their adjusted
+    profits, heavier cells holding ``absent``; row 0 has the level count."""
+    rows = [[0]]
+    for it, a in zip(reversed(items), reversed(adjusted)):
+        nxt, w = rows[-1], it.weight
+        # taking item i moves level q of row i + 1 to level q + a; a minimum
+        # with x <= absent needs no clamp, and a new cell y + w is clamped
+        row = nxt[:a] + [absent] * (a - len(nxt))
+        row += [x if x <= (t := y + w) else t for x, y in zip(nxt[a:], nxt)]
+        row += [t if (t := y + w) < absent else absent for y in nxt[len(row) - a:]]
+        while row[-1] == absent:
+            row.pop()
+        rows.append(row)
+    rows.reverse()
+    return rows
+
+
 # The two star oracles as they were before they pruned: every center, every
 # fitting level, a witness walk per level.  Differential references for
 # ``graphsack.stars``.

@@ -1,6 +1,7 @@
 """Knapsack primitives against enumeration, plus the exact ratio order."""
 
 import random
+import time
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphsack import (Item, ProfitTable, ValidationError, knapsack_exact,
-                       knapsack_fptas, ratio_fptas, ratio_key, subset_sum_max)
+from graphsack import (Item, ProfitTable, ValidationError, connected_components,
+                       knapsack_exact, knapsack_fptas, parse, ratio_fptas, ratio_key,
+                       subset_sum_max)
 from graphsack.knapsack import eps_fraction, fitting_picks
 from helpers import (BruteProfitTable, CapacityProfitTable, NonemptyProfitTable,
                      UnboundedProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
-                     ratio_key_reference, ratio_meets)
+                     list_kernel_rows, load_perfbench, ratio_key_reference, ratio_meets)
 
 
 def items_of(*pairs):
@@ -167,6 +169,16 @@ class TestKnapsackFptas:
             eps_fraction(eps)
         with pytest.raises(ValidationError):
             knapsack_fptas(items_of((1, 1)), 1, eps)
+
+    @pytest.mark.parametrize("eps, shown", [(Fraction(0), "0"), (Fraction(1), "1"),
+                                            (Fraction(-1, 2), "-1/2"), (Fraction(3, 2), "3/2")])
+    def test_rejects_out_of_range_fractions(self, eps, shown):
+        with pytest.raises(ValidationError, match=rf"^epsilon must be in \(0, 1\), got {shown}$"):
+            eps_fraction(eps)
+
+    def test_in_range_fraction_is_returned_as_is(self):
+        eps = Fraction(1, 10)
+        assert eps_fraction(eps) is eps
 
     def test_tie_across_levels(self):
         # divisor 20/3: {0} sits at level 6, {1, 2} at level 3 + 2 = 5, both
@@ -365,6 +377,64 @@ class TestProfitTable:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValidationError):
             ProfitTable([Item(1, 1, 1), Item(1, 2, 2)], 3)
+
+
+def assert_list_kernel_rows(table):
+    """``table`` holds the list kernel's rows, cell for cell."""
+    ref = list_kernel_rows(table.items, table.adjusted, table._absent)
+    assert [list(row) for row in table._rows] == ref
+    assert table.level_count == len(ref[0])
+
+
+class TestPackedRows:
+    """The packed-int row kernel builds the list kernel's rows exactly."""
+
+    @given(st.lists(st.tuples(st.integers(0, 30),
+                              st.one_of(st.integers(0, 3), st.integers(0, 400),
+                                        st.just(2 ** 63 - 1)),
+                              st.one_of(st.integers(0, 3), st.integers(0, 200))),
+                    max_size=9, unique_by=lambda t: t[0]),
+           st.one_of(st.integers(0, 40), st.integers(0, 300),
+                     st.sampled_from([0, 126, 127, 2 ** 15 - 2, 2 ** 15 - 1, 2 ** 31 - 2,
+                                      2 ** 31 - 1, 2 ** 63 - 2, 2 ** 63 - 1])),
+           st.sampled_from([None, Fraction(1, 10), Fraction(1, 2)]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_list_kernel(self, triples, capacity, eps):
+        # Zero weights and profits, weights above the capacity, capacity 0,
+        # and every cell width: 1, 2, 4 and 8 bytes, and the wide cells of
+        # capacity 2^63 - 1.
+        assert_list_kernel_rows(ProfitTable([Item(*t) for t in triples], capacity, eps))
+
+    @pytest.mark.parametrize("capacity, decoded", [
+        (126, bytes), (127, memoryview), (2 ** 63 - 2, memoryview), (2 ** 63 - 1, list),
+        (2 ** 70, list)])
+    def test_every_decode(self, capacity, decoded):
+        # One-byte cells stay bytes, cells of 2 to 8 bytes decode through a
+        # memoryview, and wider ones cell by cell.
+        items = items_of((0, 5), (3, 2), (capacity, 7), (capacity + 1, 9), (1, 0))
+        table = ProfitTable(items, capacity)
+        assert_list_kernel_rows(table)
+        assert {type(row) for row in table._rows} == {decoded}
+
+    def test_component_dp_pool(self):
+        # The tables gua-fptas builds on every component-dp pool member.
+        members = list(load_perfbench("workloads").pool_members("component-dp"))
+        assert len(members) == 144
+        for stem, text, _constraint, _variant in members:
+            inst = parse(text)
+            items = [Item(i, inst.total_weight(c), inst.total_profit(c))
+                     for i, c in enumerate(connected_components(inst))]
+            fitting = [it for it in items if it.weight <= inst.budget]
+            assert_list_kernel_rows(ProfitTable(fitting, inst.budget, Fraction(1, 10)))
+
+    def test_heavy_item_adds_no_cells(self):
+        # An item heavier than the capacity leaves the row as it is, however
+        # high its profit: no row is padded up to its level.
+        items = [Item(0, 100, 2 ** 39), Item(1, 1, 1)]
+        assert [len(row) for row in ProfitTable(items, 10)._rows] == [2, 2, 1]
+        start = time.perf_counter()
+        assert knapsack_exact(items, 10) == ((1,), 1)
+        assert time.perf_counter() - start < 0.5
 
 
 def filtered_combinations(candidates, k, cost):
