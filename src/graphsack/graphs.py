@@ -118,14 +118,29 @@ class Instance:
         return tuple(sorted(set(vertices)))
 
     def induced(self, vertices: Iterable[int]) -> tuple["Instance", tuple[int, ...]]:
-        """Induced sub-instance on ``vertices`` plus the new->old id map."""
+        """Induced sub-instance on ``vertices`` plus the new->old id map.
+
+        The sub-instance is filled from this instance's validated fields and
+        not validated again.  The id map increases, so the filtered neighbour
+        lists stay ascending, and the edges read off them in order come out
+        normalised and sorted.  Every tuple is built from a list, which keeps
+        peak memory down over the many rounds of greedy-1n.
+        """
         keep = self.check_vertices(vertices)
-        index = {v: i for i, v in enumerate(keep)}
-        edges = [(index[u], index[v]) for u, v in self.edges if u in index and v in index]
-        sub = Instance(self.directed, len(keep), edges,
-                       [self.weights[v] for v in keep],
-                       [self.profits[v] for v in keep],
-                       self.budget)
+        new = dict(zip(keep, range(len(keep))))
+
+        def restrict(lists):
+            return tuple([tuple([new[u] for u in lists[v] if u in new]) for v in keep])
+
+        directed = self.directed
+        sub = Instance.__new__(Instance)
+        sub.directed, sub.n, sub.budget, sub.provenance = directed, len(keep), self.budget, None
+        sub.weights = tuple([self.weights[v] for v in keep])
+        sub.profits = tuple([self.profits[v] for v in keep])
+        sub.adj = restrict(self.adj)
+        sub.radj = restrict(self.radj) if directed else sub.adj
+        sub.edges = tuple([(i, j) for i, nbrs in enumerate(sub.adj) for j in nbrs
+                           if directed or i < j])
         return sub, keep
 
     def solver_budget(self, k) -> int:

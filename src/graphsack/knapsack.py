@@ -1,8 +1,9 @@
 """Classic 0-1 knapsack primitives built on a min-weight-per-profit table.
 
 All arithmetic is exact: weights/profits are Python ints and every ratio
-comparison goes through :func:`ratio_key`, which orders profit/weight pairs
-by cross-multiplication with explicit conventions for zero weights.
+comparison goes through :func:`ratio_key`, an int key that orders
+profit/weight pairs exactly (a floor of the ratio scaled by 2**256), with
+explicit conventions for zero weights.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
@@ -50,61 +50,35 @@ def eps_fraction(eps) -> Fraction:
     return value
 
 
-class _RatioKey:
-    """The ratio ``num / den`` (``den == 0`` is infinite), then ``rank``.
-
-    Keys compare by integer cross-multiplication, so nothing is divided or
-    reduced; ``rank`` orders keys whose ratios are equal.
-    """
-
-    __slots__ = ("num", "den", "rank")
-
-    def __init__(self, num: int, den: int, rank: int):
-        self.num, self.den, self.rank = num, den, rank
-
-    def __lt__(self, other):
-        d = self.num * other.den - other.num * self.den
-        return d < 0 if d else self.rank < other.rank
-
-    def __le__(self, other):
-        d = self.num * other.den - other.num * self.den
-        return d < 0 if d else self.rank <= other.rank
-
-    def __gt__(self, other):
-        d = self.num * other.den - other.num * self.den
-        return d > 0 if d else self.rank > other.rank
-
-    def __ge__(self, other):
-        d = self.num * other.den - other.num * self.den
-        return d > 0 if d else self.rank >= other.rank
-
-    def __eq__(self, other):
-        try:
-            return self.num * other.den == other.num * self.den and self.rank == other.rank
-        except AttributeError:
-            return NotImplemented
-
-    def __hash__(self):
-        g = gcd(self.num, self.den)
-        return hash((self.num // g, self.den // g, self.rank))
-
-    def __repr__(self):
-        return f"ratio_key({self.num}/{self.den}, rank={self.rank})"
+_RATIO_LIMIT = 1 << 128  # profits and weights must stay below it
+_RATIO_TOP = 1 << 384    # zero weight, positive profit: above every finite key
 
 
-def ratio_key(profit: int, weight: int) -> _RatioKey:
-    """Sort key realizing the exact profit-to-weight total order.
+def ratio_key(profit: int, weight: int) -> int:
+    """Sort key realizing the exact profit-to-weight total order, as an int.
 
     For non-negative integers, ``(p1,w1) >= (p2,w2)`` iff ``p1*w2 >= p2*w1``,
     with two conventions on top: every zero-weight positive-profit set ranks
     above all positive-weight sets (and ties with the others of its kind),
     and a (0, 0) set ranks above the (0, w>0) sets and below every positive
-    ratio.  Keys support ``<``, ``<=``, ``>``, ``>=``, ``==`` and hashing,
-    and compare by cross-multiplication without building a Fraction.
+    ratio.  Keys are plain ints, so sorts, ``max`` and tuple keys compare
+    them in C.
+
+    A positive weight gives ``(profit << 256) // weight``.  Both values must
+    be below 2**128, else :class:`ValidationError`: then two different ratios
+    differ by at least ``1 / (w1 * w2) > 2**-256``, so their scaled values
+    differ by more than 1 and their floors differ in the same direction,
+    while equal ratios scale to equal floors.  A positive ratio is at least
+    ``2**256 / 2**128 > 1``, above (0, 0)'s key 1 and (0, w>0)'s key 0, and
+    every finite key is below ``2**128 << 256``, the zero-weight class's key.
+    Every total of an :class:`~graphsack.graphs.Instance` is below
+    ``n * 2**63``, well inside the domain.
     """
+    if profit >= _RATIO_LIMIT or weight >= _RATIO_LIMIT:
+        raise ValidationError("ratio_key needs profit and weight below 2^128")
     if weight:
-        return _RatioKey(profit, weight, 0)
-    return _RatioKey(1, 0, 0) if profit else _RatioKey(0, 1, 1)
+        return (profit << 256) // weight
+    return _RATIO_TOP if profit else 1
 
 
 def _check_items(items: Sequence[Item]) -> list[Item]:
@@ -293,12 +267,15 @@ def ratio_fptas(items: Sequence[Item], capacity: int, eps):
     its best member's, the single items already pin the guarantee, and the
     table scan can only improve the reported set.  Comparison is by
     :func:`ratio_key`, then higher profit, then smaller weight, then smaller
-    id set.
+    id set, so the fitting items' profit and weight totals must be below
+    2**128, the key's domain.
     """
     eps = eps_fraction(eps)
     if capacity < 0:
         raise ValidationError("capacity must be non-negative")
     fitting = [it for it in _check_items(items) if it.weight <= capacity]
+    if max(sum(it.profit for it in fitting), sum(it.weight for it in fitting)) >= _RATIO_LIMIT:
+        raise ValidationError("ratio_fptas needs profit and weight totals below 2^128")
     if not fitting:
         return None
 

@@ -152,10 +152,11 @@ class _StarSearch:
         table = ProfitTable(items, budget, self.eps)
         base_p = profits[v] + sum(profits[u] for u in forced)
         base_w = weights[v] + sum(weights[u] for u in forced)
+        exact = table.divisor == 1
         for p, w in table.levels():
             if p == 0:
                 break
-            if table.divisor == 1 and key(base_p + p, base_w + w, v) < self.best_key:
+            if exact and key(base_p + p, base_w + w, v) < self.best_key:
                 continue
             ids = table.witness(p)
             self.offer(base_p + table.true_profit(ids), base_w + w, v, tuple(sorted(ids + forced)))
@@ -174,8 +175,9 @@ def best_profit_viable_star(instance: Instance, capacity: int, eps) -> Optional[
     witness, or its profit is below the divisor and every witness above
     level 0 beats it.  The key is higher profit, then smaller weight, then
     smaller center; a center's bound is its profit plus the profits of all
-    its fitting leaves.  Returns None when no feasible star fits; the search
-    is :class:`_StarSearch`.
+    its fitting leaves.  A center with one fitting leaf builds no table: its
+    one non-empty leaf set is that leaf.  Returns None when no feasible star
+    fits; the search is :class:`_StarSearch`.
     """
     search = _StarSearch(instance, capacity, eps, lambda p, w, v: (p, -w, -v))
     weights, profits = instance.weights, instance.profits
@@ -183,20 +185,22 @@ def best_profit_viable_star(instance: Instance, capacity: int, eps) -> Optional[
         lightest = min(leaves, key=lambda u: (weights[u], u))
         search.offer(profits[v] + profits[lightest], weights[v] + weights[lightest], v,
                      (lightest,))
-        search.offer_levels(v, [Item(u, weights[u], profits[u]) for u in leaves],
-                            capacity - weights[v])
+        if len(leaves) > 1:
+            search.offer_levels(v, [Item(u, weights[u], profits[u]) for u in leaves],
+                                capacity - weights[v])
     return search.best
 
 
 def _center_bound(profits, weights, keys, center: int, leaves):
     """Largest :func:`ratio_key` of ``center`` plus any subset of ``leaves``.
 
-    ``keys[v]`` is ``ratio_key(profits[v], weights[v])``.  The leaves join in
-    descending key order while each one's key is strictly above the running
-    set's, since the best subset for a fractional ratio is a prefix in ratio
-    order.  The zero-weight conventions of :func:`ratio_key` hold as they are:
-    a zero-weight leaf with positive profit lifts the set to the top class,
-    which no later leaf exceeds.
+    ``keys[v]`` is ``ratio_key(profits[v], weights[v])``, an int, so the sort
+    below compares in C.  The leaves join in descending key order while each
+    one's key is strictly above the running set's, since the best subset for
+    a fractional ratio is a prefix in ratio order.  The zero-weight
+    conventions of :func:`ratio_key` hold as they are: a zero-weight leaf with
+    positive profit lifts the set to the top class, which no later leaf
+    exceeds.
     """
     p, w, key = profits[center], weights[center], keys[center]
     for u in sorted(leaves, key=keys.__getitem__, reverse=True):
@@ -220,8 +224,10 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
     candidate's own profit, which the shared table alone cannot guarantee.
     The key is the higher :func:`ratio_key`, then the higher profit; a
     center's bound is :func:`_center_bound`, the best ratio key of the
-    center plus any subset of its fitting leaves.  The search is
-    :class:`_StarSearch`.
+    center plus any subset of its fitting leaves.  A center with one fitting
+    leaf builds no table: that leaf is its one non-empty leaf set, already
+    offered as a single, and its forced-leaf table would be empty.  The
+    search is :class:`_StarSearch`.
     """
     search = _StarSearch(instance, capacity, eps, lambda p, w, v: (ratio_key(p, w), p))
     weights, profits = instance.weights, instance.profits
@@ -232,7 +238,7 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
         items = [Item(u, weights[u], profits[u]) for u in leaves]
         for it in items:
             offer(pv + it.profit, wv + it.weight, v, (it.id,))
-        if offer_levels(v, items, leaf_budget).divisor > 1:
+        if len(items) > 1 and offer_levels(v, items, leaf_budget).divisor > 1:
             for guess in items:
                 rest_budget = leaf_budget - guess.weight
                 others = [it for it in items

@@ -1,6 +1,7 @@
 """Graph core: validation, components, condensation, cycles, predicates."""
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -388,6 +389,52 @@ class TestGirthSearchMatchesFullScan:
         cycle, sources = self.searched_sources(monkeypatch, inst)
         assert cycle == (2, 3)
         assert sources == [0, 1, 2]
+
+
+@st.composite
+def induced_cases(draw):
+    """A directed or undirected instance with isolated vertices appended, a
+    budget and a provenance, and a vertex list that may be empty, full,
+    unsorted or repeated."""
+    g = draw(planted_cycle_graphs(directed=st.booleans(), max_n=12))
+    n = g.n + draw(st.integers(0, 3))
+    extra = draw(st.lists(st.integers(0, 9), min_size=n - g.n, max_size=n - g.n))
+    inst = Instance(g.directed, n, g.edges, g.weights + tuple(extra),
+                    g.profits + tuple(extra), draw(st.integers(0, 50)), "parent.txt")
+    everything = st.permutations(range(n)).map(list)
+    some = st.lists(st.integers(0, max(n - 1, 0)), max_size=2 * n) if n else st.just([])
+    return inst, draw(st.one_of(st.just([]), everything, some))
+
+
+class TestInduced:
+    """``Instance.induced`` fills the sub-instance from validated fields; it
+    equals an ``Instance`` built and validated from the same filtered data."""
+
+    @given(induced_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_validated_build(self, case):
+        inst, vertices = case
+        sub, ids = inst.induced(vertices)
+        keep = sorted(set(vertices))
+        index = {v: i for i, v in enumerate(keep)}
+        ref = Instance(inst.directed, len(keep),
+                       [(index[u], index[v]) for u, v in inst.edges if u in index and v in index],
+                       [inst.weights[v] for v in keep], [inst.profits[v] for v in keep],
+                       inst.budget)
+        assert ids == tuple(keep)
+        assert sub == ref
+        assert sub.edges == ref.edges
+        assert sub.adj == ref.adj
+        assert sub.radj == ref.radj
+        if not inst.directed:
+            assert sub.radj is sub.adj
+        assert sub.provenance is None
+
+    @pytest.mark.parametrize("bad", [-1, 4, True, 1.0, "0"])
+    def test_invalid_id_raises(self, bad):
+        inst = directed(4, [(0, 1), (1, 2)])
+        with pytest.raises(ValidationError, match=f"^invalid vertex id {re.escape(repr(bad))}$"):
+            inst.induced([0, bad, 2])
 
 
 class TestBoundary:

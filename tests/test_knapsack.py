@@ -62,14 +62,20 @@ class TestRatioKey:
         assert ratio_key(2, 4) == ratio_key(3, 6)
 
     NEAR_INT64 = [(1 << 63) - 2, (1 << 63) - 1, 1 << 63, (1 << 64) - 2, (1 << 64) - 1]
+    # the top of the key's domain: profits and weights below 2^128
+    NEAR_2_128 = [(1 << 127) - 1, 1 << 127, (1 << 127) + 1, (1 << 128) - 2, (1 << 128) - 1]
     values = st.one_of(st.integers(0, 6), st.sampled_from(NEAR_INT64),
                        st.builds(int.__add__, st.sampled_from(NEAR_INT64), st.integers(0, 6)),
-                       st.integers(0, 1 << 65))
+                       st.integers(0, 1 << 65), st.sampled_from(NEAR_2_128),
+                       st.builds(int.__sub__, st.sampled_from(NEAR_2_128), st.integers(0, 6)))
 
     @given(st.lists(st.tuples(values, values), min_size=1, max_size=10))
     @example([(0, 0), (5, 0), (0, 4), (3, 0), (0, 1), (2, 4), (1, 2)])
     @example([((1 << 63) - 1, (1 << 63) - 2), ((1 << 63) - 2, (1 << 63) - 3),
               ((1 << 64) - 2, (1 << 64) - 4), ((1 << 63) - 1, 0), (0, (1 << 63) - 1)])
+    @example([((1 << 128) - 1, (1 << 128) - 2), ((1 << 128) - 2, (1 << 128) - 3),
+              ((1 << 127) + 1, 1 << 127), (1 << 127, (1 << 127) - 1), ((1 << 128) - 1, 0),
+              (1, (1 << 128) - 1), (1, (1 << 128) - 2), (0, (1 << 128) - 1)])
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_order(self, pairs):
         for a in pairs:
@@ -82,6 +88,13 @@ class TestRatioKey:
                     assert hash(ka) == hash(kb)
         assert sorted(pairs, key=lambda t: ratio_key(*t)) \
             == sorted(pairs, key=lambda t: ratio_key_reference(*t))
+
+    @pytest.mark.parametrize("profit, weight", [
+        (1 << 128, 1), (1, 1 << 128), (1 << 128, 0), (0, 1 << 128), (1 << 130, 1 << 129)])
+    def test_refuses_values_from_2_128(self, profit, weight):
+        message = r"^ratio_key needs profit and weight below 2\^128$"
+        with pytest.raises(ValidationError, match=message):
+            ratio_key(profit, weight)
 
     def test_foreign_objects_are_unequal(self):
         assert ratio_key(1, 2) != (1, 2)
@@ -217,6 +230,17 @@ class TestRatioFptas:
     def test_none_when_nothing_fits(self):
         assert ratio_fptas(items_of((5, 1)), 4, 0.3) is None
         assert ratio_fptas([], 4, 0.3) is None
+
+    @pytest.mark.parametrize("pairs", [((1, 1 << 128),), ((1, 1 << 127), (1, 1 << 127)),
+                                       ((1 << 127, 1), (1 << 127, 1))])
+    def test_refuses_totals_from_2_128(self, pairs):
+        # up front, whatever the candidates compared: one item of profit
+        # 2^128 is never compared, yet is refused like the others
+        with pytest.raises(ValidationError, match=r"^ratio_fptas needs profit and weight totals"):
+            ratio_fptas(items_of(*pairs), 1 << 128, 0.3)
+
+    def test_items_that_do_not_fit_are_not_totalled(self):
+        assert ratio_fptas(items_of((10, 1 << 128), (1, 1)), 5, 0.3) == ((1,), 1, 1)
 
     def test_zero_profit_falls_back_to_min_weight_item(self):
         ids, profit, weight = ratio_fptas(items_of((7, 0), (5, 0), (6, 0)), 10, 0.3)

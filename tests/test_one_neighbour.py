@@ -1,5 +1,8 @@
 """Greedy, linear-exact, and PTAS solvers for the 1-neighbour constraint."""
 
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsack.cli
 from graphsack import (Instance, UnsupportedVariantError, ValidationError, condense,
                        gen_max_k_cover, greedy_1_neighbour, is_1_neighbour_set,
                        smallest_cycle, uniform_directed_1n_ptas, uniform_undirected_1n)
-from helpers import (brute_force_profit, opt_at, profit_for_every_budget,
-                     random_instance, random_uniform)
+from helpers import (PERFBENCH, brute_force_profit, load_perfbench, opt_at,
+                     profit_for_every_budget, random_instance, random_uniform)
 
 
 def undirected(n, edges, weights=None, profits=None, k=10):
@@ -101,6 +105,27 @@ class TestGreedyRoundTieBreaks:
             {"index": 1, "kind": "star", "vertices": (0, 1)},
             {"index": 2, "kind": "vertex", "vertices": (3,)}]
         assert sol.chosen == (0, 1, 3) and sol.trace["returned"] == "greedy-set"
+
+
+def test_star_greedy_pool_matches_the_benchmark_reference(tmp_path):
+    # Every star-greedy pool member, solved as the benchmark solves it, must
+    # pass the benchmark's own checker against its recorded reference answer.
+    workloads, check = load_perfbench("workloads"), load_perfbench("check")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    members = list(workloads.pool_members("star-greedy"))
+    assert len(members) == 128
+    for stem, text, constraint, variant in members:
+        assert variant == "greedy-1n"
+        path = tmp_path / f"{stem}.txt"
+        path.write_text(text, encoding="utf-8")
+        request = workloads.solve_request(str(path), constraint, variant)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = graphsack.cli.main(list(request.argv))
+        assert code == 0, (stem, out.getvalue())
+        key = check.reference_key(text.encode(), constraint)
+        assert check.check_solve(check.parse_graph(text), str(path), constraint, variant,
+                                 out.getvalue(), reference.get(key)) == [], stem
 
 
 class TestUniformUndirected:

@@ -243,22 +243,54 @@ class TestCenterBound:
         assert stars._center_bound(profits, weights, keys, 0, list(ids)) == brute
 
     def test_poor_center_builds_no_table(self, monkeypatch):
-        # Center 0 (w10, p1) sits next to leaf 1 (w1, p10), so its members'
-        # best ratio is 10, but every star of center 0 has ratio at most 1.
-        # The star {2, 3} at ratio 5 wins before center 0 is reached.
-        inst = undirected(4, [(0, 1), (2, 3)], weights=[10, 1, 1, 1], profits=[1, 10, 5, 5])
-        built = []
-
-        class Counting(stars.ProfitTable):
-            def __init__(self, items, capacity, eps=None):
-                built.append(tuple(it.id for it in items))
-                super().__init__(items, capacity, eps)
-
-        monkeypatch.setattr(stars, "ProfitTable", Counting)
+        # Center 0 (w10, p1) has two fitting leaves 1 and 2 (w1, p10), so its
+        # members' best ratio is 10, but every star of center 0 has ratio at
+        # most 21/12.  The triangle 3-4-5 (w1, p5) gives a star at ratio 5,
+        # which wins before center 0 is reached.  Centers 1 and 2 have one
+        # leaf each and build no table.
+        inst = undirected(6, [(0, 1), (0, 2), (3, 4), (3, 5), (4, 5)],
+                          weights=[10, 1, 1, 1, 1, 1], profits=[1, 10, 10, 5, 5, 5])
+        built = count_tables(monkeypatch)
         star = best_ratio_viable_star(inst, 20, 0.1)
-        assert star == best_ratio_viable_star_full_scan(inst, 20, 0.1) == Star(2, (3,))
-        assert (1,) not in built  # center 0's table, over its one leaf
-        assert sorted(built) == [(0,), (2,), (3,)]
+        assert star == best_ratio_viable_star_full_scan(inst, 20, 0.1) == Star(3, (4, 5))
+        assert (1, 2) not in built  # center 0's table, over its two leaves
+        assert sorted(built) == [(3, 4), (3, 5), (4, 5)]
+
+
+def count_tables(monkeypatch) -> list[tuple[int, ...]]:
+    """The item ids of every ``ProfitTable`` the star oracles build from now on."""
+    built = []
+
+    class Counting(stars.ProfitTable):
+        def __init__(self, items, capacity, eps=None):
+            built.append(tuple(it.id for it in items))
+            super().__init__(items, capacity, eps)
+
+    monkeypatch.setattr(stars, "ProfitTable", Counting)
+    return built
+
+
+class TestOneLeafCenter:
+    """A center with one fitting leaf builds no table, in either oracle: that
+    leaf is its one non-empty leaf set, offered as a single."""
+
+    # The path 0-1 beats the star of center 2 with leaves 3 and 4 by profit
+    # and by ratio.  With profits near 1000 at eps 1/100, a table over the
+    # one leaf of center 0 or 1 would round (divisor > 1).
+    @pytest.mark.parametrize("profits, eps, divisor", [
+        ([6, 5, 3, 3, 3], Fraction(1, 10), 1),
+        ([1000, 990, 500, 400, 400], Fraction(1, 100), Fraction(99, 10))])
+    @pytest.mark.parametrize("oracle, full_scan", [
+        (best_profit_viable_star, best_profit_viable_star_full_scan),
+        (best_ratio_viable_star, best_ratio_viable_star_full_scan)])
+    def test_one_leaf_center_wins(self, monkeypatch, profits, eps, divisor,
+                                  oracle, full_scan):
+        inst = undirected(5, [(0, 1), (2, 3), (2, 4)], weights=[1, 1, 2, 2, 2],
+                          profits=profits)
+        assert stars.ProfitTable([stars.Item(1, 1, profits[1])], 19, eps).divisor == divisor
+        built = count_tables(monkeypatch)
+        assert oracle(inst, 20, eps) == full_scan(inst, 20, eps) == Star(0, (1,))
+        assert (0,) not in built and (1,) not in built
 
 
 @st.composite
