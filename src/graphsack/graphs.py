@@ -225,47 +225,74 @@ def _bfs_layers(nbrs, s: int):
         layer = nxt
 
 
+class _GirthSearch:
+    """The girth search over one SCC (more than one vertex, assumed strongly
+    connected), run only as far as its readers need.
+
+    Sources are searched in ascending id, each only for a cycle strictly
+    shorter than the best so far (``girth``), so no search goes deeper than
+    ``girth - 2`` arcs; a cycle of length 2 ends the scan, as self-loops are
+    invalid.  Only a strictly shorter cycle moves ``start``, so once the scan
+    ends ``start`` is the smallest id on any shortest cycle (Itai and Rodeh,
+    "Finding a minimum circuit in a graph", SIAM J. Comput. 7(4), 1978).
+    """
+
+    def __init__(self, instance: Instance, members: Sequence[int]):
+        inside = set(members)
+        self.out = {v: [u for u in instance.adj[v] if u in inside] for v in members}
+        self.into = {v: [u for u in instance.radj[v] if u in inside] for v in members}
+        self.girth, self.start = len(members) + 1, -1
+        self._scan = self._shorter_cycles()
+
+    def _shorter_cycles(self):
+        """Yield the girth each time a source improves it."""
+        for s in sorted(self.out):
+            into_s = set(self.into[s])
+            for depth, layer in enumerate(_bfs_layers(self.out, s)):
+                if not into_s.isdisjoint(layer):  # a cycle of length depth + 1
+                    self.girth, self.start = depth + 1, s
+                    yield self.girth
+                    break
+                if depth + 2 >= self.girth:  # the next layer closes no shorter cycle
+                    break
+            if self.girth == 2:
+                return
+
+    def has_cycle_within(self, bound: int) -> bool:
+        """True iff some cycle has length at most ``bound``.  The scan goes
+        on from where it stopped, and stops again at the first such cycle."""
+        if self.girth > bound:
+            for girth in self._scan:
+                if girth <= bound:
+                    break
+        return self.girth <= bound
+
+    def cycle(self) -> tuple[int, ...]:
+        """The shortest cycle, lexicographically smallest from ``start``."""
+        for _ in self._scan:
+            pass
+        girth, start, out = self.girth, self.start, self.out
+        # Any closed walk of length == girth is a simple cycle, so a greedy
+        # lexicographic walk constrained by distance-to-start is safe.
+        back = {v: d for d, layer in enumerate(_bfs_layers(self.into, start))
+                for v in layer}  # back[v] = dist(v -> start)
+        cycle = [start]
+        v = start
+        for step in range(1, girth):
+            v = min(u for u in out[v] if back.get(u) == girth - step)
+            cycle.append(v)
+        return tuple(cycle)
+
+
 def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[int, ...]:
     """Shortest directed cycle within one SCC (assumed strongly connected).
 
     Ties break toward the lexicographically smallest vertex sequence starting
     at the smallest id that lies on any shortest cycle.
-
-    Sources are searched in ascending id, each only for a cycle strictly
-    shorter than the best so far (``girth``), so no search goes deeper than
-    ``girth - 2`` arcs; a cycle of length 2 ends the scan, as self-loops are
-    invalid.  Only a strictly shorter cycle moves ``start``, so ``start`` is
-    still the smallest id on any shortest cycle (Itai and Rodeh, "Finding a
-    minimum circuit in a graph", SIAM J. Comput. 7(4), 1978).
     """
     if len(members) == 1:
         return (members[0],)
-    inside = set(members)
-    out = {v: [u for u in instance.adj[v] if u in inside] for v in members}
-    into = {v: [u for u in instance.radj[v] if u in inside] for v in members}
-
-    girth, start = len(members) + 1, -1
-    for s in sorted(members):
-        into_s = set(into[s])
-        for depth, layer in enumerate(_bfs_layers(out, s)):
-            if not into_s.isdisjoint(layer):  # a cycle of length depth + 1
-                girth, start = depth + 1, s
-                break
-            if depth + 2 >= girth:  # the next layer closes no shorter cycle
-                break
-        if girth == 2:
-            break
-
-    # Any closed walk of length == girth is a simple cycle, so a greedy
-    # lexicographic walk constrained by distance-to-start is safe.
-    back = {v: d for d, layer in enumerate(_bfs_layers(into, start))
-            for v in layer}  # back[v] = dist(v -> start)
-    cycle = [start]
-    v = start
-    for step in range(1, girth):
-        v = min(u for u in out[v] if back.get(u) == girth - step)
-        cycle.append(v)
-    return tuple(cycle)
+    return _GirthSearch(instance, members).cycle()
 
 
 def condense(instance: Instance) -> Condensation:
@@ -279,27 +306,35 @@ def condense(instance: Instance) -> Condensation:
     Undirected, ``radj`` is ``adj``: every edge is an arc both ways, so the
     SCCs are the connected components and the DAG has no arcs.
     """
-    adj, radj = instance.adj, instance.radj
+    adj, radj, weights = instance.adj, instance.radj, instance.weights
     seen = [False] * instance.n
     finished: list[int] = []
     for root in range(instance.n):
         if seen[root]:
             continue
         seen[root] = True
-        work = [(root, iter(adj[root]))]  # the DFS path, each with its arcs left
-        while work:
-            v, arcs = work[-1]
+        # The DFS path below the current vertex v, each with its arcs left.
+        # A vertex with no out-arcs finishes at once and never gets a frame.
+        work: list = []
+        v, arcs = root, iter(adj[root])
+        while True:
             for w in arcs:
                 if not seen[w]:
                     seen[w] = True
-                    work.append((w, iter(adj[w])))
-                    break
+                    if adj[w]:
+                        work.append((v, arcs))
+                        v, arcs = w, iter(adj[w])
+                        break
+                    finished.append(w)
             else:
-                work.pop()
                 finished.append(v)
+                if not work:
+                    break
+                v, arcs = work.pop()
 
     membership = [-1] * instance.n
-    sccs: list[list[int]] = []
+    sccs: list[tuple[int, ...]] = []
+    scc_weight: list[int] = []
     dag: list[list[int]] = []  # each list grows in ascending order
     for s in reversed(finished):
         if membership[s] != -1:
@@ -316,14 +351,19 @@ def condense(instance: Instance) -> Condensation:
                     comp.append(u)
                 elif j != i and (not dag[j] or dag[j][-1] != i):
                     dag[j].append(i)
-        comp.sort()
-        sccs.append(comp)
+        if len(comp) == 1:
+            sccs.append((s,))
+            scc_weight.append(weights[s])
+        else:
+            comp.sort()
+            sccs.append(tuple(comp))
+            scc_weight.append(sum([weights[v] for v in comp]))
     return Condensation(
         scc_count=len(sccs),
         membership=tuple(membership),
-        scc_vertices=tuple(map(tuple, sccs)),
+        scc_vertices=tuple(sccs),
         dag_adjacency=tuple(map(tuple, dag)),
-        scc_weight=tuple(map(instance.total_weight, sccs)),
+        scc_weight=tuple(scc_weight),
     )
 
 
@@ -332,15 +372,17 @@ def smallest_cycle(instance: Instance, scc_vertices: Iterable[int]) -> tuple[int
 
     A singleton SCC yields its single vertex (length 1, not a true cycle).
     Rejects vertex sets that are not maximal SCCs: the set must be the SCC
-    that the condensation assigns to its smallest member.
+    of its smallest member, the vertices that it both reaches and is reached
+    from.
     """
     members = instance.check_vertices(scc_vertices)
     if not members:
         raise ValidationError("empty set is not an SCC")
     if not instance.directed:
         raise ValidationError("smallest_cycle requires a directed instance")
-    cond = condense(instance)
-    if cond.scc_vertices[cond.membership[members[0]]] != members:
+    reach = {v for layer in _bfs_layers(instance.adj, members[0]) for v in layer}
+    scc = [v for layer in _bfs_layers(instance.radj, members[0]) for v in layer if v in reach]
+    if tuple(sorted(scc)) != members:
         raise ValidationError("vertex set is not a maximal SCC")
     return _smallest_cycle_in_scc(instance, members)
 

@@ -12,13 +12,14 @@ Three routes, by instance class:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Optional
 
 from .errors import UnsupportedVariantError
-from .graphs import (Instance, _smallest_cycle_in_scc, bfs_parents, condense,
-                     connected_components, in_boundary, is_1_neighbour_set)
+from .graphs import (Instance, _GirthSearch, bfs_parents, condense, connected_components,
+                     in_boundary, is_1_neighbour_set)
 from .knapsack import eps_fraction, fitting_picks, ratio_key
 from .solution import ONE_NEIGHBOUR, Solution, make_solution
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
@@ -158,6 +159,11 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     search when eps <= 1/k.  The trace records, per guess, whether every
     candidate sink was taken (the branch where the result is provably
     optimal).
+
+    Smallest cycles are computed only where they are read: for the large
+    SCCs and the candidate sinks.  A multi-vertex SCC's girth search stops at
+    its first cycle of length <= eps * k, which makes it petite, and resumes
+    from there only if its smallest cycle is read.
     """
     if not instance.directed:
         raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
@@ -178,17 +184,31 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
                              "exact", k, {"fallback": "exhaustive"})
 
     cond = condense(instance)
-    cycles = [_smallest_cycle_in_scc(instance, comp) for comp in cond.scc_vertices]
-    cycle_len = [len(c) for c in cycles]
-    limit = eps.numerator * k  # length > eps * k, in integers
-    large = [u for u in range(cond.scc_count) if cycle_len[u] * eps.denominator > limit]
-    petite = {u for u in range(cond.scc_count)
-              if 1 < cycle_len[u] and cycle_len[u] * eps.denominator <= limit}
-    tiny_sinks = [u for u in range(cond.scc_count)
-                  if cycle_len[u] == 1 and not cond.dag_adjacency[u]]
+
+    @functools.cache  # each SCC's girth search runs only as far as it is read
+    def search(u: int) -> _GirthSearch:
+        return _GirthSearch(instance, cond.scc_vertices[u])
+
+    # eps * k > 1 here, so a singleton (cycle length 1) is never large, and a
+    # multi-vertex SCC no bigger than eps * k is petite without a search
+    bound = eps.numerator * k // eps.denominator
+    large, petite, tiny_sinks = [], set(), []
+    for u, members in enumerate(cond.scc_vertices):
+        if len(members) == 1:
+            if not cond.dag_adjacency[u]:
+                tiny_sinks.append(u)
+        elif len(members) <= bound or search(u).has_cycle_within(bound):
+            petite.add(u)
+        else:
+            large.append(u)
+
+    @functools.cache  # read only for guessed large SCCs and candidate sinks
+    def cycle(u: int) -> tuple[int, ...]:
+        members = cond.scc_vertices[u]
+        return members if len(members) == 1 else search(u).cycle()
 
     def cost(guess) -> int:
-        return sum(cycle_len[u] for u in guess)
+        return sum(len(cycle(u)) for u in guess)
 
     best: Optional[tuple[int, ...]] = None
     best_entry: Optional[dict] = None
@@ -200,14 +220,14 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
         zset = sorted(set(tiny_sinks) | set(petite_sinks))
         taken = []
         budget = k - cost(guess)
-        for u in sorted(zset, key=lambda u: (cycle_len[u], u)):
-            c = cycle_len[u]
+        for u in sorted(zset, key=lambda u: (len(cycle(u)), u)):
+            c = len(cycle(u))
             if c <= budget:
                 taken.append(u)
                 budget -= c
         chosen = set()
         for u in list(guess) + taken:
-            chosen.update(cycles[u])
+            chosen.update(cycle(u))
         _grow_1n(instance, chosen, k)
         entry = {"guess": guess, "candidate_sinks": tuple(zset),
                  "taken_sinks": tuple(sorted(taken)),

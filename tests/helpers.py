@@ -7,9 +7,14 @@ functions can serve as oracles for the solvers *and* for `graphsack.oracle`.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import importlib.util
+import io
+import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -17,11 +22,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
+import graphsack.cli
 from graphsack import (Condensation, Instance, Item, Star, UnsupportedVariantError,
                        ValidationError, condense, connected_components, descendants,
                        ratio_key)
-from graphsack.graphs import _bfs_layers
-from graphsack.knapsack import _check_items, eps_fraction
+from graphsack.graphs import _bfs_layers, _smallest_cycle_in_scc, is_1_neighbour_set
+from graphsack.knapsack import _check_items, eps_fraction, fitting_picks
+from graphsack.one_neighbour import _grow_1n, _require_uniform
 from graphsack.oracle import DEFAULT_MAX_N, _check_scale
 from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
 
@@ -918,3 +925,118 @@ def exact_1n_support_scan(instance: Instance, k: Optional[int] = None,
             stack.append((i + 1, mask | (1 << i), profit + instance.profits[i],
                           weight + w, new_unsupported))
     return make_solution(instance, best_verts, ONE_NEIGHBOUR, "exact-1n", "exact", k)
+
+
+# ``uniform_directed_1n_ptas`` as it was before it computed smallest cycles on
+# demand: the smallest cycle of every SCC, up front, and the classes read off
+# their lengths.  Differential reference for
+# ``graphsack.one_neighbour.uniform_directed_1n_ptas``.
+
+def uniform_directed_1n_ptas_all_cycles(instance: Instance, k: Optional[int] = None,
+                                        eps=0.25) -> Solution:
+    """(1-eps)-approximation for unit weights/profits on directed graphs.
+
+    Classifies SCCs by smallest-cycle length into large / petite / tiny,
+    guesses every set of large SCCs whose smallest cycles fit the budget
+    together (fewer than 1/eps, as each is longer than eps * k), seeds the
+    knapsack with smallest cycles of the guessed SCCs plus affordable sink
+    SCCs, and grows it by a backwards search.  Falls back to the exhaustive
+    search when eps <= 1/k.  The trace records, per guess, whether every
+    candidate sink was taken (the branch where the result is provably
+    optimal).
+    """
+    if not instance.directed:
+        raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
+    _require_uniform(instance, "ud1n-ptas")
+    eps = eps_fraction(eps)
+    k = instance.solver_budget(k)
+    if k == 0:
+        return make_solution(instance, (), ONE_NEIGHBOUR, "ud1n-ptas",
+                             "exact", k, {"fallback": "trivial"})
+    if eps <= Fraction(1, k):
+        # k < 1/eps, so trying every vertex subset of size <= k stays
+        # polynomial for fixed eps; sizes descend, so the first feasible
+        # combination (lexicographically smallest at its size) is optimal.
+        chosen = next((c for size in range(min(k, instance.n), 0, -1)
+                       for c in combinations(range(instance.n), size)
+                       if is_1_neighbour_set(instance, c)), ())
+        return make_solution(instance, chosen, ONE_NEIGHBOUR, "ud1n-ptas",
+                             "exact", k, {"fallback": "exhaustive"})
+
+    cond = condense(instance)
+    cycles = [_smallest_cycle_in_scc(instance, comp) for comp in cond.scc_vertices]
+    cycle_len = [len(c) for c in cycles]
+    limit = eps.numerator * k  # length > eps * k, in integers
+    large = [u for u in range(cond.scc_count) if cycle_len[u] * eps.denominator > limit]
+    petite = {u for u in range(cond.scc_count)
+              if 1 < cycle_len[u] and cycle_len[u] * eps.denominator <= limit}
+    tiny_sinks = [u for u in range(cond.scc_count)
+                  if cycle_len[u] == 1 and not cond.dag_adjacency[u]]
+
+    def cost(guess) -> int:
+        return sum(cycle_len[u] for u in guess)
+
+    best: Optional[tuple[int, ...]] = None
+    best_entry: Optional[dict] = None
+    entries: list[dict] = []
+    for guess in fitting_picks(large, k, cost):
+        in_dx = petite | set(guess)
+        petite_sinks = [u for u in sorted(petite)
+                        if not any(w in in_dx for w in cond.dag_adjacency[u])]
+        zset = sorted(set(tiny_sinks) | set(petite_sinks))
+        taken = []
+        budget = k - cost(guess)
+        for u in sorted(zset, key=lambda u: (cycle_len[u], u)):
+            c = cycle_len[u]
+            if c <= budget:
+                taken.append(u)
+                budget -= c
+        chosen = set()
+        for u in list(guess) + taken:
+            chosen.update(cycles[u])
+        _grow_1n(instance, chosen, k)
+        entry = {"guess": guess, "candidate_sinks": tuple(zset),
+                 "taken_sinks": tuple(sorted(taken)),
+                 "complete": len(taken) == len(zset),
+                 "size": len(chosen)}
+        entries.append(entry)
+        verts = tuple(sorted(chosen))
+        if best is None or len(verts) > len(best) or \
+                (len(verts) == len(best) and verts < best):
+            best, best_entry = verts, entry
+
+    trace = {"guesses": entries, "winner": best_entry,
+             "complete": bool(best_entry and best_entry["complete"])}
+    return make_solution(instance, best or (), ONE_NEIGHBOUR, "ud1n-ptas",
+                         f"{float(1 - eps):g}", k, trace)
+
+
+@functools.cache
+def perfbench_pool(workload: str) -> tuple:
+    """Every member of a perfbench workload's pool, as ``(stem, text,
+    constraint, variant)``; generated once per test run."""
+    return tuple(load_perfbench("workloads").pool_members(workload))
+
+
+def pool_answers_match_reference(workload: str, directory: Path) -> Counter:
+    """Solve every pool member of a perfbench workload as the benchmark does,
+    one ``graphsack.cli.main`` call each on a file written to ``directory``,
+    and assert that the benchmark's own checker finds no problem against the
+    recorded reference answer.  Returns how many members each variant
+    solved."""
+    workloads, check = load_perfbench("workloads"), load_perfbench("check")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    variants: Counter = Counter()
+    for stem, text, constraint, variant in perfbench_pool(workload):
+        path = directory / f"{stem}.txt"
+        path.write_text(text, encoding="utf-8")
+        request = workloads.solve_request(str(path), constraint, variant)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = graphsack.cli.main(list(request.argv))
+        assert code == 0, (stem, out.getvalue())
+        key = check.reference_key(text.encode(), constraint)
+        assert check.check_solve(check.parse_graph(text), str(path), constraint, variant,
+                                 out.getvalue(), reference.get(key)) == [], stem
+        variants[variant] += 1
+    return variants

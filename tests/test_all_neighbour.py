@@ -15,8 +15,9 @@ from graphsack import (Instance, UnsupportedVariantError, closure_catalog,
                        is_all_neighbour_set, uniform_directed_alln_ptas,
                        uniform_undirected_alln)
 from graphsack.knapsack import fitting_picks
-from helpers import (brute_force_profit, opt_at, profit_for_every_budget,
-                     random_instance, random_uniform, uniform_directed_alln_ptas_rescan)
+from helpers import (brute_force_profit, opt_at, pool_answers_match_reference,
+                     profit_for_every_budget, random_instance, random_uniform,
+                     uniform_directed_alln_ptas_rescan)
 
 
 def assert_closure_union(inst, chosen):
@@ -305,3 +306,11 @@ class TestGeneralUndirectedFptas:
                 assert_closure_union(inst, sol.chosen)
                 assert sol.total_weight <= k
                 assert Fraction(sol.total_profit) >= (1 - Fraction(str(eps))) * opt
+
+
+def test_scc_closure_pool_matches_the_benchmark_reference(tmp_path):
+    # Every scc-closure pool member (uda-ptas at k = sum(w)/2 and sum(w)/4,
+    # and ud1n-ptas), solved as the benchmark solves it, must pass the
+    # benchmark's own checker against its recorded reference answer.
+    assert pool_answers_match_reference("scc-closure", tmp_path) == {"uda-ptas": 192,
+                                                                     "ud1n-ptas": 96}

@@ -13,7 +13,7 @@ from graphsack import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, ValidationError,
                        condense, connected_components, descendants, first_violation,
                        in_boundary, is_1_neighbour_set, is_all_neighbour_set,
                        parse, smallest_cycle)
-from helpers import (condense_tarjan, connected_components_bfs, load_perfbench,
+from helpers import (condense_tarjan, connected_components_bfs, perfbench_pool,
                      planted_cycle_graphs, random_instance, smallest_cycle_full_scan)
 
 
@@ -146,7 +146,7 @@ class TestComponentsMatchBfs:
     @pytest.mark.parametrize("workload, undirected_count",
                              [("component-dp", 144), ("bench-corpus", 84)])
     def test_undirected_pool_members(self, workload, undirected_count):
-        members = load_perfbench("workloads").pool_members(workload)
+        members = perfbench_pool(workload)
         instances = [(stem, parse(text)) for stem, text, _c, _v in members]
         instances = [(stem, inst) for stem, inst in instances if not inst.directed]
         assert len(instances) == undirected_count
@@ -173,7 +173,7 @@ class TestCondenseMatchesTarjan:
         assert cond.scc_count == (1 if closed else n)
 
     def test_scc_closure_pool(self):
-        members = list(load_perfbench("workloads").pool_members("scc-closure"))
+        members = perfbench_pool("scc-closure")
         assert len(members) == 288
         for stem, text, _constraint, _variant in members:
             inst = parse(text)
@@ -349,6 +349,20 @@ class TestGirthSearchMatchesFullScan:
         for members in condense(inst).scc_vertices:
             assert graphs._smallest_cycle_in_scc(inst, members) \
                 == smallest_cycle_full_scan(inst, members)
+
+    @given(planted_cycle_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_check_agrees_for_every_bound(self, inst):
+        # the early-exit check of ud1n-ptas's petite class, for every bound
+        # from 1 to the SCC's size, against the full scan's smallest cycle;
+        # the scan then resumes and ends with that same cycle
+        for members in condense(inst).scc_vertices:
+            if len(members) > 1:
+                full = smallest_cycle_full_scan(inst, members)
+                for bound in range(1, len(members) + 1):
+                    search = graphs._GirthSearch(inst, members)
+                    assert search.has_cycle_within(bound) == (len(full) <= bound)
+                    assert search.cycle() == full
 
     def searched_sources(self, monkeypatch, inst):
         """The cycle, and the sources searched in order; the walk back to

@@ -17,7 +17,7 @@ from graphsack import (Item, ProfitTable, ValidationError, connected_components,
 from graphsack.knapsack import eps_fraction, fitting_picks
 from helpers import (BruteProfitTable, CapacityProfitTable, NonemptyProfitTable,
                      UnboundedProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
-                     list_kernel_rows, load_perfbench, ratio_key_reference, ratio_meets)
+                     list_kernel_rows, perfbench_pool, ratio_key_reference, ratio_meets)
 
 
 def items_of(*pairs):
@@ -442,7 +442,7 @@ class TestPackedRows:
 
     def test_component_dp_pool(self):
         # The tables gua-fptas builds on every component-dp pool member.
-        members = list(load_perfbench("workloads").pool_members("component-dp"))
+        members = perfbench_pool("component-dp")
         assert len(members) == 144
         for stem, text, _constraint, _variant in members:
             inst = parse(text)

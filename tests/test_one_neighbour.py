@@ -1,8 +1,5 @@
 """Greedy, linear-exact, and PTAS solvers for the 1-neighbour constraint."""
 
-import contextlib
-import io
-import json
 import math
 import random
 from fractions import Fraction
@@ -12,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphsack.cli
 from graphsack import (Instance, UnsupportedVariantError, ValidationError, condense,
                        gen_max_k_cover, greedy_1_neighbour, is_1_neighbour_set,
                        smallest_cycle, uniform_directed_1n_ptas, uniform_undirected_1n)
-from helpers import (PERFBENCH, brute_force_profit, load_perfbench, opt_at,
-                     profit_for_every_budget, random_instance, random_uniform)
+from helpers import (brute_force_profit, opt_at, planted_cycle_graphs,
+                     pool_answers_match_reference, profit_for_every_budget, random_instance,
+                     random_uniform, uniform_directed_1n_ptas_all_cycles)
 
 
 def undirected(n, edges, weights=None, profits=None, k=10):
@@ -110,22 +107,7 @@ class TestGreedyRoundTieBreaks:
 def test_star_greedy_pool_matches_the_benchmark_reference(tmp_path):
     # Every star-greedy pool member, solved as the benchmark solves it, must
     # pass the benchmark's own checker against its recorded reference answer.
-    workloads, check = load_perfbench("workloads"), load_perfbench("check")
-    reference = json.loads((PERFBENCH / "reference.json").read_text())
-    members = list(workloads.pool_members("star-greedy"))
-    assert len(members) == 128
-    for stem, text, constraint, variant in members:
-        assert variant == "greedy-1n"
-        path = tmp_path / f"{stem}.txt"
-        path.write_text(text, encoding="utf-8")
-        request = workloads.solve_request(str(path), constraint, variant)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            code = graphsack.cli.main(list(request.argv))
-        assert code == 0, (stem, out.getvalue())
-        key = check.reference_key(text.encode(), constraint)
-        assert check.check_solve(check.parse_graph(text), str(path), constraint, variant,
-                                 out.getvalue(), reference.get(key)) == [], stem
+    assert pool_answers_match_reference("star-greedy", tmp_path) == {"greedy-1n": 128}
 
 
 class TestUniformUndirected:
@@ -222,6 +204,32 @@ class TestUniformDirectedPtas:
                                                    ((3,), (1,), (1,))]
         assert sol.trace["winner"]["guess"] == (3,)
         assert sol.chosen == tuple(range(9))
+
+
+@st.composite
+def planted_unit_cases(draw):
+    """A unit digraph from ``planted_cycle_graphs`` with n >= 2, a budget k
+    from 2 to n, and an eps > 1/k, so that the PTAS branch runs."""
+    g = draw(planted_cycle_graphs(max_n=30, values=st.just(1)).filter(lambda g: g.n >= 2))
+    k = draw(st.integers(2, g.n))
+    eps = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(3, 10),
+                                Fraction(1, 2)]).filter(lambda e: e > Fraction(1, k)))
+    return g, k, eps
+
+
+class TestCyclesOnDemand:
+    """Computing smallest cycles only for large SCCs and candidate sinks
+    changes nothing against the solver that computed one for every SCC."""
+
+    @given(planted_unit_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_all_cycles_solver(self, case):
+        inst, k, eps = case
+        sol = uniform_directed_1n_ptas(inst, k, eps)
+        ref = uniform_directed_1n_ptas_all_cycles(inst, k, eps)
+        assert sol == ref
+        assert sol.trace == ref.trace
+        assert "fallback" not in sol.trace
 
 
 @st.composite

@@ -13,7 +13,7 @@ from graphsack import (Instance, OracleScaleError, ValidationError, exact_1n, ex
                        uniform_undirected_1n, uniform_undirected_alln)
 from graphsack.graphs import MAX_VALUE
 from helpers import (adjacency_masks, exact_1n_support_scan, exact_alln_mask_scan,
-                     feasible_all_mask, feasible_one_mask, load_perfbench,
+                     feasible_all_mask, feasible_one_mask, perfbench_pool,
                      planted_cycle_graphs, random_instance)
 
 
@@ -147,7 +147,7 @@ class TestExactAllnMatchesMaskScan:
         assert totals(exact_alln(inst, k)) == totals(exact_alln_mask_scan(inst, k))
 
     def test_bench_corpus_pool(self):
-        members = list(load_perfbench("workloads").pool_members("bench-corpus"))
+        members = perfbench_pool("bench-corpus")
         assert len(members) == 168
         for stem, text, _constraint, _variant in members:
             inst = parse(text)
@@ -166,7 +166,7 @@ class TestExact1nMatchesSupportScan:
         assert totals(exact_1n(inst, k)) == totals(exact_1n_support_scan(inst, k))
 
     def test_bench_corpus_pool(self):
-        members = list(load_perfbench("workloads").pool_members("bench-corpus"))
+        members = perfbench_pool("bench-corpus")
         assert len(members) == 168
         for stem, text, _constraint, _variant in members:
             inst = parse(text)
