@@ -225,74 +225,46 @@ def _bfs_layers(nbrs, s: int):
         layer = nxt
 
 
-class _GirthSearch:
-    """The girth search over one SCC (more than one vertex, assumed strongly
-    connected), run only as far as its readers need.
-
-    Sources are searched in ascending id, each only for a cycle strictly
-    shorter than the best so far (``girth``), so no search goes deeper than
-    ``girth - 2`` arcs; a cycle of length 2 ends the scan, as self-loops are
-    invalid.  Only a strictly shorter cycle moves ``start``, so once the scan
-    ends ``start`` is the smallest id on any shortest cycle (Itai and Rodeh,
-    "Finding a minimum circuit in a graph", SIAM J. Comput. 7(4), 1978).
-    """
-
-    def __init__(self, instance: Instance, members: Sequence[int]):
-        inside = set(members)
-        self.out = {v: [u for u in instance.adj[v] if u in inside] for v in members}
-        self.into = {v: [u for u in instance.radj[v] if u in inside] for v in members}
-        self.girth, self.start = len(members) + 1, -1
-        self._scan = self._shorter_cycles()
-
-    def _shorter_cycles(self):
-        """Yield the girth each time a source improves it."""
-        for s in sorted(self.out):
-            into_s = set(self.into[s])
-            for depth, layer in enumerate(_bfs_layers(self.out, s)):
-                if not into_s.isdisjoint(layer):  # a cycle of length depth + 1
-                    self.girth, self.start = depth + 1, s
-                    yield self.girth
-                    break
-                if depth + 2 >= self.girth:  # the next layer closes no shorter cycle
-                    break
-            if self.girth == 2:
-                return
-
-    def has_cycle_within(self, bound: int) -> bool:
-        """True iff some cycle has length at most ``bound``.  The scan goes
-        on from where it stopped, and stops again at the first such cycle."""
-        if self.girth > bound:
-            for girth in self._scan:
-                if girth <= bound:
-                    break
-        return self.girth <= bound
-
-    def cycle(self) -> tuple[int, ...]:
-        """The shortest cycle, lexicographically smallest from ``start``."""
-        for _ in self._scan:
-            pass
-        girth, start, out = self.girth, self.start, self.out
-        # Any closed walk of length == girth is a simple cycle, so a greedy
-        # lexicographic walk constrained by distance-to-start is safe.
-        back = {v: d for d, layer in enumerate(_bfs_layers(self.into, start))
-                for v in layer}  # back[v] = dist(v -> start)
-        cycle = [start]
-        v = start
-        for step in range(1, girth):
-            v = min(u for u in out[v] if back.get(u) == girth - step)
-            cycle.append(v)
-        return tuple(cycle)
-
-
 def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[int, ...]:
-    """Shortest directed cycle within one SCC (assumed strongly connected).
+    """Shortest directed cycle within one SCC (assumed strongly connected,
+    ``members`` ascending): the lexicographically smallest vertex sequence
+    starting at the smallest id that lies on any shortest cycle.
 
-    Ties break toward the lexicographically smallest vertex sequence starting
-    at the smallest id that lies on any shortest cycle.
+    Self-loops are invalid, so a 2-cycle is shortest, and one pass finds the
+    smallest member whose out- and in-lists meet (its partners lie in the
+    SCC).  Else sources are searched in ascending id, each only for a cycle
+    strictly shorter than the best so far (``girth``), so no search goes
+    deeper than ``girth - 2`` arcs, and only a strictly shorter cycle moves
+    ``start`` (Itai and Rodeh, "Finding a minimum circuit in a graph",
+    SIAM J. Comput. 7(4), 1978).
     """
     if len(members) == 1:
         return (members[0],)
-    return _GirthSearch(instance, members).cycle()
+    for v in members:
+        meet = set(instance.adj[v]).intersection(instance.radj[v])
+        if meet:
+            return (v, min(meet))
+    inside = set(members)
+    out = {v: [u for u in instance.adj[v] if u in inside] for v in members}
+    into = {v: [u for u in instance.radj[v] if u in inside] for v in members}
+    girth, start = len(members) + 1, -1
+    for s in members:
+        into_s = set(into[s])
+        for depth, layer in enumerate(_bfs_layers(out, s)):
+            if not into_s.isdisjoint(layer):  # a cycle of length depth + 1
+                girth, start = depth + 1, s
+                break
+            if depth + 2 >= girth:  # the next layer closes no shorter cycle
+                break
+
+    # Any closed walk of length == girth is a simple cycle, so a greedy
+    # lexicographic walk constrained by distance-to-start is safe.
+    back = {v: d for d, layer in enumerate(_bfs_layers(into, start))
+            for v in layer}  # back[v] = dist(v -> start)
+    cycle = [start]
+    for left in range(girth - 1, 0, -1):  # arcs left back to start
+        cycle.append(min(u for u in out[cycle[-1]] if back.get(u) == left))
+    return tuple(cycle)
 
 
 def condense(instance: Instance) -> Condensation:
@@ -402,7 +374,7 @@ def descendants(condensation: Condensation, roots: Iterable[int]) -> set[int]:
     """Reflexive-transitive closure of ``roots`` in the condensation DAG."""
     todo = list(roots)
     for u in todo:
-        if not 0 <= u < condensation.scc_count:
+        if not ((type(u) is int or _is_int(u)) and 0 <= u < condensation.scc_count):
             raise ValidationError(f"invalid SCC id {u!r}")
     reach = set(todo)
     while todo:

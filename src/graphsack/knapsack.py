@@ -11,13 +11,17 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
+from .graphs import _is_int
 
 PROFIT_TABLE_BOUND = 1 << 40
 _ONE = Fraction(1)
 _CELL_FORMATS = {2: "H", 4: "I", 8: "Q"}  # memoryview formats by cell size
+_ITEM_FIELDS = attrgetter("id", "weight", "profit")
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,21 @@ def ratio_key(profit: int, weight: int) -> int:
     return _RATIO_TOP if profit else 1
 
 
-def _check_items(items: Sequence[Item]) -> list[Item]:
-    out = sorted(items, key=lambda it: it.id)
+def _check_capacity(capacity) -> None:
+    if not _is_int(capacity):
+        raise ValidationError(f"capacity must be an integer, got {capacity!r}")
+    if capacity < 0:
+        raise ValidationError("capacity must be non-negative")
+
+
+def _check_items(items: Iterable[Item]) -> list[Item]:
+    out = list(items)
+    # plain ints pass at C speed; the loop names the first bad item
+    if not {*map(type, chain.from_iterable(map(_ITEM_FIELDS, out)))} <= {int}:
+        for it in out:
+            if not all(map(_is_int, _ITEM_FIELDS(it))):
+                raise ValidationError(f"item {it.id!r}: id, weight and profit must be integers")
+    out.sort(key=lambda it: it.id)
     for a, b in zip(out, out[1:]):
         if a.id == b.id:
             raise ValidationError(f"duplicate item id {a.id}")
@@ -120,9 +137,8 @@ class ProfitTable:
     """
 
     def __init__(self, items: Iterable[Item], capacity: int, eps=None):
-        if capacity < 0:
-            raise ValidationError("capacity must be non-negative")
-        self.items = _check_items(list(items))
+        _check_capacity(capacity)
+        self.items = _check_items(items)
         n = len(self.items)
         profits = [it.profit for it in self.items]
         self.divisor, self.adjusted = _ONE, tuple(profits)
@@ -213,12 +229,9 @@ def knapsack_exact(items: Sequence[Item], capacity: int) -> tuple[tuple[int, ...
     Ties break toward smaller weight, then the lexicographically smallest id
     set.  Callers must keep the total profit within 2**40 (table bound).
     """
-    if capacity < 0:
-        raise ValidationError("capacity must be non-negative")
-    items = _check_items(items)
     if sum(it.profit for it in items) >= PROFIT_TABLE_BOUND:
         raise ValidationError("total profit exceeds the DP table bound (2^40)")
-    table = ProfitTable(items, capacity)
+    table = ProfitTable(items, capacity)  # checks the capacity and the items
     best_p, _ = next(table.levels())
     return table.witness(best_p), best_p
 
@@ -236,8 +249,7 @@ def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int
     equals that of a scan over every level.
     """
     eps = eps_fraction(eps)
-    if capacity < 0:
-        raise ValidationError("capacity must be non-negative")
+    _check_capacity(capacity)
     fitting = [it for it in _check_items(items) if it.weight <= capacity]
     if not fitting or max(it.profit for it in fitting) == 0:
         return (), 0
@@ -271,8 +283,7 @@ def ratio_fptas(items: Sequence[Item], capacity: int, eps):
     2**128, the key's domain.
     """
     eps = eps_fraction(eps)
-    if capacity < 0:
-        raise ValidationError("capacity must be non-negative")
+    _check_capacity(capacity)
     fitting = [it for it in _check_items(items) if it.weight <= capacity]
     if max(sum(it.profit for it in fitting), sum(it.weight for it in fitting)) >= _RATIO_LIMIT:
         raise ValidationError("ratio_fptas needs profit and weight totals below 2^128")

@@ -18,8 +18,8 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .errors import UnsupportedVariantError
-from .graphs import (Instance, _GirthSearch, bfs_parents, condense, connected_components,
-                     in_boundary, is_1_neighbour_set)
+from .graphs import (Instance, _smallest_cycle_in_scc, bfs_parents, condense,
+                     connected_components, in_boundary, is_1_neighbour_set)
 from .knapsack import eps_fraction, fitting_picks, ratio_key
 from .solution import ONE_NEIGHBOUR, Solution, make_solution
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
@@ -160,10 +160,8 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     candidate sink was taken (the branch where the result is provably
     optimal).
 
-    Smallest cycles are computed only where they are read: for the large
-    SCCs and the candidate sinks.  A multi-vertex SCC's girth search stops at
-    its first cycle of length <= eps * k, which makes it petite, and resumes
-    from there only if its smallest cycle is read.
+    Each SCC's smallest cycle is computed at most once: to class an SCC of
+    more than eps * k vertices, or for a guessed SCC or a candidate sink.
     """
     if not instance.directed:
         raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
@@ -185,9 +183,9 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
 
     cond = condense(instance)
 
-    @functools.cache  # each SCC's girth search runs only as far as it is read
-    def search(u: int) -> _GirthSearch:
-        return _GirthSearch(instance, cond.scc_vertices[u])
+    @functools.cache
+    def cycle(u: int) -> tuple[int, ...]:
+        return _smallest_cycle_in_scc(instance, cond.scc_vertices[u])
 
     # eps * k > 1 here, so a singleton (cycle length 1) is never large, and a
     # multi-vertex SCC no bigger than eps * k is petite without a search
@@ -197,15 +195,10 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
         if len(members) == 1:
             if not cond.dag_adjacency[u]:
                 tiny_sinks.append(u)
-        elif len(members) <= bound or search(u).has_cycle_within(bound):
+        elif len(members) <= bound or len(cycle(u)) <= bound:
             petite.add(u)
         else:
             large.append(u)
-
-    @functools.cache  # read only for guessed large SCCs and candidate sinks
-    def cycle(u: int) -> tuple[int, ...]:
-        members = cond.scc_vertices[u]
-        return members if len(members) == 1 else search(u).cycle()
 
     def cost(guess) -> int:
         return sum(len(cycle(u)) for u in guess)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ValidationError
 from .graphs import Instance, bfs_parents, connected_components, is_1_neighbour_set
-from .knapsack import Item, ProfitTable, eps_fraction, ratio_key
+from .knapsack import Item, ProfitTable, _check_capacity, eps_fraction, ratio_key
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ class _StarSearch:
         if instance.directed:
             raise ValidationError("star oracles require an undirected instance")
         self.eps = eps_fraction(eps)
-        if capacity < 0:
-            raise ValidationError("capacity must be non-negative")
+        _check_capacity(capacity)
         self.instance, self.capacity, self.key = instance, capacity, key
         self.best_key = self.best = None
 

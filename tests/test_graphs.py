@@ -352,21 +352,13 @@ class TestGirthSearchMatchesFullScan:
 
     @given(planted_cycle_graphs())
     @settings(max_examples=200, deadline=None)
-    def test_bounded_check_agrees_for_every_bound(self, inst):
-        # the early-exit check of ud1n-ptas's petite class, for every bound
-        # from 1 to the SCC's size, against the full scan's smallest cycle;
-        # the scan then resumes and ends with that same cycle
+    def test_every_scc_of_planted_cycle_graphs(self, inst):
         for members in condense(inst).scc_vertices:
-            if len(members) > 1:
-                full = smallest_cycle_full_scan(inst, members)
-                for bound in range(1, len(members) + 1):
-                    search = graphs._GirthSearch(inst, members)
-                    assert search.has_cycle_within(bound) == (len(full) <= bound)
-                    assert search.cycle() == full
+            assert graphs._smallest_cycle_in_scc(inst, members) \
+                == smallest_cycle_full_scan(inst, members)
 
-    def searched_sources(self, monkeypatch, inst):
-        """The cycle, and the sources searched in order; the walk back to
-        the start is the last breadth-first search and is left out."""
+    def recorded_sources(self, monkeypatch):
+        """The list that each breadth-first search appends its source to."""
         sources = []
         layers = graphs._bfs_layers
 
@@ -375,6 +367,12 @@ class TestGirthSearchMatchesFullScan:
             return layers(nbrs, s)
 
         monkeypatch.setattr(graphs, "_bfs_layers", recording)
+        return sources
+
+    def searched_sources(self, monkeypatch, inst):
+        """The cycle, and the sources searched in order; the walk back to
+        the start is the last breadth-first search and is left out."""
+        sources = self.recorded_sources(monkeypatch)
         members = tuple(range(inst.n))
         cycle = graphs._smallest_cycle_in_scc(inst, members)
         assert cycle == smallest_cycle_full_scan(inst, members)
@@ -397,12 +395,20 @@ class TestGirthSearchMatchesFullScan:
         assert cycle == (0, 3, 4)
         assert sources == [0, 1, 2, 3, 4, 5]
 
-    def test_two_cycle_ends_the_scan(self, monkeypatch):
+    @pytest.mark.parametrize("arcs, expect", [
         # 0 and 1 lie on 5-cycles only; 2<->3 and 3<->4 are 2-cycles
-        inst = directed(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (3, 2), (4, 3)])
-        cycle, sources = self.searched_sources(monkeypatch, inst)
-        assert cycle == (2, 3)
-        assert sources == [0, 1, 2]
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (3, 2), (4, 3)], (2, 3)),
+        # 0 lies on the 3-cycle 0->1->2 only; 1 has two 2-cycle partners, 4 and 3
+        ([(0, 1), (1, 2), (2, 0), (1, 4), (4, 1), (3, 1), (1, 3), (2, 4)], (1, 3)),
+    ])
+    def test_two_cycle_runs_no_breadth_first_search(self, monkeypatch, arcs, expect):
+        inst = directed(5, arcs)
+        sources = self.recorded_sources(monkeypatch)
+        members = tuple(range(inst.n))
+        assert condense(inst).scc_vertices == (members,)
+        assert graphs._smallest_cycle_in_scc(inst, members) == expect \
+            == smallest_cycle_full_scan(inst, members)
+        assert sources == []
 
 
 @st.composite
@@ -493,10 +499,10 @@ class TestDescendants:
         d = cond.membership[3]
         assert descendants(cond, [b, c]) == {b, c, d}
 
-    @pytest.mark.parametrize("scc_id", [2, -1])
+    @pytest.mark.parametrize("scc_id", [2, -1, 1.0, "0", None, True])
     def test_rejects_out_of_range_scc_id(self, scc_id):
         cond = condense(directed(2, [(0, 1)]))
-        with pytest.raises(ValidationError, match=f"invalid SCC id {scc_id}"):
+        with pytest.raises(ValidationError, match=re.escape(f"invalid SCC id {scc_id!r}")):
             descendants(cond, [0, scc_id])
 
 

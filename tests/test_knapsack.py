@@ -49,6 +49,20 @@ def test_solvers_reject_negative_capacity(solve):
         solve(items_of((1, 1)), -1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: knapsack_exact([Item(0, 1.5, 1)], 2), "item 0: id, weight and profit must be"),
+    (lambda: knapsack_exact([Item(0, True, 1)], 2), "item 0: id, weight and profit must be"),
+    (lambda: knapsack_fptas([Item(0, 1, 1.5)], 2, 0.1), "item 0: id, weight and profit must"),
+    (lambda: ratio_fptas([Item(1, 1, 1), Item("0", 1, 1)], 2, 0.1), "item '0': id, weight"),
+    (lambda: knapsack_exact([Item(0, 1, 1)], 2.5), "capacity must be an integer, got 2.5"),
+    (lambda: knapsack_fptas([Item(0, 1, 1)], True, 0.1), "capacity must be an integer, got True"),
+    (lambda: ProfitTable([Item(0, 1, 1)], "3"), "capacity must be an integer, got '3'"),
+])
+def test_knapsack_layer_rejects_values_that_are_not_ints(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 class TestRatioKey:
     def test_conventions(self):
         assert ratio_key(5, 0) > ratio_key(100, 1)      # zero weight on top

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsack import (Instance, UnsupportedVariantError, ValidationError, condense,
-                       gen_max_k_cover, greedy_1_neighbour, is_1_neighbour_set,
-                       smallest_cycle, uniform_directed_1n_ptas, uniform_undirected_1n)
-from helpers import (brute_force_profit, opt_at, planted_cycle_graphs,
+                       gen_max_k_cover, graphs, greedy_1_neighbour, is_1_neighbour_set,
+                       one_neighbour, parse, smallest_cycle, uniform_directed_1n_ptas,
+                       uniform_undirected_1n)
+from helpers import (brute_force_profit, opt_at, perfbench_pool, planted_cycle_graphs,
                      pool_answers_match_reference, profit_for_every_budget, random_instance,
                      random_uniform, uniform_directed_1n_ptas_all_cycles)
 
@@ -230,6 +232,68 @@ class TestCyclesOnDemand:
         assert sol == ref
         assert sol.trace == ref.trace
         assert "fallback" not in sol.trace
+
+
+def ud1n_pool():
+    """The ud1n-ptas members of the scc-closure pool, parsed."""
+    members = [parse(text) for _stem, text, _c, variant in perfbench_pool("scc-closure")
+               if variant == "ud1n-ptas"]
+    assert len(members) == 96
+    return members
+
+
+class TestOneCycleSearchPerScc:
+    """One ud1n-ptas solve searches each SCC's smallest cycle at most once,
+    and only an SCC of more than floor(eps * k) vertices or a candidate sink."""
+
+    def assert_searches_only_where_read(self, inst, k, eps):
+        calls = Counter()
+        search = one_neighbour._smallest_cycle_in_scc
+
+        def counting(instance, members):
+            calls[tuple(members)] += 1
+            return search(instance, members)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(one_neighbour, "_smallest_cycle_in_scc", counting)
+            sol = uniform_directed_1n_ptas(inst, k, eps)
+        assert "fallback" not in sol.trace
+        cond = condense(inst)
+        bound = eps.numerator * k // eps.denominator
+        sinks = {u for entry in sol.trace["guesses"] for u in entry["candidate_sinks"]}
+        readable = {members for u, members in enumerate(cond.scc_vertices)
+                    if len(members) > bound or u in sinks}
+        assert set(calls) <= readable
+        assert set(calls.values()) <= {1}
+
+    def test_scc_closure_pool(self):
+        for inst in ud1n_pool():
+            self.assert_searches_only_where_read(inst, inst.budget, Fraction(1, 10))
+
+    @given(planted_unit_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_planted_cycle_graphs(self, case):
+        self.assert_searches_only_where_read(*case)
+
+
+def test_scc_closure_pool_breadth_first_work(monkeypatch):
+    # Arc visits of every breadth-first search that ud1n-ptas runs over the
+    # ud1n members of the scc-closure pool at eps = 1/10: 79,385 with a
+    # resumable girth search that found 2-cycles source by source, 57,678
+    # with the 2-cycle pass.  Deterministic, so it pins work, not time.
+    visits = 0
+    layers = graphs._bfs_layers
+
+    def counting(nbrs, s):
+        nonlocal visits
+        for layer in layers(nbrs, s):
+            yield layer
+            visits += sum(len(nbrs[v]) for v in layer)  # the next layer's scan
+
+    monkeypatch.setattr(graphs, "_bfs_layers", counting)
+    for inst in ud1n_pool():
+        uniform_directed_1n_ptas(inst, eps=Fraction(1, 10))
+    assert visits <= 79_385
 
 
 @st.composite
