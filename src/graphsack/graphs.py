@@ -152,7 +152,7 @@ class Instance:
 
     def is_uniform(self) -> bool:
         """True when every weight and profit equals 1."""
-        return all(w == 1 for w in self.weights) and all(p == 1 for p in self.profits)
+        return self.weights.count(1) == self.n == self.profits.count(1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -398,7 +398,7 @@ def first_violation(instance: Instance, vertices: Iterable[int],
     inside = set(chosen)
     if constraint == ONE_NEIGHBOUR:
         return next(((v, None) for v in chosen if instance.adj[v]
-                     and not any(u in inside for u in instance.adj[v])), None)
+                     and inside.isdisjoint(instance.adj[v])), None)
     if constraint == ALL_NEIGHBOUR:
         return next(((v, u) for v in chosen for u in instance.adj[v]
                      if u not in inside), None)

@@ -33,7 +33,12 @@ class Item:
     profit: int
 
     def __post_init__(self):
-        if self.weight < 0 or self.profit < 0:
+        try:
+            negative = self.weight < 0 or self.profit < 0
+        except TypeError:  # the message of ``_check_items``
+            raise ValidationError(
+                f"item {self.id!r}: id, weight and profit must be integers") from None
+        if negative:
             raise ValidationError(f"item {self.id}: negative weight or profit")
 
 
@@ -242,31 +247,28 @@ def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int
     Runs the profit-scaled min-weight DP and reconstructs fitting levels from
     the top down, keeping the best by true profit, then smaller weight, then
     larger id tuple; so the result is never worse than the classic
-    pick-highest-level rule.  With divisor ``d``, every item has true profit
-    below ``(adjusted + 1) * d``, so a witness at level ``p`` has true profit
-    below ``(p + n) * d``.  Once that is at most the best true profit found,
-    no level from ``p`` down can win or tie, and the scan stops: the result
-    equals that of a scan over every level.
+    pick-highest-level rule.  With divisor ``num / den``, each fitting item
+    loses ``den * profit - num * adjusted`` to rounding, less than ``num``, and
+    ``L`` is the sum of those losses.  So a witness at level ``p`` has true
+    profit at most ``(p * num + L) / den``, and the scan stops at the first
+    level where ``p * num + L < best * den``: no level from there down can
+    win or tie.  The test is strict because the bound can be reached, and a
+    tie on profit must still be settled by weight and ids; so the result
+    equals that of a scan over every level.  At divisor 1, ``L`` is 0 and the
+    scan stops after one walk, at the top level: the exact optimum.
     """
     eps = eps_fraction(eps)
     _check_capacity(capacity)
     fitting = [it for it in _check_items(items) if it.weight <= capacity]
-    if not fitting or max(it.profit for it in fitting) == 0:
-        return (), 0
     table = ProfitTable(fitting, capacity, eps)
-    levels = table.levels()
-    if table.divisor == 1:
-        best_p, _ = next(levels)
-        return table.witness(best_p), best_p
-    num, den, n = table.divisor.numerator, table.divisor.denominator, len(fitting)
-    best: Optional[tuple[int, int, tuple[int, ...]]] = None  # profit, -weight, ids
-    for p, w in levels:
-        if best is not None and (p + n) * num <= best[0] * den:
+    num, den = table.divisor.numerator, table.divisor.denominator
+    loss = den * sum(it.profit for it in fitting) - num * sum(table.adjusted)
+    best = (-1, 0, ())  # true profit, -weight, ids; below every witness
+    for p, w in table.levels():
+        if p * num + loss < best[0] * den:
             break
         ids = table.witness(p)
-        cand = (table.true_profit(ids), -w, ids)
-        if best is None or cand > best:
-            best = cand
+        best = max(best, (table.true_profit(ids), -w, ids))
     return best[2], best[0]
 
 
@@ -277,7 +279,7 @@ def ratio_fptas(items: Sequence[Item], capacity: int, eps):
     Candidates are every fitting single item, then the witnesses of the
     scaled table's fitting levels above 0; since a set's ratio never exceeds
     its best member's, the single items already pin the guarantee, and the
-    table scan can only improve the reported set.  Comparison is by
+    table scan can only improve the reported set.  The winner has the highest
     :func:`ratio_key`, then higher profit, then smaller weight, then smaller
     id set, so the fitting items' profit and weight totals must be below
     2**128, the key's domain.
@@ -289,28 +291,11 @@ def ratio_fptas(items: Sequence[Item], capacity: int, eps):
         raise ValidationError("ratio_fptas needs profit and weight totals below 2^128")
     if not fitting:
         return None
-
-    best: Optional[tuple[tuple[int, ...], int, int]] = None
-
-    def offer(ids: tuple[int, ...], profit: int, weight: int):
-        nonlocal best
-        if best is None:
-            best = (ids, profit, weight)
-            return
-        new = (ratio_key(profit, weight), profit, -weight)
-        old = (ratio_key(best[1], best[2]), best[1], -best[2])
-        if new > old or (new == old and ids < best[0]):
-            best = (ids, profit, weight)
-
-    for it in fitting:
-        offer((it.id,), it.profit, it.weight)
     table = ProfitTable(fitting, capacity, eps)
-    for p, w in table.levels():
-        if p == 0:
-            break
-        ids = table.witness(p)
-        offer(ids, table.true_profit(ids), w)
-    return best
+    candidates = [((it.id,), it.profit, it.weight) for it in fitting]
+    witnesses = [(table.witness(p), w) for p, w in table.levels() if p]
+    candidates += [(ids, table.true_profit(ids), w) for ids, w in witnesses]
+    return min(candidates, key=lambda c: (-ratio_key(c[1], c[2]), -c[1], c[2], c[0]))
 
 
 def fitting_picks(candidates: Sequence, k: int,
@@ -337,10 +322,12 @@ def subset_sum_max(sizes: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:
     sums are tracked as bitmasks, one suffix mask per position, which also
     drives the witness walk.
     """
+    if not _is_int(k):
+        raise ValidationError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ValidationError("k must be non-negative")
     for s in sizes:
-        if not isinstance(s, int) or s <= 0:
+        if not _is_int(s) or s <= 0:
             raise ValidationError("sizes must be positive integers")
     n = len(sizes)
     cap = min(k, sum(sizes))

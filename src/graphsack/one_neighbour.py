@@ -68,7 +68,7 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
         sub, ids = instance.induced(alive)
         star = ratio_oracle(sub, remaining, eps)
         if star is not None:
-            star = Star(ids[star.center], tuple(sorted(ids[u] for u in star.leaves)))
+            star = Star(ids[star.center], tuple(ids[u] for u in star.leaves))
         # of equal ratios, max keeps the first vertex (Z is sorted) and the star wins
         node = max((v for v in boundary if weights[v] <= remaining),
                    key=lambda v: ratio_key(profits[v], weights[v]), default=None)
@@ -210,7 +210,7 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
         in_dx = petite | set(guess)
         petite_sinks = [u for u in sorted(petite)
                         if not any(w in in_dx for w in cond.dag_adjacency[u])]
-        zset = sorted(set(tiny_sinks) | set(petite_sinks))
+        zset = sorted(tiny_sinks + petite_sinks)
         taken = []
         budget = k - cost(guess)
         for u in sorted(zset, key=lambda u: (len(cycle(u)), u)):

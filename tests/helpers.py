@@ -23,11 +23,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 from hypothesis import strategies as st
 
 import graphsack.cli
-from graphsack import (Condensation, Instance, Item, Star, UnsupportedVariantError,
-                       ValidationError, condense, connected_components, descendants,
-                       ratio_key)
+from graphsack import (Condensation, Instance, Item, ProfitTable, Star,
+                       UnsupportedVariantError, ValidationError, condense,
+                       connected_components, descendants, ratio_key)
 from graphsack.graphs import _bfs_layers, _smallest_cycle_in_scc, is_1_neighbour_set
-from graphsack.knapsack import _check_items, eps_fraction, fitting_picks
+from graphsack.knapsack import (_RATIO_LIMIT, _check_capacity, _check_items, eps_fraction,
+                                fitting_picks)
 from graphsack.one_neighbour import _grow_1n, _require_uniform
 from graphsack.oracle import DEFAULT_MAX_N, _check_scale
 from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
@@ -401,6 +402,41 @@ def knapsack_fptas_full_scan(items, capacity: int, eps, table_cls):
         if best is None or cand > best:
             best = cand
     return best[2], best[0]
+
+
+def ratio_fptas_offer(items: Sequence[Item], capacity: int, eps):
+    """``graphsack.ratio_fptas`` as it was before its winner came from one
+    ``min``, copied unchanged: an ``offer`` closure keeps the best candidate
+    so far.  Differential reference for the one-``min`` selection."""
+    eps = eps_fraction(eps)
+    _check_capacity(capacity)
+    fitting = [it for it in _check_items(items) if it.weight <= capacity]
+    if max(sum(it.profit for it in fitting), sum(it.weight for it in fitting)) >= _RATIO_LIMIT:
+        raise ValidationError("ratio_fptas needs profit and weight totals below 2^128")
+    if not fitting:
+        return None
+
+    best: Optional[tuple[tuple[int, ...], int, int]] = None
+
+    def offer(ids: tuple[int, ...], profit: int, weight: int):
+        nonlocal best
+        if best is None:
+            best = (ids, profit, weight)
+            return
+        new = (ratio_key(profit, weight), profit, -weight)
+        old = (ratio_key(best[1], best[2]), best[1], -best[2])
+        if new > old or (new == old and ids < best[0]):
+            best = (ids, profit, weight)
+
+    for it in fitting:
+        offer((it.id,), it.profit, it.weight)
+    table = ProfitTable(fitting, capacity, eps)
+    for p, w in table.levels():
+        if p == 0:
+            break
+        ids = table.witness(p)
+        offer(ids, table.true_profit(ids), w)
+    return best
 
 
 # ``ProfitTable``'s row loop as it was before its rows were packed ints,

@@ -314,3 +314,9 @@ def test_scc_closure_pool_matches_the_benchmark_reference(tmp_path):
     # benchmark's own checker against its recorded reference answer.
     assert pool_answers_match_reference("scc-closure", tmp_path) == {"uda-ptas": 192,
                                                                      "ud1n-ptas": 96}
+
+
+def test_component_dp_pool_matches_the_benchmark_reference(tmp_path):
+    # Every component-dp pool member, solved by gua-fptas as the benchmark
+    # solves it, must pass the benchmark's checker against its reference.
+    assert pool_answers_match_reference("component-dp", tmp_path) == {"gua-fptas": 144}

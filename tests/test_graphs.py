@@ -105,6 +105,13 @@ class TestInstanceValidation:
     def test_check_vertices_normalizes(self):
         assert directed(3, []).check_vertices([2, 0, 2]) == (0, 2)
 
+    @pytest.mark.parametrize("weights, profits, uniform", [
+        ([], [], True), ([1, 1, 1], [1, 1, 1], True),
+        ([1, 2, 1], [1, 1, 1], False), ([1, 1, 1], [1, 1, 0], False)])
+    def test_is_uniform(self, weights, profits, uniform):
+        inst = Instance(False, len(weights), [], weights, profits, 3)
+        assert inst.is_uniform() is uniform
+
 
 class TestConnectedComponents:
     def test_triangle_plus_isolated(self):

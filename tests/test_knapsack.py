@@ -17,7 +17,8 @@ from graphsack import (Item, ProfitTable, ValidationError, connected_components,
 from graphsack.knapsack import eps_fraction, fitting_picks
 from helpers import (BruteProfitTable, CapacityProfitTable, NonemptyProfitTable,
                      UnboundedProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
-                     list_kernel_rows, perfbench_pool, ratio_key_reference, ratio_meets)
+                     list_kernel_rows, perfbench_pool, ratio_fptas_offer, ratio_key_reference,
+                     ratio_meets)
 
 
 def items_of(*pairs):
@@ -57,6 +58,10 @@ def test_solvers_reject_negative_capacity(solve):
     (lambda: knapsack_exact([Item(0, 1, 1)], 2.5), "capacity must be an integer, got 2.5"),
     (lambda: knapsack_fptas([Item(0, 1, 1)], True, 0.1), "capacity must be an integer, got True"),
     (lambda: ProfitTable([Item(0, 1, 1)], "3"), "capacity must be an integer, got '3'"),
+    (lambda: subset_sum_max([1, 2], 0.5), "k must be an integer, got 0.5"),
+    (lambda: subset_sum_max([1, 2], True), "k must be an integer, got True"),
+    (lambda: subset_sum_max([True], 1), "sizes must be positive integers"),
+    (lambda: Item(0, "3", 1), "item 0: id, weight and profit must be integers"),
 ])
 def test_knapsack_layer_rejects_values_that_are_not_ints(call, message):
     with pytest.raises(ValidationError, match=message):
@@ -214,21 +219,52 @@ class TestKnapsackFptas:
         assert ProfitTable(items, 2, Fraction(1, 2)).adjusted == (6, 3, 2)
         assert knapsack_fptas(items, 2, Fraction(1, 2)) == ((1, 2), 40)
 
+    @pytest.mark.parametrize("shape", ["scaled", "divisor 1", "nothing fits", "zero profits"])
     @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 5, 10, 19, 20, 21, 40])),
                     max_size=6),
            st.integers(0, 12), st.integers(40, 60),
            st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 0.9]))
     @settings(max_examples=150, deadline=None)
-    def test_stopping_scan_matches_full_scan(self, pairs, capacity, top, eps):
-        # The heavy item fits, so the divisor is at least (1/3) * 40 / 7 > 1.
-        items = items_of((capacity // 2, top), *pairs)
-        assert ProfitTable(items, capacity, eps).divisor > 1
-        got = knapsack_fptas(items, capacity, eps)
+    def test_stopping_scan_matches_full_scan(self, shape, pairs, capacity, top, eps):
+        fit = 1 + sum(w <= capacity for w, _ in pairs)
+        items = items_of(*{
+            # the heavy item fits, so the divisor is at least (1/3) * 40 / 7 > 1
+            "scaled": [(capacity // 2, top), *pairs],
+            # no profit above the fitting item count, so the divisor is clamped to 1
+            "divisor 1": [(capacity // 2, fit), *((w, p % (fit + 1)) for w, p in pairs)],
+            "nothing fits": [(capacity + 1, top), *((capacity + 1 + w, p) for w, p in pairs)],
+            "zero profits": [(capacity // 2, 0), *((w, 0) for w, _ in pairs)],
+        }[shape])
+        divisor = ProfitTable([it for it in items if it.weight <= capacity], capacity, eps).divisor
+        assert (divisor > 1) == (shape == "scaled")
+        with mock.patch.object(ProfitTable, "witness", autospec=True,
+                               side_effect=ProfitTable.witness) as walk:
+            got = knapsack_fptas(items, capacity, eps)
+        if shape != "scaled":
+            # the rounding loss is 0, so the top level's walk ends the scan
+            assert walk.call_count == 1
+        if shape in ("nothing fits", "zero profits"):
+            assert got == ((), 0)
 
         def bounded(fitting, eps):
             return ProfitTable(fitting, capacity, eps)
         assert got == knapsack_fptas_full_scan(items, capacity, eps, bounded)
         assert got == knapsack_fptas_full_scan(items, capacity, eps, BruteProfitTable)
+
+    def test_component_dp_pool_witness_walks(self):
+        # The stopping scan's work on the tables gua-fptas builds over the
+        # component-dp pool at eps = 1/10; the old (p + n) * d bound walked
+        # 2,941 witnesses, the rounding-loss bound walks 736.
+        walks = 0
+        for _stem, text, _constraint, _variant in perfbench_pool("component-dp"):
+            inst = parse(text)
+            items = [Item(i, inst.total_weight(c), inst.total_profit(c))
+                     for i, c in enumerate(connected_components(inst))]
+            with mock.patch.object(ProfitTable, "witness", autospec=True,
+                                   side_effect=ProfitTable.witness) as walk:
+                knapsack_fptas(items, inst.budget, Fraction(1, 10))
+            walks += walk.call_count
+        assert walks <= 2941
 
 
 class TestRatioFptas:
@@ -259,6 +295,17 @@ class TestRatioFptas:
     def test_zero_profit_falls_back_to_min_weight_item(self):
         ids, profit, weight = ratio_fptas(items_of((7, 0), (5, 0), (6, 0)), 10, 0.3)
         assert ids == (1,) and profit == 0 and weight == 5
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6), st.integers(0, 6),
+                              st.sampled_from([1, 2, 3, 10])),
+                    max_size=8, unique_by=lambda t: t[0]),
+           st.integers(0, 20), st.sampled_from([Fraction(1, 10), Fraction(1, 2)]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_offer_reference(self, quads, capacity, eps):
+        # Weight w * m and profit p * m: zero weights and profits, many equal
+        # ratios, and weights up to 60 that do not fit; ids sparse, unsorted.
+        items = [Item(i, w * m, p * m) for i, w, p, m in quads]
+        assert ratio_fptas(items, capacity, eps) == ratio_fptas_offer(items, capacity, eps)
 
     def test_bound_random(self):
         rng = random.Random(4242)
