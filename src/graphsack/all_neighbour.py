@@ -19,12 +19,14 @@ from typing import Optional
 
 from .errors import UnsupportedVariantError
 from .graphs import Condensation, Instance, condense, connected_components, descendants
-from .knapsack import Item, eps_fraction, fitting_picks, knapsack_fptas, subset_sum_max
+from .knapsack import (Item, _check_capacity, eps_fraction, fitting_picks, knapsack_fptas,
+                       subset_sum_max)
 from .solution import ALL_NEIGHBOUR, Solution, make_solution
 
 
 def closure_catalog(cond: Condensation, eps, k: int) -> dict[int, frozenset[int]]:
     """Descendant closure of each heavy SCC (own weight above eps * k), by id."""
+    _check_capacity(k, "k")
     eps = eps_fraction(eps)
     limit = eps.numerator * k  # weight > eps * k, in integers
     return {u: frozenset(descendants(cond, [u])) for u in range(cond.scc_count)

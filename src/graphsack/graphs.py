@@ -209,11 +209,11 @@ def bfs_parents(instance: Instance, root: int) -> dict[int, int]:
     return parent
 
 
-def _bfs_layers(nbrs, s: int):
-    """Breadth-first layers from ``s`` over ``nbrs``: ``[s]``, then one list
-    per distance.  A layer is built only when the caller asks for it."""
-    seen = {s}
-    layer = [s]
+def _bfs_layers(nbrs, *sources: int):
+    """Breadth-first layers from ``sources`` over ``nbrs``: the sources, then
+    one list per distance.  A layer is built only when the caller asks for it."""
+    seen = set(sources)
+    layer = list(sources)
     while layer:
         yield layer
         nxt = []
@@ -234,9 +234,9 @@ def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[
     smallest member whose out- and in-lists meet (its partners lie in the
     SCC).  Else sources are searched in ascending id, each only for a cycle
     strictly shorter than the best so far (``girth``), so no search goes
-    deeper than ``girth - 2`` arcs, and only a strictly shorter cycle moves
-    ``start`` (Itai and Rodeh, "Finding a minimum circuit in a graph",
-    SIAM J. Comput. 7(4), 1978).
+    deeper than ``girth - 2`` arcs, only a strictly shorter cycle moves
+    ``start``, and a 3-cycle, the shortest left, ends the scan (Itai and
+    Rodeh, "Finding a minimum circuit in a graph", SIAM J. Comput. 7(4), 1978).
     """
     if len(members) == 1:
         return (members[0],)
@@ -256,6 +256,8 @@ def _smallest_cycle_in_scc(instance: Instance, members: Sequence[int]) -> tuple[
                 break
             if depth + 2 >= girth:  # the next layer closes no shorter cycle
                 break
+        if girth == 3:
+            break
 
     # Any closed walk of length == girth is a simple cycle, so a greedy
     # lexicographic walk constrained by distance-to-start is safe.
@@ -372,18 +374,11 @@ def in_boundary(instance: Instance, vertices: Iterable[int]) -> tuple[int, ...]:
 
 def descendants(condensation: Condensation, roots: Iterable[int]) -> set[int]:
     """Reflexive-transitive closure of ``roots`` in the condensation DAG."""
-    todo = list(roots)
-    for u in todo:
+    roots = list(roots)
+    for u in roots:  # before any hashing, so an unhashable root is named too
         if not ((type(u) is int or _is_int(u)) and 0 <= u < condensation.scc_count):
             raise ValidationError(f"invalid SCC id {u!r}")
-    reach = set(todo)
-    while todo:
-        u = todo.pop()
-        for w in condensation.dag_adjacency[u]:
-            if w not in reach:
-                reach.add(w)
-                todo.append(w)
-    return reach
+    return set().union(*_bfs_layers(condensation.dag_adjacency, *roots))
 
 
 def first_violation(instance: Instance, vertices: Iterable[int],

@@ -90,11 +90,11 @@ def ratio_key(profit: int, weight: int) -> int:
     return _RATIO_TOP if profit else 1
 
 
-def _check_capacity(capacity) -> None:
+def _check_capacity(capacity, name: str = "capacity") -> None:
     if not _is_int(capacity):
-        raise ValidationError(f"capacity must be an integer, got {capacity!r}")
+        raise ValidationError(f"{name} must be an integer, got {capacity!r}")
     if capacity < 0:
-        raise ValidationError("capacity must be non-negative")
+        raise ValidationError(f"{name} must be non-negative")
 
 
 def _check_items(items: Iterable[Item]) -> list[Item]:
@@ -322,10 +322,7 @@ def subset_sum_max(sizes: Sequence[int], k: int) -> tuple[tuple[int, ...], int]:
     sums are tracked as bitmasks, one suffix mask per position, which also
     drives the witness walk.
     """
-    if not _is_int(k):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValidationError("k must be non-negative")
+    _check_capacity(k, "k")
     for s in sizes:
         if not _is_int(s) or s <= 0:
             raise ValidationError("sizes must be positive integers")

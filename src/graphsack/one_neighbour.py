@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -155,7 +156,8 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     guesses every set of large SCCs whose smallest cycles fit the budget
     together (fewer than 1/eps, as each is longer than eps * k), seeds the
     knapsack with smallest cycles of the guessed SCCs plus affordable sink
-    SCCs, and grows it by a backwards search.  Falls back to the exhaustive
+    SCCs, and grows it backwards in the order of repeated id scans, which one
+    (scan, id) heap keeps in O((n + m) log n).  Falls back to the exhaustive
     search when eps <= 1/k.  The trace records, per guess, whether every
     candidate sink was taken (the branch where the result is provably
     optimal).
@@ -203,9 +205,7 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     def cost(guess) -> int:
         return sum(len(cycle(u)) for u in guess)
 
-    best: Optional[tuple[int, ...]] = None
-    best_entry: Optional[dict] = None
-    entries: list[dict] = []
+    results: list[tuple[tuple[int, ...], dict]] = []  # (chosen set, entry)
     for guess in fitting_picks(large, k, cost):
         in_dx = petite | set(guess)
         petite_sinks = [u for u in sorted(petite)
@@ -226,29 +226,30 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
                  "taken_sinks": tuple(sorted(taken)),
                  "complete": len(taken) == len(zset),
                  "size": len(chosen)}
-        entries.append(entry)
-        verts = tuple(sorted(chosen))
-        if best is None or len(verts) > len(best) or \
-                (len(verts) == len(best) and verts < best):
-            best, best_entry = verts, entry
+        results.append((tuple(sorted(chosen)), entry))
 
-    trace = {"guesses": entries, "winner": best_entry,
+    # the largest set, then the smallest tuple; min keeps the first of equals
+    best, best_entry = min(results, key=lambda r: (-len(r[0]), r[0]), default=((), None))
+    trace = {"guesses": [entry for _, entry in results], "winner": best_entry,
              "complete": bool(best_entry and best_entry["complete"])}
-    return make_solution(instance, best or (), ONE_NEIGHBOUR, "ud1n-ptas",
+    return make_solution(instance, best, ONE_NEIGHBOUR, "ud1n-ptas",
                          f"{float(1 - eps):g}", k, trace)
 
 
 def _grow_1n(instance: Instance, chosen: set[int], k: int) -> None:
-    """Extend a feasible seed by any vertex it can support, up to k vertices."""
-    while len(chosen) < k:
-        added = False
-        for v in range(instance.n):
-            if v in chosen:
-                continue
-            if instance.degree(v) == 0 or any(u in chosen for u in instance.adj[v]):
-                chosen.add(v)
-                added = True
-                if len(chosen) == k:
-                    return
-        if not added:
-            return
+    """Extend a feasible seed by any vertex it can support, up to k vertices,
+    in the order of repeated ascending-id scans.  A heap keyed scan * n + id
+    keeps that order: when u joins in scan s, an in-neighbour v is ready in
+    scan s, or in scan s + 1 if v < u, as that scan has passed v."""
+    n, adj, radj = instance.n, instance.adj, instance.radj
+    # scan 0's vertices in ascending order, which is a valid heap
+    heap = [v for v in range(n) if v not in chosen
+            and (not adj[v] or not chosen.isdisjoint(adj[v]))]
+    while heap and len(chosen) < k:
+        scan, u = divmod(heappop(heap), n)
+        if u in chosen:
+            continue
+        chosen.add(u)
+        for v in radj[u]:
+            if v not in chosen:
+                heappush(heap, (scan + (v < u)) * n + v)

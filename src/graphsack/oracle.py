@@ -14,14 +14,16 @@ from itertools import accumulate
 from operator import or_
 from typing import Optional
 
-from .errors import OracleScaleError
-from .graphs import Instance, condense
+from .errors import OracleScaleError, ValidationError
+from .graphs import Instance, _is_int, condense
 from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
 
 DEFAULT_MAX_N = 22
 
 
 def _check_scale(instance: Instance, k, max_n: int) -> int:
+    if not _is_int(max_n) or max_n < 0:
+        raise ValidationError(f"max_n must be a non-negative integer, got {max_n!r}")
     if instance.n > max_n:
         raise OracleScaleError(
             f"oracle-scale-exceeded: n={instance.n} above the bound {max_n}")

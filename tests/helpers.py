@@ -29,7 +29,7 @@ from graphsack import (Condensation, Instance, Item, ProfitTable, Star,
 from graphsack.graphs import _bfs_layers, _smallest_cycle_in_scc, is_1_neighbour_set
 from graphsack.knapsack import (_RATIO_LIMIT, _check_capacity, _check_items, eps_fraction,
                                 fitting_picks)
-from graphsack.one_neighbour import _grow_1n, _require_uniform
+from graphsack.one_neighbour import _require_uniform
 from graphsack.oracle import DEFAULT_MAX_N, _check_scale
 from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
 
@@ -963,6 +963,25 @@ def exact_1n_support_scan(instance: Instance, k: Optional[int] = None,
     return make_solution(instance, best_verts, ONE_NEIGHBOUR, "exact-1n", "exact", k)
 
 
+# ``graphsack.one_neighbour._grow_1n`` as it was before its (scan, id) heap:
+# one full scan of the vertices per pass.  Differential reference.
+
+def grow_1n_passes(instance: Instance, chosen: set[int], k: int) -> None:
+    """Extend a feasible seed by any vertex it can support, up to k vertices."""
+    while len(chosen) < k:
+        added = False
+        for v in range(instance.n):
+            if v in chosen:
+                continue
+            if instance.degree(v) == 0 or any(u in chosen for u in instance.adj[v]):
+                chosen.add(v)
+                added = True
+                if len(chosen) == k:
+                    return
+        if not added:
+            return
+
+
 # ``uniform_directed_1n_ptas`` as it was before it computed smallest cycles on
 # demand: the smallest cycle of every SCC, up front, and the classes read off
 # their lengths.  Differential reference for
@@ -1030,7 +1049,7 @@ def uniform_directed_1n_ptas_all_cycles(instance: Instance, k: Optional[int] = N
         chosen = set()
         for u in list(guess) + taken:
             chosen.update(cycles[u])
-        _grow_1n(instance, chosen, k)
+        grow_1n_passes(instance, chosen, k)
         entry = {"guess": guess, "candidate_sinks": tuple(zset),
                  "taken_sinks": tuple(sorted(taken)),
                  "complete": len(taken) == len(zset),

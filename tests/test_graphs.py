@@ -387,20 +387,29 @@ class TestGirthSearchMatchesFullScan:
         return cycle, sources[:-1]
 
     def test_later_shorter_cycle_moves_start(self, monkeypatch):
-        # 0->1->2->3->4->0 is the only cycle through 0 and 1; 2->3->4->2 is shorter
-        inst = directed(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 2)])
+        # 0->1->2->3->4->5->0 is the only cycle through 0 and 1;
+        # 2->3->4->5->2 is shorter
+        inst = directed(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (5, 2)])
         cycle, sources = self.searched_sources(monkeypatch, inst)
-        assert cycle == (2, 3, 4)
-        assert sources == [0, 1, 2, 3, 4]
+        assert cycle == (2, 3, 4, 5)
+        assert sources == [0, 1, 2, 3, 4, 5]
 
     def test_tie_keeps_smaller_start(self, monkeypatch):
-        # 0->3->4->0 and 1->2->5->1 tie at 3; moving the start to 1 on the
-        # tie would give (1, 2, 5)
-        inst = directed(6, [(0, 3), (3, 4), (4, 0), (1, 2), (2, 5), (5, 1),
-                            (4, 1), (5, 0)])
+        # 0->4->5->6->0 and 1->2->3->7->1 tie at 4; moving the start to 1 on
+        # the tie would give (1, 2, 3, 7)
+        inst = directed(8, [(0, 4), (4, 5), (5, 6), (6, 0), (1, 2), (2, 3), (3, 7),
+                            (7, 1), (6, 1), (7, 0)])
         cycle, sources = self.searched_sources(monkeypatch, inst)
-        assert cycle == (0, 3, 4)
-        assert sources == [0, 1, 2, 3, 4, 5]
+        assert cycle == (0, 4, 5, 6)
+        assert sources == [0, 1, 2, 3, 4, 5, 6, 7]
+
+    def test_three_cycle_ends_the_scan(self, monkeypatch):
+        # 0 lies on the 5-cycle 0->1->2->3->4 only; 1->2->3->1 is a 3-cycle,
+        # and no 2-cycle exists, so no later source can find a shorter one
+        inst = directed(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 0)])
+        cycle, sources = self.searched_sources(monkeypatch, inst)
+        assert cycle == (1, 2, 3)
+        assert sources == [0, 1]
 
     @pytest.mark.parametrize("arcs, expect", [
         # 0 and 1 lie on 5-cycles only; 2<->3 and 3<->4 are 2-cycles
@@ -506,7 +515,7 @@ class TestDescendants:
         d = cond.membership[3]
         assert descendants(cond, [b, c]) == {b, c, d}
 
-    @pytest.mark.parametrize("scc_id", [2, -1, 1.0, "0", None, True])
+    @pytest.mark.parametrize("scc_id", [2, -1, 1.0, "0", None, True, [0]])
     def test_rejects_out_of_range_scc_id(self, scc_id):
         cond = condense(directed(2, [(0, 1)]))
         with pytest.raises(ValidationError, match=re.escape(f"invalid SCC id {scc_id!r}")):

@@ -1,14 +1,15 @@
 """Exhaustive oracles against raw unpruned enumeration."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsack import (Instance, OracleScaleError, ValidationError, exact_1n, exact_alln,
-                       general_undirected_alln_fptas, greedy_1_neighbour,
-                       is_1_neighbour_set, is_all_neighbour_set, parse,
+from graphsack import (Instance, OracleScaleError, ValidationError, closure_catalog,
+                       condense, exact_1n, exact_alln, general_undirected_alln_fptas,
+                       greedy_1_neighbour, is_1_neighbour_set, is_all_neighbour_set, parse,
                        uniform_directed_1n_ptas, uniform_directed_alln_ptas,
                        uniform_undirected_1n, uniform_undirected_alln)
 from graphsack.graphs import MAX_VALUE
@@ -185,3 +186,19 @@ def test_every_solver_rejects_bad_budgets(solve, directed):
     for k in (True, False, -1, 1.0):
         with pytest.raises(ValidationError, match="budget"):
             solve(inst, k)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda inst: exact_1n(inst, max_n=None), "max_n must be a non-negative integer, got None"),
+    (lambda inst: exact_1n(inst, max_n="5"), "max_n must be a non-negative integer, got '5'"),
+    (lambda inst: exact_1n(inst, max_n=True), "max_n must be a non-negative integer, got True"),
+    (lambda inst: exact_alln(inst, max_n=-1), "max_n must be a non-negative integer, got -1"),
+    (lambda inst: exact_alln(inst, max_n=2.0), "max_n must be a non-negative integer, got 2.0"),
+    (lambda inst: closure_catalog(condense(inst), 0.5, -1), "k must be non-negative"),
+    (lambda inst: closure_catalog(condense(inst), 0.5, "3"), "k must be an integer, got '3'"),
+    (lambda inst: closure_catalog(condense(inst), 0.5, True), "k must be an integer, got True"),
+])
+def test_scale_bounds_and_catalog_budgets_are_checked(call, message):
+    inst = Instance(True, 1, [], [1], [1], 1)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(inst)
