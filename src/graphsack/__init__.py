@@ -22,8 +22,8 @@ from .graphs import (Condensation, Instance, condense, connected_components,
                      is_1_neighbour_set, is_all_neighbour_set, smallest_cycle)
 from .instance_io import (gen_max_k_cover, gen_network_budget, gen_random,
                           gen_set_cover_cycles, parse, serialize)
-from .knapsack import (Item, ProfitTable, knapsack_exact, knapsack_fptas,
-                       ratio_fptas, ratio_key, subset_sum_max)
+from .knapsack import (Item, ProfitTable, knapsack_exact, knapsack_fptas, ratio_key,
+                       subset_sum_max)
 from .one_neighbour import (greedy_1_neighbour, uniform_directed_1n_ptas,
                             uniform_undirected_1n)
 from .oracle import exact_1n, exact_alln
@@ -42,8 +42,7 @@ __all__ = [
     "gen_random", "gen_set_cover_cycles", "general_undirected_alln_fptas",
     "greedy_1_neighbour", "in_boundary", "is_1_neighbour_set",
     "is_all_neighbour_set", "knapsack_exact", "knapsack_fptas", "parse",
-    "ratio_fptas", "ratio_key", "serialize", "smallest_cycle",
-    "star_partition", "subset_sum_max", "uniform_directed_1n_ptas",
-    "uniform_directed_alln_ptas", "uniform_undirected_1n",
-    "uniform_undirected_alln", "validate_star",
+    "ratio_key", "serialize", "smallest_cycle", "star_partition",
+    "subset_sum_max", "uniform_directed_1n_ptas", "uniform_directed_alln_ptas",
+    "uniform_undirected_1n", "uniform_undirected_alln", "validate_star",
 ]

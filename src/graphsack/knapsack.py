@@ -1,5 +1,9 @@
 """Classic 0-1 knapsack primitives built on a min-weight-per-profit table.
 
+:class:`ProfitTable` alone decides which items fit the capacity; it drops the
+heavier ones before it scales profits, so the exact solver and the FPTAS
+hand it their raw items.
+
 All arithmetic is exact: weights/profits are Python ints and every ratio
 comparison goes through :func:`ratio_key`, an int key that orders
 profit/weight pairs exactly (a floor of the ratio scaled by 2**256), with
@@ -114,14 +118,18 @@ def _check_items(items: Iterable[Item]) -> list[Item]:
 class ProfitTable:
     """Minimum subset weight per exact (adjusted) profit level, within a capacity.
 
-    ``min_weight(p)`` is the least total weight, within ``capacity``, of any
+    The table is the one place that decides which items fit: after checking
+    the capacity and the items it keeps, in ``items``, those of weight within
+    the capacity, sorted by id.  ``min_weight(p)`` is the least total weight, within ``capacity``, of any
     subset whose adjusted profit is exactly ``p`` (``None`` if none fits), and
     ``witness(p)`` the lexicographically smallest id set among those
     minimum-weight subsets.  ``levels()`` is the one scan over the table.
     Level 0 always has minimum weight 0 and witness ``()``, so a scan for
     non-empty sets stops before it.  With ``eps`` given, profits are scaled by
-    the FPTAS divisor ``eps * max_profit / n``, clamped to >= 1 so adjusted
-    profits never exceed true profits (the table is then exact).
+    the FPTAS divisor ``eps * max_profit / n`` over the kept items, clamped to
+    >= 1 so adjusted profits never exceed true profits (the table is then
+    exact).  Their adjusted profits must total below ``PROFIT_TABLE_BOUND``,
+    else :class:`ValidationError` before any row is built.
 
     Row ``i`` covers ``items[i:]`` and ends at the highest level they reach
     within the capacity; heavier cells hold ``capacity + 1``.  It is built
@@ -129,10 +137,9 @@ class ProfitTable:
     (SWAR; Lamport, CACM 18(8), 1975).  A packed cell holds the slack
     ``capacity + 1 - weight`` under a guard bit, so taking item ``i`` is a
     saturating subtraction of its weight, shifted up its adjusted profit, and
-    the new row is the fieldwise maximum of the two; an item heavier than the
-    capacity leaves the row as it is.  Each row is then decoded once into min
-    weights: ``bytes`` for one-byte cells, a ``memoryview`` for cells of 2 to
-    8 bytes, else a list.
+    the new row is the fieldwise maximum of the two.  Each row is then decoded
+    once into min weights: ``bytes`` for one-byte cells, a ``memoryview`` for
+    cells of 2 to 8 bytes, else a list.
 
     A fitting cell is a minimum over lighter cells of row ``i + 1``, and the
     scan and the witness walk read only fitting cells or compare a cell plus a
@@ -143,7 +150,7 @@ class ProfitTable:
 
     def __init__(self, items: Iterable[Item], capacity: int, eps=None):
         _check_capacity(capacity)
-        self.items = _check_items(items)
+        self.items = [it for it in _check_items(items) if it.weight <= capacity]
         n = len(self.items)
         profits = [it.profit for it in self.items]
         self.divisor, self.adjusted = _ONE, tuple(profits)
@@ -153,6 +160,8 @@ class ProfitTable:
             if num > den:  # else the divisor is clamped to 1
                 self.divisor = Fraction(num, den)
                 self.adjusted = tuple(p * den // num for p in profits)
+        if sum(self.adjusted) >= PROFIT_TABLE_BOUND:
+            raise ValidationError("total profit exceeds the DP table bound (2^40)")
         self._profit = {it.id: it.profit for it in self.items}
         absent = self._absent = capacity + 1
 
@@ -167,21 +176,19 @@ class ProfitTable:
         cells, guards = 1, 1 << top  # the guard bits of ``cells`` cells
         rows = [row]
         for it, a in zip(reversed(self.items), reversed(self.adjusted)):
-            w = it.weight
-            if w <= capacity:  # else no cell of the take row fits
-                # take: each slack less w, saturating at 0, moved up a cells
-                h = guards >> (cells - length) * bits
-                d = (row | h) - (h >> top) * w
-                g = d & h
-                take = (d & (g - (g >> top))) << a * bits
-                length = -(-max(row.bit_length(), take.bit_length()) // bits)
-                if length > cells:
-                    cells = max(length, 2 * cells)
-                    guards = int.from_bytes(guard * cells, "little")
-                # the fieldwise max: a guard bit survives where row >= take
-                h = guards >> (cells - length) * bits
-                g = ((row | h) - take) & h
-                row = take ^ ((row ^ take) & (g - (g >> top)))
+            # take: each slack less the weight, saturating at 0, moved up a cells
+            h = guards >> (cells - length) * bits
+            d = (row | h) - (h >> top) * it.weight
+            g = d & h
+            take = (d & (g - (g >> top))) << a * bits
+            length = -(-max(row.bit_length(), take.bit_length()) // bits)
+            if length > cells:
+                cells = max(length, 2 * cells)
+                guards = int.from_bytes(guard * cells, "little")
+            # the fieldwise max: a guard bit survives where row >= take
+            h = guards >> (cells - length) * bits
+            g = ((row | h) - take) & h
+            row = take ^ ((row ^ take) & (g - (g >> top)))
             rows.append(row)
         rows.reverse()
         # decode each row once into min weights, absent - slack in every cell
@@ -232,11 +239,10 @@ def knapsack_exact(items: Sequence[Item], capacity: int) -> tuple[tuple[int, ...
     """Maximum-profit subset of weight <= capacity, computed exactly.
 
     Ties break toward smaller weight, then the lexicographically smallest id
-    set.  Callers must keep the total profit within 2**40 (table bound).
+    set.  The items that fit must total a profit below 2**40 (table bound);
+    items heavier than the capacity do not count.
     """
-    if sum(it.profit for it in items) >= PROFIT_TABLE_BOUND:
-        raise ValidationError("total profit exceeds the DP table bound (2^40)")
-    table = ProfitTable(items, capacity)  # checks the capacity and the items
+    table = ProfitTable(items, capacity)  # checks the capacity, the items and the bound
     best_p, _ = next(table.levels())
     return table.witness(best_p), best_p
 
@@ -244,7 +250,8 @@ def knapsack_exact(items: Sequence[Item], capacity: int) -> tuple[tuple[int, ...
 def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int, ...], int]:
     """Feasible subset with profit >= (1 - eps) * optimum.
 
-    Runs the profit-scaled min-weight DP and reconstructs fitting levels from
+    Runs the profit-scaled min-weight DP, which drops the items heavier than
+    the capacity before it scales, and reconstructs fitting levels from
     the top down, keeping the best by true profit, then smaller weight, then
     larger id tuple; so the result is never worse than the classic
     pick-highest-level rule.  With divisor ``num / den``, each fitting item
@@ -257,12 +264,9 @@ def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int
     equals that of a scan over every level.  At divisor 1, ``L`` is 0 and the
     scan stops after one walk, at the top level: the exact optimum.
     """
-    eps = eps_fraction(eps)
-    _check_capacity(capacity)
-    fitting = [it for it in _check_items(items) if it.weight <= capacity]
-    table = ProfitTable(fitting, capacity, eps)
+    table = ProfitTable(items, capacity, eps_fraction(eps))
     num, den = table.divisor.numerator, table.divisor.denominator
-    loss = den * sum(it.profit for it in fitting) - num * sum(table.adjusted)
+    loss = den * sum(it.profit for it in table.items) - num * sum(table.adjusted)
     best = (-1, 0, ())  # true profit, -weight, ids; below every witness
     for p, w in table.levels():
         if p * num + loss < best[0] * den:
@@ -270,32 +274,6 @@ def knapsack_fptas(items: Sequence[Item], capacity: int, eps) -> tuple[tuple[int
         ids = table.witness(p)
         best = max(best, (table.true_profit(ids), -w, ids))
     return best[2], best[0]
-
-
-def ratio_fptas(items: Sequence[Item], capacity: int, eps):
-    """Non-empty subset whose profit/weight ratio is >= (1 - eps) * best.
-
-    Returns ``(ids, profit, weight)`` or ``None`` when no single item fits.
-    Candidates are every fitting single item, then the witnesses of the
-    scaled table's fitting levels above 0; since a set's ratio never exceeds
-    its best member's, the single items already pin the guarantee, and the
-    table scan can only improve the reported set.  The winner has the highest
-    :func:`ratio_key`, then higher profit, then smaller weight, then smaller
-    id set, so the fitting items' profit and weight totals must be below
-    2**128, the key's domain.
-    """
-    eps = eps_fraction(eps)
-    _check_capacity(capacity)
-    fitting = [it for it in _check_items(items) if it.weight <= capacity]
-    if max(sum(it.profit for it in fitting), sum(it.weight for it in fitting)) >= _RATIO_LIMIT:
-        raise ValidationError("ratio_fptas needs profit and weight totals below 2^128")
-    if not fitting:
-        return None
-    table = ProfitTable(fitting, capacity, eps)
-    candidates = [((it.id,), it.profit, it.weight) for it in fitting]
-    witnesses = [(table.witness(p), w) for p, w in table.levels() if p]
-    candidates += [(ids, table.true_profit(ids), w) for ids, w in witnesses]
-    return min(candidates, key=lambda c: (-ratio_key(c[1], c[2]), -c[1], c[2], c[0]))
 
 
 def fitting_picks(candidates: Sequence, k: int,

@@ -218,7 +218,8 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
     center: every fitting single leaf, the witnesses of the fitting levels
     above 0 of the scaled min-weight table over all fitting leaves, and -
     when scaling actually rounds - the same levels of per-leaf rescaled
-    tables that force one leaf and restrict the rest to no larger profits.
+    tables that force one leaf and restrict the rest to no larger profits
+    (each table drops the leaves that no longer fit beside the forced one).
     The forced-leaf tables keep the rounding error proportional to the
     candidate's own profit, which the shared table alone cannot guarantee.
     The key is the higher :func:`ratio_key`, then the higher profit; a
@@ -240,8 +241,6 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
         if len(items) > 1 and offer_levels(v, items, leaf_budget).divisor > 1:
             for guess in items:
                 rest_budget = leaf_budget - guess.weight
-                others = [it for it in items
-                          if it.id != guess.id and it.profit <= guess.profit
-                          and it.weight <= rest_budget]
+                others = [it for it in items if it.id != guess.id and it.profit <= guess.profit]
                 offer_levels(v, others, rest_budget, (guess.id,))
     return search.best

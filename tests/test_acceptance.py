@@ -11,11 +11,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from graphsack import (Instance, Item, condense, descendants, exact_1n,
-                       gen_max_k_cover, gen_set_cover_cycles,
+from graphsack import (Instance, Item, best_ratio_viable_star, condense, descendants,
+                       exact_1n, gen_max_k_cover, gen_set_cover_cycles,
                        general_undirected_alln_fptas, greedy_1_neighbour,
                        is_1_neighbour_set, is_all_neighbour_set,
-                       knapsack_exact, knapsack_fptas, ratio_fptas, ratio_key,
+                       knapsack_exact, knapsack_fptas, ratio_key,
                        serialize, star_partition, uniform_directed_1n_ptas,
                        uniform_directed_alln_ptas, uniform_undirected_1n,
                        uniform_undirected_alln, validate_star)
@@ -253,7 +253,10 @@ def test_criterion_6_reduction_equivalences():
 
 
 def test_criterion_7_fptas_suites():
-    """knapsack/ratio/component FPTAS all meet (1-eps) on 300 instances."""
+    """The knapsack FPTAS, the ratio star oracle and the component FPTAS
+    meet (1-eps) on 300 instances.  The ratio oracle runs on the star of a
+    centre n, of weight and profit 0, joined to the items 0..n-1, so its
+    stars are the non-empty item subsets, at their own ratios."""
     rng = random.Random(70_007)
     failures = []
     for trial in range(300):
@@ -268,13 +271,20 @@ def test_criterion_7_fptas_suites():
                 failures.append(("knapsack", trial, eps, profit, opt))
         if n <= 12:
             best = best_ratio_subset(raw, cap)
-            result = ratio_fptas(items, cap, 0.3)
+            star_inst = Instance(False, n + 1, [(i, n) for i in range(n)],
+                                 [w for _, w, _ in raw] + [0], [p for _, _, p in raw] + [0], cap)
+            star = best_ratio_viable_star(star_inst, cap, 0.3)
             if best is None:
-                if result is not None:
+                if star is not None:
                     failures.append(("ratio none", trial))
-            elif result is None or not ratio_meets(result[1], result[2],
-                                                   best[0], best[1], 0.3):
-                failures.append(("ratio", trial, result, best))
+            elif star is None:
+                failures.append(("ratio", trial, star, best))
+            else:
+                validate_star(star_inst, star)
+                weight = star_inst.total_weight(star.vertices)
+                result = (star_inst.total_profit(star.vertices), weight)
+                if weight > cap or not ratio_meets(*result, best[0], best[1], 0.3):
+                    failures.append(("ratio", trial, star, result, best))
 
         inst = random_instance(rng, rng.randint(1, 10), False,
                                rng.random() * 0.4, 4, 6, 0)

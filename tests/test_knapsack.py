@@ -12,17 +12,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsack import (Item, ProfitTable, ValidationError, connected_components,
-                       knapsack_exact, knapsack_fptas, parse, ratio_fptas, ratio_key,
-                       subset_sum_max)
-from graphsack.knapsack import eps_fraction, fitting_picks
+                       knapsack_exact, knapsack_fptas, parse, ratio_key, subset_sum_max)
+from graphsack.knapsack import _check_capacity, _check_items, eps_fraction, fitting_picks
 from helpers import (BruteProfitTable, CapacityProfitTable, NonemptyProfitTable,
-                     UnboundedProfitTable, best_ratio_subset, knapsack_fptas_full_scan,
-                     list_kernel_rows, perfbench_pool, ratio_fptas_offer, ratio_key_reference,
-                     ratio_meets)
+                     UnboundedProfitTable, knapsack_fptas_full_scan, list_kernel_rows,
+                     perfbench_pool, ratio_key_reference)
 
 
 def items_of(*pairs):
     return [Item(i, w, p) for i, (w, p) in enumerate(pairs)]
+
+
+def fitting(items, capacity):
+    """The items a table of that capacity keeps."""
+    return [it for it in items if it.weight <= capacity]
 
 
 def enumerate_best(items, capacity):
@@ -43,8 +46,7 @@ def test_item_rejects_negative_values(weight, profit):
         Item(3, weight, profit)
 
 
-@pytest.mark.parametrize("solve", [knapsack_exact, partial(knapsack_fptas, eps=0.1),
-                                   partial(ratio_fptas, eps=0.1)])
+@pytest.mark.parametrize("solve", [knapsack_exact, partial(knapsack_fptas, eps=0.1)])
 def test_solvers_reject_negative_capacity(solve):
     with pytest.raises(ValidationError, match="capacity must be non-negative"):
         solve(items_of((1, 1)), -1)
@@ -54,7 +56,7 @@ def test_solvers_reject_negative_capacity(solve):
     (lambda: knapsack_exact([Item(0, 1.5, 1)], 2), "item 0: id, weight and profit must be"),
     (lambda: knapsack_exact([Item(0, True, 1)], 2), "item 0: id, weight and profit must be"),
     (lambda: knapsack_fptas([Item(0, 1, 1.5)], 2, 0.1), "item 0: id, weight and profit must"),
-    (lambda: ratio_fptas([Item(1, 1, 1), Item("0", 1, 1)], 2, 0.1), "item '0': id, weight"),
+    (lambda: knapsack_fptas([Item(1, 1, 1), Item("0", 1, 1)], 2, 0.1), "item '0': id, weight"),
     (lambda: knapsack_exact([Item(0, 1, 1)], 2.5), "capacity must be an integer, got 2.5"),
     (lambda: knapsack_fptas([Item(0, 1, 1)], True, 0.1), "capacity must be an integer, got True"),
     (lambda: ProfitTable([Item(0, 1, 1)], "3"), "capacity must be an integer, got '3'"),
@@ -66,6 +68,17 @@ def test_solvers_reject_negative_capacity(solve):
 def test_knapsack_layer_rejects_values_that_are_not_ints(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+@pytest.mark.parametrize("solve", [knapsack_exact, partial(knapsack_fptas, eps=Fraction(1, 10))])
+def test_solvers_check_items_and_capacity_once(solve):
+    # the table is the one place that checks them, heavy item included
+    items = items_of((1, 5), (9, 70), (2, 3), (0, 1))
+    with mock.patch("graphsack.knapsack._check_items", wraps=_check_items) as check_items, \
+            mock.patch("graphsack.knapsack._check_capacity", wraps=_check_capacity) as check_capacity:
+        solve(items, 4)
+        solve(items, 12)
+    assert check_items.call_count == check_capacity.call_count == 2
 
 
 class TestRatioKey:
@@ -137,6 +150,10 @@ class TestKnapsackExact:
     def test_rejects_profit_overflow(self):
         with pytest.raises(ValidationError, match="table bound"):
             knapsack_exact([Item(0, 1, 1 << 40)], 1)
+
+    def test_profit_bound_counts_only_items_that_fit(self):
+        # item 0 could never be taken, so its profit does not count
+        assert knapsack_exact([Item(0, 10, 1 << 40), Item(1, 1, 1)], 5) == ((1,), 1)
 
     def test_matches_enumeration(self):
         rng = random.Random(2024)
@@ -235,7 +252,7 @@ class TestKnapsackFptas:
             "nothing fits": [(capacity + 1, top), *((capacity + 1 + w, p) for w, p in pairs)],
             "zero profits": [(capacity // 2, 0), *((w, 0) for w, _ in pairs)],
         }[shape])
-        divisor = ProfitTable([it for it in items if it.weight <= capacity], capacity, eps).divisor
+        divisor = ProfitTable(items, capacity, eps).divisor
         assert (divisor > 1) == (shape == "scaled")
         with mock.patch.object(ProfitTable, "witness", autospec=True,
                                side_effect=ProfitTable.witness) as walk:
@@ -246,8 +263,8 @@ class TestKnapsackFptas:
         if shape in ("nothing fits", "zero profits"):
             assert got == ((), 0)
 
-        def bounded(fitting, eps):
-            return ProfitTable(fitting, capacity, eps)
+        def bounded(kept, eps):
+            return ProfitTable(kept, capacity, eps)
         assert got == knapsack_fptas_full_scan(items, capacity, eps, bounded)
         assert got == knapsack_fptas_full_scan(items, capacity, eps, BruteProfitTable)
 
@@ -265,66 +282,6 @@ class TestKnapsackFptas:
                 knapsack_fptas(items, inst.budget, Fraction(1, 10))
             walks += walk.call_count
         assert walks <= 2941
-
-
-class TestRatioFptas:
-    def test_single_item_beats_pairs(self):
-        result = ratio_fptas(items_of((1, 10), (2, 10)), 3, 0.3)
-        assert result == ((0,), 10, 1)
-
-    def test_zero_weight_class_is_selected(self):
-        result = ratio_fptas(items_of((5, 1), (0, 5)), 5, 0.3)
-        ids, profit, weight = result
-        assert weight == 0 and profit > 0
-
-    def test_none_when_nothing_fits(self):
-        assert ratio_fptas(items_of((5, 1)), 4, 0.3) is None
-        assert ratio_fptas([], 4, 0.3) is None
-
-    @pytest.mark.parametrize("pairs", [((1, 1 << 128),), ((1, 1 << 127), (1, 1 << 127)),
-                                       ((1 << 127, 1), (1 << 127, 1))])
-    def test_refuses_totals_from_2_128(self, pairs):
-        # up front, whatever the candidates compared: one item of profit
-        # 2^128 is never compared, yet is refused like the others
-        with pytest.raises(ValidationError, match=r"^ratio_fptas needs profit and weight totals"):
-            ratio_fptas(items_of(*pairs), 1 << 128, 0.3)
-
-    def test_items_that_do_not_fit_are_not_totalled(self):
-        assert ratio_fptas(items_of((10, 1 << 128), (1, 1)), 5, 0.3) == ((1,), 1, 1)
-
-    def test_zero_profit_falls_back_to_min_weight_item(self):
-        ids, profit, weight = ratio_fptas(items_of((7, 0), (5, 0), (6, 0)), 10, 0.3)
-        assert ids == (1,) and profit == 0 and weight == 5
-
-    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6), st.integers(0, 6),
-                              st.sampled_from([1, 2, 3, 10])),
-                    max_size=8, unique_by=lambda t: t[0]),
-           st.integers(0, 20), st.sampled_from([Fraction(1, 10), Fraction(1, 2)]))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_offer_reference(self, quads, capacity, eps):
-        # Weight w * m and profit p * m: zero weights and profits, many equal
-        # ratios, and weights up to 60 that do not fit; ids sparse, unsorted.
-        items = [Item(i, w * m, p * m) for i, w, p, m in quads]
-        assert ratio_fptas(items, capacity, eps) == ratio_fptas_offer(items, capacity, eps)
-
-    def test_bound_random(self):
-        rng = random.Random(4242)
-        for _ in range(150):
-            n = rng.randint(1, 12)
-            raw = [(i, rng.randint(0, 5), rng.randint(0, 8)) for i in range(n)]
-            items = [Item(*t) for t in raw]
-            cap = rng.randint(0, 10)
-            for eps in (0.1, 0.5):
-                result = ratio_fptas(items, cap, eps)
-                best = best_ratio_subset(raw, cap)
-                if best is None:
-                    assert result is None
-                    continue
-                ids, profit, weight = result
-                assert weight <= cap and ids
-                assert profit == sum(items[i].profit for i in ids)
-                assert weight == sum(items[i].weight for i in ids)
-                assert ratio_meets(profit, weight, best[0], best[1], eps)
 
 
 class TestSubsetSum:
@@ -389,11 +346,12 @@ class TestProfitTable:
     def test_matches_enumeration(self, triples, eps):
         # Ids are unordered and sparse; small profits round to 0 under scaling.
         items = [Item(i, w, p) for i, w, p in triples]
-        ref = BruteProfitTable(items, eps)
+        full = BruteProfitTable(items, eps)
         with pytest.raises(ValidationError):
             ProfitTable(items, -1, eps)
-        for capacity in [0] + capacities_around(ref):
-            table = ProfitTable(items, capacity, eps)
+        for capacity in [0] + capacities_around(full):
+            table, ref = ProfitTable(items, capacity, eps), BruteProfitTable(
+                fitting(items, capacity), eps)
             assert (table.divisor, table.adjusted) == (ref.divisor, ref.adjusted)
             for p in range(-1, ref.level_count + 1):
                 fits = ref.min_weight(p) is not None and ref.min_weight(p) <= capacity
@@ -404,9 +362,9 @@ class TestProfitTable:
             assert table.level_count == levels[0][0] + 1
         # the test-side table behind the full-scan star oracles
         old = NonemptyProfitTable(items, eps)
-        for p in range(-1, ref.level_count + 1):
-            assert old.nonempty_min_weight(p) == ref.nonempty_min_weight(p)
-            assert old.nonempty_witness(p) == ref.nonempty_witness(p)
+        for p in range(-1, full.level_count + 1):
+            assert old.nonempty_min_weight(p) == full.nonempty_min_weight(p)
+            assert old.nonempty_witness(p) == full.nonempty_witness(p)
 
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 9),
                               st.one_of(st.integers(0, 3), st.integers(0, 1000))),
@@ -421,7 +379,8 @@ class TestProfitTable:
         total = sum(it.weight for it in items)
         capacity = data.draw(st.one_of(st.just(0), st.integers(0, max(total - 1, 0)),
                                        st.just(total), st.integers(total + 1, total + 10)))
-        table, ref = ProfitTable(items, capacity, eps), UnboundedProfitTable(items, eps)
+        table = ProfitTable(items, capacity, eps)
+        ref = UnboundedProfitTable(fitting(items, capacity), eps)
         levels = list(ref.levels_within(capacity))
         assert list(table.levels()) == levels
         for p, _ in levels:
@@ -433,12 +392,31 @@ class TestProfitTable:
         def routines():
             out = [knapsack_exact(items, capacity)]
             if eps is not None:
-                out += [knapsack_fptas(items, capacity, eps), ratio_fptas(items, capacity, eps)]
+                out.append(knapsack_fptas(items, capacity, eps))
             return out
 
         got = routines()
         with mock.patch("graphsack.knapsack.ProfitTable", CapacityProfitTable):
             assert got == routines()
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 60)), max_size=6),
+           st.lists(st.tuples(st.integers(1, 5),
+                              st.one_of(st.integers(0, 3), st.integers(61, 10 ** 6))),
+                    min_size=1, max_size=3),
+           st.integers(0, 8), st.sampled_from([None, Fraction(1, 10), Fraction(1, 2)]))
+    @example([(2, 30), (0, 0), (1, 7)], [(1, 1000)], 4, Fraction(1, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_heavy_items_change_nothing(self, light, heavy, capacity, eps):
+        # Fitting items at even ids, heavier ones at the odd ids between them;
+        # a heavy profit above every fitting one would raise the divisor.
+        fits = [Item(2 * i, w % (capacity + 1), p) for i, (w, p) in enumerate(light)]
+        heavies = [Item(2 * i + 1, capacity + w, p) for i, (w, p) in enumerate(heavy)]
+        table, ref = ProfitTable(heavies + fits, capacity, eps), ProfitTable(fits, capacity, eps)
+        assert (table.items, table.divisor, table.adjusted, table.level_count) \
+            == (ref.items, ref.divisor, ref.adjusted, ref.level_count)
+        assert list(table.levels()) == list(ref.levels())
+        for p in range(-1, ref.level_count + 1):
+            assert table.witness(p) == ref.witness(p)
 
     def test_row_ends_at_highest_fitting_level(self):
         # Levels 0 and 4 fit within capacity 2; levels 5 and 9 weigh 3 and 4.
@@ -448,9 +426,9 @@ class TestProfitTable:
         assert table.min_weight(5) is None and table.min_weight(9) is None
 
     def test_level_zero_is_the_empty_set(self):
-        # Items 3 and 5 both round to level 0 with weight 1, and item 7 weighs
-        # 0; level 0 still has weight 0 and the empty witness.
-        table = ProfitTable([Item(7, 0, 60), Item(5, 1, 2), Item(3, 1, 1)], 0, Fraction(1, 2))
+        # Items 3 and 5 both fit and round to level 0 with weight 1, and item 7
+        # weighs 0; level 0 still has weight 0 and the empty witness.
+        table = ProfitTable([Item(7, 0, 60), Item(5, 1, 2), Item(3, 1, 1)], 1, Fraction(1, 2))
         assert table.adjusted == (0, 0, 6)
         assert list(table.levels()) == [(6, 0), (0, 0)]
         assert table.witness(6) == (7,) and table.witness(0) == ()
@@ -509,14 +487,16 @@ class TestPackedRows:
             inst = parse(text)
             items = [Item(i, inst.total_weight(c), inst.total_profit(c))
                      for i, c in enumerate(connected_components(inst))]
-            fitting = [it for it in items if it.weight <= inst.budget]
-            assert_list_kernel_rows(ProfitTable(fitting, inst.budget, Fraction(1, 10)))
+            assert_list_kernel_rows(ProfitTable(items, inst.budget, Fraction(1, 10)))
 
     def test_heavy_item_adds_no_cells(self):
-        # An item heavier than the capacity leaves the row as it is, however
-        # high its profit: no row is padded up to its level.
+        # An item heavier than the capacity is dropped before any row is
+        # built, however high its profit: no row is padded up to its level.
         items = [Item(0, 100, 2 ** 39), Item(1, 1, 1)]
-        assert [len(row) for row in ProfitTable(items, 10)._rows] == [2, 2, 1]
+        table, ref = ProfitTable(items, 10), ProfitTable(fitting(items, 10), 10)
+        assert table.items == ref.items == [Item(1, 1, 1)]
+        assert [list(row) for row in table._rows] == [list(row) for row in ref._rows]
+        assert [len(row) for row in table._rows] == [2, 1]
         start = time.perf_counter()
         assert knapsack_exact(items, 10) == ((1,), 1)
         assert time.perf_counter() - start < 0.5

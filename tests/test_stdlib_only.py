@@ -1,4 +1,5 @@
-"""The package runs on the Python standard library alone."""
+"""The package runs on the Python standard library alone, and its source
+imports nothing it does not use."""
 
 import ast
 import sys
@@ -30,3 +31,38 @@ def test_package_parses_as_python_3_10():
     module or function still passes, and is caught only by running on 3.10."""
     for path in sorted(PACKAGE.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def imported_names(tree):
+    """The names one module binds by import, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def read_names(tree):
+    """The names one module reads, and the strings of its ``__all__``."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def test_package_has_no_unused_imports():
+    """Every imported name is read in its module, or is imported from that
+    module by another package module (a re-export)."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reexported = {(node.module, alias.name) for tree in trees.values()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names}
+    unused = {(stem, name) for stem, tree in trees.items()
+              for name in set(imported_names(tree)) - read_names(tree)
+              if (stem, name) not in reexported}
+    assert unused == set()
