@@ -130,6 +130,17 @@ def best_ratio_subset(inst_items, capacity: int):
     return best
 
 
+def item_star(inst_items, capacity: int) -> Instance:
+    """The star of a centre ``n``, of weight and profit 0, joined to the
+    explicit (id, weight, profit) items ``0..n-1``.  Its feasible stars are
+    the non-empty item subsets within ``capacity``, at their own ratios, so
+    the ratio star oracle on it answers the ratio knapsack over the items."""
+    n = len(inst_items)
+    return Instance(False, n + 1, [(i, n) for i in range(n)],
+                    [w for _, w, _ in inst_items] + [0], [p for _, _, p in inst_items] + [0],
+                    capacity)
+
+
 def ratio_key_reference(profit: int, weight: int):
     """The profit-to-weight total order as ``Fraction`` tuples.
 

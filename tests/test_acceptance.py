@@ -20,7 +20,7 @@ from graphsack import (Instance, Item, best_ratio_viable_star, condense, descend
                        uniform_directed_alln_ptas, uniform_undirected_1n,
                        uniform_undirected_alln, validate_star)
 from graphsack.cli import main as cli_main
-from helpers import (best_ratio_subset, opt_at, profit_for_every_budget,
+from helpers import (best_ratio_subset, item_star, opt_at, profit_for_every_budget,
                      random_instance, random_uniform, ratio_meets)
 
 
@@ -271,8 +271,7 @@ def test_criterion_7_fptas_suites():
                 failures.append(("knapsack", trial, eps, profit, opt))
         if n <= 12:
             best = best_ratio_subset(raw, cap)
-            star_inst = Instance(False, n + 1, [(i, n) for i in range(n)],
-                                 [w for _, w, _ in raw] + [0], [p for _, _, p in raw] + [0], cap)
+            star_inst = item_star(raw, cap)
             star = best_ratio_viable_star(star_inst, cap, 0.3)
             if best is None:
                 if star is not None:

@@ -46,7 +46,8 @@ def test_item_rejects_negative_values(weight, profit):
         Item(3, weight, profit)
 
 
-@pytest.mark.parametrize("solve", [knapsack_exact, partial(knapsack_fptas, eps=0.1)])
+@pytest.mark.parametrize("solve", [knapsack_exact, partial(knapsack_fptas, eps=0.1),
+                                   partial(ProfitTable, eps=0.1)])
 def test_solvers_reject_negative_capacity(solve):
     with pytest.raises(ValidationError, match="capacity must be non-negative"):
         solve(items_of((1, 1)), -1)
@@ -179,6 +180,13 @@ class TestKnapsackFptas:
 
     def test_all_zero_profit(self):
         assert knapsack_fptas(items_of((1, 0), (2, 0)), 3, 0.5) == ((), 0)
+
+    def test_items_that_do_not_fit_are_not_scaled(self):
+        # item 0 could never be taken, so its profit sets no divisor: the
+        # table over items 1 and 2 stays exact
+        items = items_of((10, 1 << 60), (1, 1), (2, 3))
+        assert ProfitTable(items, 5, 0.3).divisor == 1
+        assert knapsack_fptas(items, 5, 0.3) == ((1, 2), 4)
 
     def test_bound_random(self):
         rng = random.Random(99)

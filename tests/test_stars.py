@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from graphsack import (Instance, Star, ValidationError, best_profit_viable_star,
                        best_ratio_viable_star, gen_random, greedy_1_neighbour,
                        is_1_neighbour_set, ratio_key, star_partition, stars, validate_star)
-from helpers import (best_profit_viable_star_full_scan, best_ratio_viable_star_full_scan,
-                     random_instance, ratio_meets)
+from helpers import (best_profit_viable_star_full_scan, best_ratio_subset,
+                     best_ratio_viable_star_full_scan, item_star, random_instance, ratio_meets)
 
 
 def undirected(n, edges, weights=None, profits=None, k=10):
@@ -349,3 +349,65 @@ class TestPruningMatchesFullScan:
                                  ratio_oracle=best_ratio_viable_star_full_scan)
         assert got.chosen == ref.chosen
         assert got.trace == ref.trace
+
+
+def ratio_on_item_star(pairs, capacity, eps=0.3):
+    """The ratio oracle's star on ``item_star`` of (weight, profit) pairs."""
+    raw = [(i, w, p) for i, (w, p) in enumerate(pairs)]
+    return best_ratio_viable_star(item_star(raw, capacity), capacity, eps)
+
+
+class TestRatioOnItemStar:
+    """The ratio oracle as a ratio knapsack: on ``item_star`` its stars are
+    the non-empty item subsets, the centre ``n`` adding nothing."""
+
+    def test_single_item_beats_pairs(self):
+        # item 0 alone at 10/1 beats both items at 20/3
+        assert ratio_on_item_star([(1, 10), (2, 10)], 3) == Star(0, (2,))
+
+    def test_zero_weight_class_is_selected(self):
+        star = ratio_on_item_star([(5, 1), (0, 5)], 5)
+        assert star.vertices == (1, 2)
+
+    def test_none_when_nothing_fits(self):
+        assert ratio_on_item_star([(5, 1)], 4) is None
+
+    def test_no_items_leave_the_bare_centre(self):
+        # with no item the centre is isolated, and its bare star is feasible
+        assert ratio_on_item_star([], 4) == Star(0, ())
+
+    def test_zero_profit_items_tie_on_the_smallest_centre(self):
+        # every star has ratio 0 and profit 0, so the smallest (centre,
+        # leaves) wins: item 0 as centre with the hub 3 as its leaf
+        assert ratio_on_item_star([(7, 0), (5, 0), (6, 0)], 10) == Star(0, (3,))
+
+    def test_bound_random(self):
+        rng = random.Random(4242)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            raw = [(i, rng.randint(0, 5), rng.randint(0, 8)) for i in range(n)]
+            cap = rng.randint(0, 10)
+            inst, best = item_star(raw, cap), best_ratio_subset(raw, cap)
+            for eps in (0.1, 0.5):
+                star = best_ratio_viable_star(inst, cap, eps)
+                if best is None:
+                    assert star is None
+                    continue
+                validate_star(inst, star)
+                profit, weight = inst.total_profit(star.vertices), inst.total_weight(star.vertices)
+                assert weight <= cap
+                assert ratio_meets(profit, weight, best[0], best[1], eps)
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 6),
+                              st.sampled_from([1, 2, 3, 10, 100])), max_size=7),
+           st.integers(0, 20), EPSILONS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_scan(self, triples, capacity, eps):
+        # Weights up to 12 against capacities up to 20: a leaf may fit beside
+        # the centre and not beside a forced leaf, which the forced-leaf
+        # tables drop themselves.  Profits p * m make many equal ratios and,
+        # at m = 100, scaled tables that round.
+        raw = [(i, w, p * m) for i, (w, p, m) in enumerate(triples)]
+        inst = item_star(raw, capacity)
+        assert best_ratio_viable_star(inst, capacity, eps) \
+            == best_ratio_viable_star_full_scan(inst, capacity, eps)
