@@ -81,6 +81,8 @@ class Instance:
                 raise ValidationError(f"duplicate edge ({u}, {v})")
             seen.add(key)
             norm.append(key)
+        # norm keeps the input order: parsed canonical edges arrive sorted,
+        # and sorting a sorted list takes one linear pass.
         norm.sort()
         self.edges = tuple(norm)
 
@@ -189,24 +191,6 @@ def connected_components(instance: Instance) -> list[tuple[int, ...]]:
     if instance.directed:
         raise ValidationError("connected_components requires an undirected instance")
     return sorted(condense(instance).scc_vertices, key=lambda c: (-len(c), c[0]))
-
-
-def bfs_parents(instance: Instance, root: int) -> dict[int, int]:
-    """Breadth-first tree from ``root``: vertex -> parent (the root's is -1).
-
-    Keys come in visit order, neighbours visited in ``adj`` order.
-    """
-    parent = {root: -1}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in instance.adj[v]:
-                if u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        frontier = nxt
-    return parent
 
 
 def _bfs_layers(nbrs, *sources: int):

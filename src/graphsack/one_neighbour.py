@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .errors import UnsupportedVariantError
-from .graphs import (Instance, _smallest_cycle_in_scc, bfs_parents, condense,
+from .graphs import (Instance, _bfs_layers, _smallest_cycle_in_scc, condense,
                      connected_components, in_boundary, is_1_neighbour_set)
 from .knapsack import eps_fraction, fitting_picks, ratio_key
 from .solution import ONE_NEIGHBOUR, Solution, make_solution
@@ -132,7 +132,7 @@ def uniform_undirected_1n(instance: Instance, k: Optional[int] = None) -> Soluti
     if prefix == k:
         return done(taken)
 
-    order = list(bfs_parents(instance, comps[i][0]))
+    order = [v for layer in _bfs_layers(instance.adj, comps[i][0]) for v in layer]
     r = k - prefix
     if r > 1:
         return done(taken + order[:r])
@@ -142,8 +142,7 @@ def uniform_undirected_1n(instance: Instance, k: Optional[int] = None) -> Soluti
         return done(())
     # Some component has >= 3 vertices; shrink the first one by a BFS-tree
     # leaf (the last BFS vertex), freeing budget for an adjacent pair here.
-    first = list(bfs_parents(instance, comps[0][0]))
-    shrunk = first[:-1]
+    shrunk = [v for layer in _bfs_layers(instance.adj, comps[0][0]) for v in layer][:-1]
     rest = [v for c in comps[1:i] for v in c]
     return done(shrunk + rest + order[:2])
 
@@ -158,7 +157,7 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     knapsack with smallest cycles of the guessed SCCs plus affordable sink
     SCCs, and grows it backwards in the order of repeated id scans, which one
     (scan, id) heap keeps in O((n + m) log n).  Falls back to the exhaustive
-    search when eps <= 1/k.  The trace records, per guess, whether every
+    search when eps * k <= 1.  The trace records, per guess, whether every
     candidate sink was taken (the branch where the result is provably
     optimal).
 
@@ -170,11 +169,8 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     _require_uniform(instance, "ud1n-ptas")
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
-    if k == 0:
-        return make_solution(instance, (), ONE_NEIGHBOUR, "ud1n-ptas",
-                             "exact", k, {"fallback": "trivial"})
-    if eps <= Fraction(1, k):
-        # k < 1/eps, so trying every vertex subset of size <= k stays
+    if eps * k <= 1:
+        # k <= 1/eps, so trying every vertex subset of size <= k stays
         # polynomial for fixed eps; sizes descend, so the first feasible
         # combination (lexicographically smallest at its size) is optimal.
         chosen = next((c for size in range(min(k, instance.n), 0, -1)

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import ValidationError
-from .graphs import Instance, bfs_parents, connected_components, is_1_neighbour_set
+from .graphs import Instance, _bfs_layers, is_1_neighbour_set
 from .knapsack import Item, ProfitTable, _check_capacity, eps_fraction, ratio_key
 
 
@@ -52,34 +52,36 @@ def validate_star(instance: Instance, star: Star) -> None:
 def star_partition(instance: Instance) -> list[Star]:
     """Partition all vertices into disjoint stars, each a 1-neighbour set.
 
-    Per component: root a breadth-first tree at the smallest id and sweep the
-    vertices in reverse BFS order, attaching each unassigned vertex to its
-    parent's star (opening one at the parent when needed).  An unassigned
-    root finally joins the star of its smallest center neighbour.  Isolated
-    vertices become singleton stars.
+    Roots are scanned in ascending id, skipping assigned vertices, so each
+    component is walked once, breadth first from its smallest id.  A vertex
+    with no neighbours is a bare star.  Otherwise the walk's vertices are
+    swept in reverse visit order, and each unassigned one joins the star of
+    its tree parent, its earliest-visited neighbour (opening one there when
+    needed).  An unassigned root finally joins the star of its smallest
+    center neighbour.
     """
     if instance.directed:
         raise ValidationError("star_partition requires an undirected instance")
+    adj = instance.adj
     center_leaves: dict[int, list[int]] = {}
     assigned = [False] * instance.n
-    for comp in connected_components(instance):
-        root = comp[0]
-        if len(comp) == 1:
-            center_leaves[root] = []
-            assigned[root] = True
+    visit = [0] * instance.n  # position in its component's walk
+    for root in range(instance.n):
+        if assigned[root]:
             continue
-        parent = bfs_parents(instance, root)
-        for v in reversed(parent):
-            if assigned[v]:
-                continue
-            if v == root:
-                target = min(u for u in instance.adj[v] if u in center_leaves)
-                center_leaves[target].append(v)
-            else:
-                p = parent[v]
+        if not adj[root]:
+            center_leaves[root] = []
+            continue
+        order = [v for layer in _bfs_layers(adj, root) for v in layer]
+        for i, v in enumerate(order):
+            visit[v] = i
+        for v in reversed(order[1:]):
+            if not assigned[v]:
+                p = min(adj[v], key=visit.__getitem__)
                 center_leaves.setdefault(p, []).append(v)
-                assigned[p] = True
-            assigned[v] = True
+                assigned[p] = assigned[v] = True
+        if not assigned[root]:  # no later root is in this component
+            center_leaves[min(u for u in adj[root] if u in center_leaves)].append(root)
     return [Star(c, tuple(sorted(ls))) for c, ls in sorted(center_leaves.items())]
 
 

@@ -716,6 +716,36 @@ def planted_cycle_graphs(draw, directed=st.just(True), max_n: int = 40,
     return Instance(is_directed, n, sorted(arcs), weights, profits, 0)
 
 
+@st.composite
+def undirected_shapes(draw, max_n: int = 14) -> Instance:
+    """Unit undirected graphs on 0 to ``max_n`` vertices, ids shuffled: either
+    random edges (each pair with one drawn probability, 0 and 1 included), or
+    blocks of consecutive shuffled vertices, each an isolated vertex, a path,
+    a star, a clique or a random graph, so many small components too."""
+    n = draw(st.integers(0, max_n))
+    ids = draw(st.permutations(range(n)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    edges = set()
+    if draw(st.booleans()):
+        p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)))
+        for a, b in zip([0] + cuts, cuts + [n]):
+            block = ids[a:b]
+            shape = draw(st.sampled_from(["isolated", "path", "star", "clique", "random"]))
+            if shape == "isolated":
+                continue
+            if shape == "path":
+                edges.update(zip(block, block[1:]))
+            elif shape == "star":
+                edges.update((block[0], u) for u in block[1:])
+            else:
+                edges.update((u, v) for u, v in combinations(block, 2)
+                             if shape == "clique" or rng.random() < 0.5)
+    edges = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    return Instance(False, n, edges, [1] * n, [1] * n, 0)
+
 def load_perfbench(stem: str):
     """``perfbench/<stem>.py``, loaded by path and only read from.  Its own
     imports of other ``perfbench`` modules resolve while it loads."""
@@ -826,6 +856,113 @@ def connected_components_bfs(instance: Instance) -> list[tuple[int, ...]]:
     comps.sort(key=lambda c: (-len(c), c[0]))
     return comps
 
+
+
+# ``graphsack.graphs.bfs_parents`` and its two callers as they were before
+# ``_bfs_layers`` became the one breadth-first walk: ``star_partition`` walked
+# the components of ``connected_components``, and ``uniform_undirected_1n``
+# read its prefix orders off the parent dict.  Differential references for
+# ``graphsack.stars.star_partition`` and
+# ``graphsack.one_neighbour.uniform_undirected_1n``.
+
+def bfs_parents(instance: Instance, root: int) -> dict[int, int]:
+    """Breadth-first tree from ``root``: vertex -> parent (the root's is -1).
+
+    Keys come in visit order, neighbours visited in ``adj`` order.
+    """
+    parent = {root: -1}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in instance.adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    nxt.append(u)
+        frontier = nxt
+    return parent
+
+
+def star_partition_per_component(instance: Instance) -> list[Star]:
+    """Partition all vertices into disjoint stars, each a 1-neighbour set.
+
+    Per component: root a breadth-first tree at the smallest id and sweep the
+    vertices in reverse BFS order, attaching each unassigned vertex to its
+    parent's star (opening one at the parent when needed).  An unassigned
+    root finally joins the star of its smallest center neighbour.  Isolated
+    vertices become singleton stars.
+    """
+    if instance.directed:
+        raise ValidationError("star_partition requires an undirected instance")
+    center_leaves: dict[int, list[int]] = {}
+    assigned = [False] * instance.n
+    for comp in connected_components(instance):
+        root = comp[0]
+        if len(comp) == 1:
+            center_leaves[root] = []
+            assigned[root] = True
+            continue
+        parent = bfs_parents(instance, root)
+        for v in reversed(parent):
+            if assigned[v]:
+                continue
+            if v == root:
+                target = min(u for u in instance.adj[v] if u in center_leaves)
+                center_leaves[target].append(v)
+            else:
+                p = parent[v]
+                center_leaves.setdefault(p, []).append(v)
+                assigned[p] = True
+            assigned[v] = True
+    return [Star(c, tuple(sorted(ls))) for c, ls in sorted(center_leaves.items())]
+
+
+def uniform_undirected_1n_bfs_parents(instance: Instance, k: Optional[int] = None) -> Solution:
+    """Exact linear-time solver for unit weights/profits on undirected graphs.
+
+    Whole components are taken greedily by decreasing size; the first
+    component that does not fit contributes a breadth-first prefix, with
+    three corrective cases when that prefix would be a single vertex.
+    """
+    if instance.directed:
+        raise UnsupportedVariantError("uu1n-linear requires an undirected instance")
+    _require_uniform(instance, "uu1n-linear")
+    k = instance.solver_budget(k)
+
+    def done(vertices) -> Solution:
+        return make_solution(instance, vertices, ONE_NEIGHBOUR, "uu1n-linear",
+                             "exact", k)
+
+    comps = connected_components(instance)
+    if instance.n <= k:
+        return done(range(instance.n))
+    if k % 2 == 1 and all(len(c) == 2 for c in comps):
+        return done([v for c in comps[:k // 2] for v in c])
+
+    prefix = 0
+    i = 0  # first index whose component overflows the budget
+    for i, comp in enumerate(comps):
+        if prefix + len(comp) > k:
+            break
+        prefix += len(comp)
+    taken = [v for c in comps[:i] for v in c]
+    if prefix == k:
+        return done(taken)
+
+    order = list(bfs_parents(instance, comps[i][0]))
+    r = k - prefix
+    if r > 1:
+        return done(taken + order[:r])
+    if len(comps[-1]) == 1:
+        return done(taken + [comps[-1][0]])
+    if k == 1:
+        return done(())
+    # Some component has >= 3 vertices; shrink the first one by a BFS-tree
+    # leaf (the last BFS vertex), freeing budget for an adjacent pair here.
+    first = list(bfs_parents(instance, comps[0][0]))
+    shrunk = first[:-1]
+    rest = [v for c in comps[1:i] for v in c]
+    return done(shrunk + rest + order[:2])
 
 # ``exact_alln`` as it was before its closed-set search: a scan of all 2^s
 # unit subsets that drops the unclosed ones.  Differential reference for

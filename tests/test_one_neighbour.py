@@ -17,7 +17,8 @@ from graphsack import (Instance, UnsupportedVariantError, ValidationError, conde
 from helpers import (brute_force_profit, grow_1n_passes, opt_at, perfbench_pool,
                      planted_cycle_graphs, pool_answers_match_reference,
                      profit_for_every_budget, random_instance, random_uniform,
-                     uniform_directed_1n_ptas_all_cycles)
+                     undirected_shapes, uniform_directed_1n_ptas_all_cycles,
+                     uniform_undirected_1n_bfs_parents)
 
 
 def undirected(n, edges, weights=None, profits=None, k=10):
@@ -148,6 +149,13 @@ class TestUniformUndirected:
                 assert sol.total_weight <= k
                 assert sol.size == opt_at(frontier, k), (inst.edges, k)
 
+    @given(undirected_shapes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_bfs_parents_solver_at_every_budget(self, inst):
+        for k in range(inst.n + 2):
+            sol = uniform_undirected_1n(inst, k)
+            assert sol == uniform_undirected_1n_bfs_parents(inst, k), k
+
 
 class TestUniformDirectedPtas:
     def test_three_node_example(self):
@@ -170,6 +178,17 @@ class TestUniformDirectedPtas:
         assert sol.trace == {"fallback": "exhaustive"}
         assert sol.guarantee == "exact"
         assert sol.size == brute_force_profit(inst, 3, "one") == 2
+
+    def test_zero_budget_and_eps_of_one_over_k_fall_back(self):
+        # two 2-cycles and the isolated vertex 4
+        inst = Instance(True, 5, [(0, 1), (1, 0), (2, 3), (3, 2)], [1] * 5, [1] * 5, 0)
+        sol = uniform_directed_1n_ptas(inst, 0, 0.25)
+        assert sol.chosen == () and sol.trace == {"fallback": "exhaustive"}
+        # eps * k == 1 still falls back; any larger eps runs the guesses
+        sol = uniform_directed_1n_ptas(inst, 4, Fraction(1, 4))
+        assert sol.chosen == (0, 1, 2, 3) and sol.trace == {"fallback": "exhaustive"}
+        sol = uniform_directed_1n_ptas(inst, 4, Fraction(1, 3))
+        assert sol.chosen == (0, 1, 2, 3) and "fallback" not in sol.trace
 
     def test_rejects_undirected_and_non_uniform(self):
         with pytest.raises(UnsupportedVariantError):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from graphsack import Instance, one_neighbour, uniform_directed_1n_ptas
+from graphsack import (Instance, gen_random, one_neighbour, star_partition, stars,
+                       uniform_directed_1n_ptas, uniform_undirected_1n, validate_star)
 
 
 @pytest.mark.parametrize("n", [500, 1000, 2000])
@@ -26,3 +27,59 @@ def test_ud1n_grows_a_directed_path_in_linear_heap_pops(monkeypatch, n):
     sol = uniform_directed_1n_ptas(inst, n, Fraction(1, 4))
     assert sol.chosen == tuple(range(n))
     assert pops <= n + inst.m
+
+
+def undirected_shape(shape, n):
+    """A unit undirected graph on n vertices: sparse random, a path whose ids
+    run against its breadth-first order from 0, a star centred on the
+    largest id, or n/2 disjoint edges."""
+    if shape == "sparse":
+        edges = gen_random(n, 2 / n, False, 1, 1, 0, seed=n).edges
+    elif shape == "path against ids":
+        edges = [(0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
+    elif shape == "star on the largest id":
+        edges = [(i, n - 1) for i in range(n - 1)]
+    else:
+        edges = [(i, i + 1) for i in range(0, n - 1, 2)]
+    return Instance(False, n, edges, [1] * n, [1] * n, n)
+
+
+SHAPES = ["sparse", "path against ids", "star on the largest id", "disjoint edges"]
+
+
+def count_walked(monkeypatch, module):
+    """Wrap the ``_bfs_layers`` that ``module`` calls; the returned list's one
+    entry counts the vertices its walks yield."""
+    walked = [0]
+    layers = module._bfs_layers
+
+    def counting(nbrs, *sources):
+        for layer in layers(nbrs, *sources):
+            walked[0] += len(layer)
+            yield layer
+
+    monkeypatch.setattr(module, "_bfs_layers", counting)
+    return walked
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_star_partition_walks_each_vertex_once(monkeypatch, n, shape):
+    inst = undirected_shape(shape, n)
+    walked = count_walked(monkeypatch, stars)
+    partition = star_partition(inst)
+    assert walked[0] <= n
+    assert sorted(v for star in partition for v in star.vertices) == list(range(n))
+    for star in partition:
+        validate_star(inst, star)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_uu1n_walks_at_most_two_components(monkeypatch, n, shape):
+    inst = undirected_shape(shape, n)
+    walked = count_walked(monkeypatch, one_neighbour)
+    for k in (1, 2, 3, n // 2 + 1, n - 1):
+        walked[0] = 0
+        uniform_undirected_1n(inst, k)
+        assert walked[0] <= 2 * n, k

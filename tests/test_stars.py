@@ -12,7 +12,8 @@ from graphsack import (Instance, Star, ValidationError, best_profit_viable_star,
                        best_ratio_viable_star, gen_random, greedy_1_neighbour,
                        is_1_neighbour_set, ratio_key, star_partition, stars, validate_star)
 from helpers import (best_profit_viable_star_full_scan, best_ratio_subset,
-                     best_ratio_viable_star_full_scan, item_star, random_instance, ratio_meets)
+                     best_ratio_viable_star_full_scan, item_star, random_instance, ratio_meets,
+                     star_partition_per_component, undirected_shapes)
 
 
 def undirected(n, edges, weights=None, profits=None, k=10):
@@ -68,6 +69,14 @@ class TestStarPartition:
             for star in stars:
                 validate_star(inst, star)
                 assert is_1_neighbour_set(inst, star.vertices)
+
+    @given(undirected_shapes())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_per_component_partition(self, inst):
+        # one walk per component from its smallest id, with each vertex's
+        # earliest-visited neighbour as its parent, is the BFS tree that the
+        # components of connected_components were rooted in
+        assert star_partition(inst) == star_partition_per_component(inst)
 
 
 class TestValidateStar:

@@ -53,11 +53,16 @@ def read_names(tree):
     return names
 
 
+def package_trees():
+    """The parsed source of each package module, by module name."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_package_has_no_unused_imports():
     """Every imported name is read in its module, or is imported from that
     module by another package module (a re-export)."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = package_trees()
     reexported = {(node.module, alias.name) for tree in trees.values()
                   for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) and node.level == 1
@@ -66,3 +71,15 @@ def test_package_has_no_unused_imports():
               for name in set(imported_names(tree)) - read_names(tree)
               if (stem, name) not in reexported}
     assert unused == set()
+
+
+def test_package_defines_nothing_unread():
+    """Every module-level function or class is read somewhere in the package
+    or listed in ``__all__``, bar the ``cmd_*`` handlers that ``cli.main``
+    looks up by name."""
+    trees = package_trees()
+    read = set().union(*map(read_names, trees.values()))
+    unread = {(stem, node.name) for stem, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in read and not node.name.startswith("cmd_")}
+    assert unread == set()
