@@ -16,7 +16,8 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -1064,6 +1065,58 @@ def exact_1n_support_scan(instance: Instance, k: Optional[int] = None,
             if (profit, -weight) > (best_profit, -best_weight) or \
                     ((profit, weight) == (best_profit, best_weight) and verts < best_verts):
                 best_profit, best_weight, best_verts = profit, weight, verts
+            continue
+        stack.append((i + 1, mask, profit, weight, unsupported))
+        w = instance.weights[i]
+        if weight + w <= k:
+            new_unsupported = unsupported & ~radj_mask[i]
+            if adj_mask[i] and not adj_mask[i] & mask:
+                new_unsupported |= 1 << i
+            stack.append((i + 1, mask | (1 << i), profit + instance.profits[i],
+                          weight + w, new_unsupported))
+    return make_solution(instance, best_verts, ONE_NEIGHBOUR, "exact-1n", "exact", k)
+
+
+# ``exact_1n`` as it was before its budget prunes: only the profit bound and
+# the ``doomed`` mask, so it walks every node that can still tie the best.
+# Differential reference for ``graphsack.oracle.exact_1n``.
+
+def exact_1n_profit_bound(instance: Instance, k: Optional[int] = None,
+                          max_n: int = DEFAULT_MAX_N) -> Solution:
+    """Maximum-profit 1-neighbour set of weight <= k, by pruned search.
+
+    A node is pruned when its profit plus all undecided profit is below the
+    best, or when a member has no chosen neighbour and none still undecided:
+    no completion can then win or be feasible, so both prunes are exact.  Ties
+    break toward smaller weight, then the lexicographically smallest tuple.
+    """
+    k = _check_scale(instance, k, max_n)
+    n = instance.n
+    adj_mask = [sum(1 << u for u in nbrs) for nbrs in instance.adj]
+    radj_mask = [sum(1 << u for u in nbrs) for nbrs in instance.radj]
+    suffix_profit = [*accumulate(reversed(instance.profits), initial=0)][::-1]
+    # doomed[i]: the vertices whose neighbours all lie below i (lists ascend)
+    doomed = [0] * (n + 1)
+    for v, nbrs in enumerate(instance.adj):
+        if nbrs:
+            doomed[nbrs[-1] + 1] |= 1 << v
+    doomed = [*accumulate(doomed, or_)]
+
+    best_profit, best_weight, best_verts = 0, 0, ()
+    # depth-first over (next vertex, mask, profit, weight, unsupported members),
+    # on a stack: the include branch is pushed last, so it is searched first
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        i, mask, profit, weight, unsupported = stack.pop()
+        if profit + suffix_profit[i] < best_profit or unsupported & doomed[i]:
+            continue
+        if i == n:
+            if (profit, -weight) < (best_profit, -best_weight):
+                continue
+            verts = tuple(v for v in range(n) if mask >> v & 1)
+            if (profit, weight) == (best_profit, best_weight) and verts >= best_verts:
+                continue
+            best_profit, best_weight, best_verts = profit, weight, verts
             continue
         stack.append((i + 1, mask, profit, weight, unsupported))
         w = instance.weights[i]

@@ -1,21 +1,23 @@
 """Exhaustive oracles against raw unpruned enumeration."""
 
+import inspect
 import random
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsack import (Instance, OracleScaleError, ValidationError, closure_catalog,
                        condense, exact_1n, exact_alln, general_undirected_alln_fptas,
-                       greedy_1_neighbour, is_1_neighbour_set, is_all_neighbour_set, parse,
-                       uniform_directed_1n_ptas, uniform_directed_alln_ptas,
+                       greedy_1_neighbour, is_1_neighbour_set, is_all_neighbour_set, oracle,
+                       parse, uniform_directed_1n_ptas, uniform_directed_alln_ptas,
                        uniform_undirected_1n, uniform_undirected_alln)
 from graphsack.graphs import MAX_VALUE
-from helpers import (adjacency_masks, exact_1n_support_scan, exact_alln_mask_scan,
-                     feasible_all_mask, feasible_one_mask, perfbench_pool,
-                     planted_cycle_graphs, random_instance)
+from helpers import (adjacency_masks, exact_1n_profit_bound, exact_1n_support_scan,
+                     exact_alln_mask_scan, feasible_all_mask, feasible_one_mask,
+                     perfbench_pool, planted_cycle_graphs, random_instance)
 
 
 def raw_best(inst, k, check):
@@ -172,6 +174,87 @@ class TestExact1nMatchesSupportScan:
         for stem, text, _constraint, _variant in members:
             inst = parse(text)
             assert totals(exact_1n(inst)) == totals(exact_1n_support_scan(inst)), stem
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """A directed or undirected graph on at most 11 vertices, with weights and
+    profits from one tie-heavy class, and the budgets to try: every budget
+    from 0 to the total weight + 1 when that is at most 100, else 0, the
+    total weight + 1, and each of up to 16 drawn subset weights, minus one,
+    itself and plus one."""
+    inst = draw(planted_cycle_graphs(st.booleans(), 11, st.just(1)))
+    n = inst.n
+
+    def values(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    kind = draw(st.sampled_from(["unit", "weight = profit", "0-1", "0-3", "large"]))
+    if kind == "unit":
+        weights = profits = [1] * n
+    elif kind == "weight = profit":
+        weights = profits = values(st.integers(0, 9))
+    else:
+        elements = {"0-1": st.integers(0, 1), "0-3": st.integers(0, 3),
+                    "large": st.one_of(st.integers(0, 1000), st.just(MAX_VALUE))}[kind]
+        weights, profits = values(elements), values(elements)
+    inst = Instance(inst.directed, n, inst.edges, weights, profits, 0)
+    total = sum(weights)
+    if total <= 99:
+        return inst, range(total + 2)
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+    sums = {sum(w for v, w in enumerate(weights) if mask >> v & 1) for mask in masks}
+    return inst, sorted({0, total + 1} | {s + d for s in sums for d in (-1, 0, 1) if s + d >= 0})
+
+
+class TestExact1nMatchesProfitBound:
+    """The budget prunes pick the same set as the search without them, on
+    classes where (profit, weight) ties are everywhere: they cut only nodes
+    that cannot win, or that can at best tie the incumbent with a larger
+    vertex tuple."""
+
+    # Isolated vertices where a wrong (b) changes the answer: run without its
+    # need > 0 guard it cuts (0,), a prefix of the incumbent (0, 1) that ties
+    # it on profit and weight and is the smaller tuple;
+    # on ``>= best_weight - 1`` it keeps (0, 1) over the lighter (1,) at equal
+    # profit; on ``<=`` it cuts (1,), which beats the incumbent's profit.
+    @example((Instance(True, 3, [], [0, 0, 1], [1, 0, 1], 0), range(3)))
+    @example((Instance(False, 2, [], [1, 2], [0, 1], 0), range(5)))
+    @example((Instance(False, 2, [], [1, 1], [1, 2], 0), range(4)))
+    @given(tie_heavy_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_every_budget(self, case):
+        inst, budgets = case
+        for k in budgets:
+            assert totals(exact_1n(inst, k)) == totals(exact_1n_profit_bound(inst, k)), k
+
+
+def test_bench_corpus_pool_search_nodes():
+    # Nodes popped by exact_1n over the 168 bench-corpus pool members:
+    # 93,499 with the profit bound and the doomed mask alone, 18,513 with
+    # the budget prunes.  Deterministic, so it pins work, not time.
+    lines, first = inspect.getsourcelines(oracle.exact_1n)
+    pop_line = first + next(i for i, line in enumerate(lines) if "stack.pop()" in line)
+    pops = 0
+
+    def count_pops(frame, event, _arg):
+        nonlocal pops
+        if event == "line" and frame.f_lineno == pop_line:
+            pops += 1
+        return count_pops
+
+    def trace(frame, _event, _arg):
+        return count_pops if frame.f_code is oracle.exact_1n.__code__ else None
+
+    instances = [parse(text) for _stem, text, _c, _v in perfbench_pool("bench-corpus")]
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for inst in instances:
+            exact_1n(inst)
+    finally:
+        sys.settrace(previous)
+    assert pops <= 18_513
 
 
 @pytest.mark.parametrize("solve, directed", [
