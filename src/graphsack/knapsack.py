@@ -50,11 +50,13 @@ def eps_fraction(eps) -> Fraction:
     """Validate an approximation parameter and return it as an exact Fraction.
 
     Floats are read through their decimal string form, so ``0.1`` means 1/10.
-    Anything that is not a number, ``nan`` and ``inf`` included, is rejected.
+    Anything that is not a number, ``nan``, ``inf`` and strings included, is rejected.
     """
     if type(eps) is Fraction and 0 < eps.numerator < eps.denominator:
         return eps
     try:
+        if isinstance(eps, str):  # Fraction would parse it
+            raise TypeError(f"a string is not a number: {eps!r}")
         value = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     except (ValueError, TypeError, ArithmeticError) as exc:
         raise ValidationError(f"epsilon must be a number in (0, 1), got {eps!r}") from exc

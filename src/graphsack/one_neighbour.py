@@ -7,21 +7,22 @@ Three routes, by instance class:
 * :func:`uniform_undirected_1n` - unit weights/profits, undirected; exact in
   linear time via a component counting argument.
 * :func:`uniform_directed_1n_ptas` - unit weights/profits, directed; size
-  guarantee (1-eps), built on the condensation and smallest cycles per SCC.
+  guarantee (1-eps) via SCC smallest cycles, or exact_1n if eps * k <= 1.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
 from typing import Callable, Optional
 
 from .errors import UnsupportedVariantError
 from .graphs import (Instance, _bfs_layers, _smallest_cycle_in_scc, condense,
-                     connected_components, in_boundary, is_1_neighbour_set)
+                     connected_components, in_boundary)
 from .knapsack import eps_fraction, fitting_picks, ratio_key
+from .oracle import exact_1n
 from .solution import ONE_NEIGHBOUR, Solution, make_solution
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
 
@@ -156,10 +157,10 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     together (fewer than 1/eps, as each is longer than eps * k), seeds the
     knapsack with smallest cycles of the guessed SCCs plus affordable sink
     SCCs, and grows it backwards in the order of repeated id scans, which one
-    (scan, id) heap keeps in O((n + m) log n).  Falls back to the exhaustive
-    search when eps * k <= 1.  The trace records, per guess, whether every
-    candidate sink was taken (the branch where the result is provably
-    optimal).
+    (scan, id) heap keeps in O((n + m) log n); the trace records, per guess,
+    whether every candidate sink was taken (then the result is optimal).
+    Where eps * k <= 1 the answer is :func:`~graphsack.oracle.exact_1n`'s
+    instead, exact, with the trace ``{"fallback": "exhaustive"}``.
 
     Each SCC's smallest cycle is computed at most once: to class an SCC of
     more than eps * k vertices, or for a guessed SCC or a candidate sink.
@@ -170,14 +171,11 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
     if eps * k <= 1:
-        # k <= 1/eps, so trying every vertex subset of size <= k stays
-        # polynomial for fixed eps; sizes descend, so the first feasible
-        # combination (lexicographically smallest at its size) is optimal.
-        chosen = next((c for size in range(min(k, instance.n), 0, -1)
-                       for c in combinations(range(instance.n), size)
-                       if is_1_neighbour_set(instance, c)), ())
-        return make_solution(instance, chosen, ONE_NEIGHBOUR, "ud1n-ptas",
-                             "exact", k, {"fallback": "exhaustive"})
+        # exact_1n holds at most k <= 1/eps vertices, so it pops at most (n + 1)
+        # * sum(C(n, s) for s <= k) nodes, polynomial for fixed eps: no n bound.
+        # On unit values it returns the largest set, then the smallest tuple.
+        return replace(exact_1n(instance, k, max_n=instance.n), algorithm="ud1n-ptas",
+                       trace={"fallback": "exhaustive"})
 
     cond = condense(instance)
 

@@ -1,14 +1,14 @@
 """Exhaustive optimizers for both constraint kinds, at desk scale.
 
 These are the ground truth the approximation solvers are tested against, and
-the only route for the variants where no approximation is implemented.  The
-1-neighbour search branches over vertices; the all-neighbour search builds
-only the closed sets of the condensation DAG (no arcs between the components,
-when undirected) that fit within k.  They no longer share one profit bound:
-both prune by profit plus all undecided profit, and the 1-neighbour search
-also by the profit the remaining budget can buy at the best undecided
-profit/weight rate.  They share no code, so they can cross-validate each
-other.
+the only route for the variants where no approximation is implemented;
+``exact_1n`` is also ud1n-ptas's route where eps * k <= 1, with no n bound
+there.  The 1-neighbour search branches over vertices; the all-neighbour
+search builds only the closed sets of the condensation DAG (no arcs between
+the components, when undirected) that fit within k.  Both prune by profit
+plus all undecided profit, and the 1-neighbour search also by the profit the
+remaining budget can buy at the best undecided profit/weight rate.  They
+share no code, so they can cross-validate each other.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import importlib.util
+import inspect
 import io
 import json
 import random
@@ -19,14 +20,14 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import or_
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from hypothesis import strategies as st
 
 import graphsack.cli
 from graphsack import (Condensation, Instance, Item, Star,
                        UnsupportedVariantError, ValidationError, condense,
-                       connected_components, descendants, ratio_key)
+                       connected_components, descendants, oracle, ratio_key)
 from graphsack.graphs import _bfs_layers, _smallest_cycle_in_scc, is_1_neighbour_set
 from graphsack.knapsack import _check_items, eps_fraction, fitting_picks
 from graphsack.one_neighbour import _require_uniform
@@ -34,6 +35,8 @@ from graphsack.oracle import DEFAULT_MAX_N, _check_scale
 from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+T = TypeVar("T")
 
 
 def adjacency_masks(inst: Instance) -> list[int]:
@@ -1129,6 +1132,32 @@ def exact_1n_profit_bound(instance: Instance, k: Optional[int] = None,
     return make_solution(instance, best_verts, ONE_NEIGHBOUR, "exact-1n", "exact", k)
 
 
+def exact_1n_pops(call: Callable[[], T]) -> tuple[T, int]:
+    """``call()``'s result and the nodes ``graphsack.oracle.exact_1n`` popped
+    during it, counted by a ``sys.settrace`` line counter on its
+    ``stack.pop()``.  Deterministic, so it pins work, not time."""
+    lines, first = inspect.getsourcelines(oracle.exact_1n)
+    pop_line = first + next(i for i, line in enumerate(lines) if "stack.pop()" in line)
+    pops = 0
+
+    def count_pops(frame, event, _arg):
+        nonlocal pops
+        if event == "line" and frame.f_lineno == pop_line:
+            pops += 1
+        return count_pops
+
+    def trace(frame, _event, _arg):
+        return count_pops if frame.f_code is oracle.exact_1n.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, pops
+
+
 # ``graphsack.one_neighbour._grow_1n`` as it was before its (scan, id) heap:
 # one full scan of the vertices per pass.  Differential reference.
 
@@ -1230,6 +1259,29 @@ def uniform_directed_1n_ptas_all_cycles(instance: Instance, k: Optional[int] = N
              "complete": bool(best_entry and best_entry["complete"])}
     return make_solution(instance, best or (), ONE_NEIGHBOUR, "ud1n-ptas",
                          f"{float(1 - eps):g}", k, trace)
+
+
+# The eps * k <= 1 branch of ``uniform_directed_1n_ptas`` as it was before it
+# returned ``exact_1n``'s answer: every vertex subset of size <= k, by
+# ``itertools.combinations``.  Differential reference for that branch.
+
+def uniform_directed_1n_combinations(instance: Instance, k: Optional[int] = None,
+                                     eps=0.25) -> Solution:
+    """Exact answer for unit weights/profits on directed graphs, eps * k <= 1."""
+    if not instance.directed:
+        raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
+    _require_uniform(instance, "ud1n-ptas")
+    eps = eps_fraction(eps)
+    k = instance.solver_budget(k)
+    assert eps * k <= 1, "the combinations search is the eps * k <= 1 branch only"
+    # k <= 1/eps, so trying every vertex subset of size <= k stays
+    # polynomial for fixed eps; sizes descend, so the first feasible
+    # combination (lexicographically smallest at its size) is optimal.
+    chosen = next((c for size in range(min(k, instance.n), 0, -1)
+                   for c in combinations(range(instance.n), size)
+                   if is_1_neighbour_set(instance, c)), ())
+    return make_solution(instance, chosen, ONE_NEIGHBOUR, "ud1n-ptas",
+                         "exact", k, {"fallback": "exhaustive"})
 
 
 @functools.cache

@@ -42,6 +42,20 @@ def bench_variants(tmp_path, inst, oracle_max_n=22):
             bench_rows(tmp_path, inst, "--oracle-max-n", str(oracle_max_n))]
 
 
+def unit_cycles(*lengths, k=9):
+    """Disjoint unit directed cycles of the given lengths, on consecutive ids."""
+    edges, start = [], 0
+    for length in lengths:
+        edges += [(start + i, start + (i + 1) % length) for i in range(length)]
+        start += length
+    return Instance(True, start, edges, [1] * start, [1] * start, k)
+
+
+# eps * k = 9/10 <= 1: ud1n-ptas answers by exact_1n, with no n bound, on a
+# 3-cycle beside a 9-cycle (n = 12, the 9-cycle wins) and on a 30-cycle
+UD1N_EXHAUSTIVE = [unit_cycles(3, 9), unit_cycles(30)]
+
+
 def routing_instance(directed, uniform, n, weight_is_profit=False):
     """``n`` isolated vertices: unit weights, and unit profits when uniform
     (twice the weight otherwise, unless ``weight_is_profit``)."""
@@ -268,6 +282,18 @@ class TestSolve:
                      "exact-1n", "--oracle-max-n", "5000"]) == 0
         assert "chosen: \ncount: 0\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("inst", UD1N_EXHAUSTIVE, ids=lambda inst: f"n={inst.n}")
+    def test_ud1n_exhaustive_branch_ignores_the_oracle_bound(self, tmp_path, capsys, inst):
+        path = write_instance(tmp_path / "cycles.gsk", inst)
+        outputs = []
+        for option in ([], ["--oracle-max-n", "0"]):
+            assert main(["solve", "--input", path, "--constraint", "one", "--variant",
+                         "ud1n-ptas", "--epsilon", "0.1", *option]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "algorithm: ud1n-ptas\n" in outputs[0] and "guarantee: exact\n" in outputs[0]
+        assert f"count: {9 if inst.n == 12 else 0}\n" in outputs[0]
+
 
 @pytest.mark.parametrize("error,code", [
     (ParseError("bad token", 3), 2),
@@ -461,6 +487,19 @@ class TestBench:
             else:
                 assert after["ms"].isascii() and after["ms"].isdigit()
             assert {**after, "ms": before["ms"]} == before
+
+    @pytest.mark.parametrize("inst", UD1N_EXHAUSTIVE, ids=lambda inst: f"n={inst.n}")
+    def test_ud1n_exhaustive_row_ignores_the_oracle_bound(self, tmp_path, inst):
+        def rows(name, *options):
+            found = bench_rows(tmp_path / name, inst, "--epsilon", "0.1", *options)
+            return {row["variant"]: {**row, "instance": None} for row in found}
+
+        plain, bounded = rows("plain"), rows("bounded", "--oracle-max-n", "0")
+        assert ("exact-1n" in plain) == (inst.n <= 22) and "exact-1n" not in bounded
+        # only the opt column, and the ratio read off it, come from exact-1n
+        assert bounded["ud1n-ptas"] == {**plain["ud1n-ptas"], "opt": "", "ratio": ""}
+        assert (plain["ud1n-ptas"]["algorithm"], plain["ud1n-ptas"]["guarantee"]) \
+            == ("ud1n-ptas", "exact")
 
     def test_empty_directory(self, tmp_path):
         directory = tmp_path / "empty"

@@ -220,7 +220,7 @@ class TestKnapsackFptas:
                 knapsack_fptas(items_of((1, 1)), 1, eps)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"),
-                                     "abc", None, "1/0"])
+                                     "abc", None, "1/0", "1/3", " 0.5 ", "2e-1"])
     def test_rejects_non_numbers(self, eps):
         with pytest.raises(ValidationError, match="epsilon must be a number"):
             eps_fraction(eps)

@@ -17,8 +17,8 @@ from graphsack import (Instance, UnsupportedVariantError, ValidationError, conde
 from helpers import (brute_force_profit, grow_1n_passes, opt_at, perfbench_pool,
                      planted_cycle_graphs, pool_answers_match_reference,
                      profit_for_every_budget, random_instance, random_uniform,
-                     undirected_shapes, uniform_directed_1n_ptas_all_cycles,
-                     uniform_undirected_1n_bfs_parents)
+                     undirected_shapes, uniform_directed_1n_combinations,
+                     uniform_directed_1n_ptas_all_cycles, uniform_undirected_1n_bfs_parents)
 
 
 def undirected(n, edges, weights=None, profits=None, k=10):
@@ -252,6 +252,22 @@ class TestCyclesOnDemand:
         assert sol == ref
         assert sol.trace == ref.trace
         assert "fallback" not in sol.trace
+
+
+class TestExhaustiveBranch:
+    """Where eps * k <= 1, exact_1n's answer under the ud1n-ptas name equals
+    the combinations search it replaced."""
+
+    @given(planted_cycle_graphs(max_n=12, values=st.just(1)))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_combinations_search(self, inst):
+        for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+            for k in range(int(1 / eps) + 1):  # k = 0, and k > n on small graphs
+                sol = uniform_directed_1n_ptas(inst, k, eps)
+                ref = uniform_directed_1n_combinations(inst, k, eps)
+                assert sol == ref, (inst.edges, k, eps)
+                assert (sol.algorithm, sol.guarantee) == ("ud1n-ptas", "exact")
+                assert sol.trace == ref.trace == {"fallback": "exhaustive"}
 
 
 def ud1n_pool():

@@ -1,9 +1,7 @@
 """Exhaustive oracles against raw unpruned enumeration."""
 
-import inspect
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,13 +9,14 @@ from hypothesis import strategies as st
 
 from graphsack import (Instance, OracleScaleError, ValidationError, closure_catalog,
                        condense, exact_1n, exact_alln, general_undirected_alln_fptas,
-                       greedy_1_neighbour, is_1_neighbour_set, is_all_neighbour_set, oracle,
+                       greedy_1_neighbour, is_1_neighbour_set, is_all_neighbour_set,
                        parse, uniform_directed_1n_ptas, uniform_directed_alln_ptas,
                        uniform_undirected_1n, uniform_undirected_alln)
 from graphsack.graphs import MAX_VALUE
-from helpers import (adjacency_masks, exact_1n_profit_bound, exact_1n_support_scan,
-                     exact_alln_mask_scan, feasible_all_mask, feasible_one_mask,
-                     perfbench_pool, planted_cycle_graphs, random_instance)
+from helpers import (adjacency_masks, exact_1n_pops, exact_1n_profit_bound,
+                     exact_1n_support_scan, exact_alln_mask_scan, feasible_all_mask,
+                     feasible_one_mask, perfbench_pool, planted_cycle_graphs,
+                     random_instance)
 
 
 def raw_best(inst, k, check):
@@ -232,28 +231,9 @@ class TestExact1nMatchesProfitBound:
 def test_bench_corpus_pool_search_nodes():
     # Nodes popped by exact_1n over the 168 bench-corpus pool members:
     # 93,499 with the profit bound and the doomed mask alone, 18,513 with
-    # the budget prunes.  Deterministic, so it pins work, not time.
-    lines, first = inspect.getsourcelines(oracle.exact_1n)
-    pop_line = first + next(i for i, line in enumerate(lines) if "stack.pop()" in line)
-    pops = 0
-
-    def count_pops(frame, event, _arg):
-        nonlocal pops
-        if event == "line" and frame.f_lineno == pop_line:
-            pops += 1
-        return count_pops
-
-    def trace(frame, _event, _arg):
-        return count_pops if frame.f_code is oracle.exact_1n.__code__ else None
-
+    # the budget prunes.
     instances = [parse(text) for _stem, text, _c, _v in perfbench_pool("bench-corpus")]
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        for inst in instances:
-            exact_1n(inst)
-    finally:
-        sys.settrace(previous)
+    _, pops = exact_1n_pops(lambda: [exact_1n(inst) for inst in instances])
     assert pops <= 18_513
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from graphsack import (Instance, gen_random, one_neighbour, star_partition, stars,
                        uniform_directed_1n_ptas, uniform_undirected_1n, validate_star)
+from helpers import exact_1n_pops
 
 
 @pytest.mark.parametrize("n", [500, 1000, 2000])
@@ -27,6 +28,19 @@ def test_ud1n_grows_a_directed_path_in_linear_heap_pops(monkeypatch, n):
     sol = uniform_directed_1n_ptas(inst, n, Fraction(1, 4))
     assert sol.chosen == tuple(range(n))
     assert pops <= n + inst.m
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_ud1n_searches_a_directed_cycle_in_linear_exact_1n_pops(n):
+    # eps * k = 9/10 <= 1, so ud1n-ptas is exact_1n.  On i -> i + 1 (mod n) a
+    # member whose successor is left out dies two ids later (the doomed
+    # mask), so each depth-first path holds one run of consecutive ids, at
+    # most k long, and each run node pops two children: about (2k + 1) n.
+    k = 9
+    inst = Instance(True, n, [(i, (i + 1) % n) for i in range(n)], [1] * n, [1] * n, k)
+    sol, pops = exact_1n_pops(lambda: uniform_directed_1n_ptas(inst, k, Fraction(1, 10)))
+    assert sol.chosen == () and sol.trace == {"fallback": "exhaustive"}
+    assert pops <= (2 * k + 1) * n
 
 
 def undirected_shape(shape, n):
