@@ -21,13 +21,18 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import operator
 import random
 import re
+import struct
+from bisect import bisect_right
+from fractions import Fraction
+from itertools import accumulate, compress, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ParseError, ValidationError
-from .graphs import MAX_VALUE, Instance
+from .graphs import MAX_VALUE, Instance, _is_int
 
 
 def _int_token(token: str, line: Optional[int], what: str) -> int:
@@ -148,23 +153,46 @@ def gen_random(n: int, edge_prob: float, directed: bool, w_max: int, p_max: int,
                k: int, seed: int) -> Instance:
     """Deterministic G(n, p)-style instance with uniform weights/profits.
 
-    Every (ordered, when directed) vertex pair becomes an edge independently
-    with probability ``edge_prob``; weights/profits are uniform integers in
-    [0, w_max] / [0, p_max].
+    Each (ordered, when directed) vertex pair, in row order, is an edge when
+    one ``random.Random(seed).random()`` draw is below ``edge_prob``; then
+    ``randint`` draws weights in [0, w_max] and profits in [0, p_max].  Two
+    CPython facts, pinned in ``tests/test_instance_io.py``, give the bulk
+    read: ``random()`` is ``x / 2**53`` for ``x = (a >> 5) << 26 | b >> 6``,
+    ``a`` and ``b`` the next two 32-bit Mersenne Twister outputs, so the test
+    is ``x < t = ceil(edge_prob * 2**53)``; and ``randbytes(8 * c)`` is the
+    next 2c outputs, little-endian, leaving the state of c ``random()`` calls.
+    Draws and top-byte scans run in C: a pair is an edge when its ``a``'s top
+    byte is below that of ``t - 1``, not when above; only an equal one (about
+    1/256 of the pairs) and each edge take Python work.
     """
-    if not 0 <= edge_prob <= 1:
-        raise ValidationError("edge_prob must lie in [0, 1]")
-    if n < 0 or w_max < 0 or p_max < 0 or k < 0:
-        raise ValidationError("n, w_max, p_max, k must be non-negative")
+    if not (isinstance(edge_prob, (int, float, Fraction)) and 0 <= edge_prob <= 1):
+        raise ValidationError("edge_prob must lie in [0, 1] (an int, float or Fraction)")
+    if not all(map(_is_int, (n, w_max, p_max, k, seed))):
+        raise ValidationError("n, w_max, p_max, k and seed must be integers")
+    if n < 0 or k < 0 or not 0 <= w_max <= MAX_VALUE or not 0 <= p_max <= MAX_VALUE:
+        raise ValidationError("n, w_max, p_max, k must be non-negative; w_max, p_max below 2^63")
     rng = random.Random(seed)
-    edges = []
-    if directed:
-        pairs = ((u, v) for u in range(n) for v in range(n) if u != v)
-    else:
-        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
-    for u, v in pairs:
-        if rng.random() < edge_prob:
-            edges.append((u, v))
+    count = n * (n - 1) if directed else n * (n - 1) // 2
+    t = math.ceil(edge_prob * (1 << 53))
+    top = max(t - 1, 0) >> 45  # the top byte of t - 1
+    sure = b"\x01" * top + bytes(256 - top)  # marks the top bytes below it
+    hits: list[int] = []  # flat pair indices; Instance sorts the edges
+    for start in range(0, count, 1 << 16):  # at most 512 KiB of draws at a time
+        draws = rng.randbytes(8 * min(1 << 16, count - start))
+        tops = draws[3::8]
+        if top:
+            hits += compress(range(start, start + len(tops)), tops.translate(sure))
+        i = tops.find(top)
+        while i >= 0:
+            a, b = struct.unpack_from("<2I", draws, 8 * i)
+            if (a >> 5 << 26 | b >> 6) < t:
+                hits.append(start + i)
+            i = tops.find(top, i + 1)
+    if directed:  # row u's draw r is column r, or r + 1 from the diagonal on
+        edges = [(u, r + (r >= u)) for u, r in map(divmod, hits, repeat(n - 1))]
+    else:  # row u ends before flat index ends[u]
+        ends = list(accumulate(range(n - 1, 0, -1)))
+        edges = [(u, i - ends[u] + n) for i in hits for u in [bisect_right(ends, i)]]
     weights = [rng.randint(0, w_max) for _ in range(n)]
     profits = [rng.randint(0, p_max) for _ in range(n)]
     prov = (f"gen_random n={n} edge_prob={edge_prob} directed={directed} "

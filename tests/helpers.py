@@ -1313,3 +1313,34 @@ def pool_answers_match_reference(workload: str, directory: Path) -> Counter:
                                  out.getvalue(), reference.get(key)) == [], stem
         variants[variant] += 1
     return variants
+
+
+# ``gen_random`` as it was before it read its draws in bulk: one ``random()``
+# call per vertex pair.  Differential reference for the bulk read.
+
+def gen_random_per_pair(n: int, edge_prob: float, directed: bool, w_max: int, p_max: int,
+                        k: int, seed: int) -> Instance:
+    """Deterministic G(n, p)-style instance with uniform weights/profits.
+
+    Every (ordered, when directed) vertex pair becomes an edge independently
+    with probability ``edge_prob``; weights/profits are uniform integers in
+    [0, w_max] / [0, p_max].
+    """
+    if not 0 <= edge_prob <= 1:
+        raise ValidationError("edge_prob must lie in [0, 1]")
+    if n < 0 or w_max < 0 or p_max < 0 or k < 0:
+        raise ValidationError("n, w_max, p_max, k must be non-negative")
+    rng = random.Random(seed)
+    edges = []
+    if directed:
+        pairs = ((u, v) for u in range(n) for v in range(n) if u != v)
+    else:
+        pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+    for u, v in pairs:
+        if rng.random() < edge_prob:
+            edges.append((u, v))
+    weights = [rng.randint(0, w_max) for _ in range(n)]
+    profits = [rng.randint(0, p_max) for _ in range(n)]
+    prov = (f"gen_random n={n} edge_prob={edge_prob} directed={directed} "
+            f"w_max={w_max} p_max={p_max} k={k} seed={seed}")
+    return Instance(directed, n, edges, weights, profits, k, provenance=prov)

@@ -1,17 +1,22 @@
 """Text format round-trips, parse errors, and generator constructions."""
 
+import hashlib
+import math
 import random
 import re
+import struct
+from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsack import (Instance, ParseError, ValidationError, exact_1n,
                        gen_max_k_cover, gen_network_budget, gen_random,
                        gen_set_cover_cycles, instance_io, is_1_neighbour_set,
                        parse, serialize)
+from helpers import gen_random_per_pair, load_perfbench, perfbench_pool
 
 SAMPLE = """\
 graph undirected 3 2
@@ -246,6 +251,116 @@ class TestGenRandom:
     def test_rejects_negative_sizes(self, n, w_max, p_max, k):
         with pytest.raises(ValidationError, match="n, w_max, p_max, k must be non-negative"):
             gen_random(n, 0.5, False, w_max, p_max, k, seed=1)
+
+    @pytest.mark.parametrize("edge_prob", [None, "0.5", float("nan"), [0.5]])
+    def test_rejects_edge_prob_that_is_not_a_number(self, edge_prob):
+        with pytest.raises(ValidationError, match=re.escape("edge_prob must lie in [0, 1]")):
+            gen_random(4, edge_prob, False, 1, 1, 1, seed=1)
+
+    @pytest.mark.parametrize("n, w_max, p_max, k, seed", [
+        (2.5, 1, 1, 1, 1), (True, 1, 1, 1, 1), (4, 1.5, 1, 1, 1), (4, 1, "3", 1, 1),
+        (4, 1, 1, 1.0, 1), (4, 1, 1, 1, None), (4, 1, 1, 1, "7"), (4, 1, 1, 1, 2.0)])
+    def test_rejects_non_integers(self, n, w_max, p_max, k, seed):
+        # seed=None would draw from OS entropy: the instance would not be a
+        # function of the arguments
+        with pytest.raises(ValidationError, match="n, w_max, p_max, k and seed must be int"):
+            gen_random(n, 0.5, False, w_max, p_max, k, seed=seed)
+
+    @pytest.mark.parametrize("w_max, p_max", [(MAX + 1, 1), (1, MAX + 1), (1 << 64, 1 << 64)])
+    def test_rejects_value_bounds_above_max_value(self, w_max, p_max):
+        # w_max = 2^63 would fail only when a weight drew it
+        with pytest.raises(ValidationError, match=re.escape("w_max, p_max below 2^63")):
+            gen_random(4, 0.5, False, w_max, p_max, 1, seed=1)
+
+    def test_accepts_max_value_bounds_and_int_subclasses(self):
+        class Count(int):
+            pass
+
+        inst = gen_random(Count(6), Fraction(1, 2), True, MAX, MAX, Count(2), seed=Count(3))
+        assert inst == gen_random_per_pair(6, Fraction(1, 2), True, MAX, MAX, 2, seed=3)
+
+
+# gen_random reads its draws in bulk; every case below must give the text the
+# per-pair loop gave, provenance included.  The list holds the edge
+# probabilities next to the exact test's boundaries: the smallest subnormal,
+# one and three steps of 2^-53, a screen byte's width (1/256) and just under
+# it, and 1 - 2^-53.
+EDGE_PROBS = (0, 1, True, 0.0, 1.0, 5e-324, 2.0**-53, 3 * 2.0**-53, 2.0**-27, 1 / 256,
+              1 / 255, 1 - 2.0**-53, Fraction(1, 3))
+CHUNK = 1 << 16  # pairs per bulk draw in gen_random
+
+
+def pair_count(n: int, directed: bool) -> int:
+    return n * (n - 1) if directed else n * (n - 1) // 2
+
+
+class TestBulkDraws:
+    @given(st.integers(0, 70), st.booleans(),
+           st.one_of(st.sampled_from(EDGE_PROBS), st.floats(0, 1),
+                     st.floats(0, 1).map(lambda p: p**4)),
+           st.integers(0, 1000), st.integers(0, 1000), st.integers(0, 2**64))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_one_draw_per_pair(self, n, directed, edge_prob, w_max, p_max, seed):
+        args = (n, edge_prob, directed, w_max, p_max, 2 * n, seed)
+        assert serialize(gen_random(*args)) == serialize(gen_random_per_pair(*args))
+
+    @given(st.integers(2, 70), st.booleans(), st.integers(0, 2**64), st.integers(0, 4900),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_prob_on_a_drawn_value(self, n, directed, seed, index, above):
+        # random() < edge_prob fails when edge_prob is the draw itself and
+        # holds from the next float up: the exact test at its boundary
+        rng = random.Random(seed)
+        edge_prob = [rng.random() for _ in range(index % pair_count(n, directed) + 1)][-1]
+        if above:
+            edge_prob = math.nextafter(edge_prob, 1)
+        args = (n, edge_prob, directed, 8, 8, 0, seed)
+        assert serialize(gen_random(*args)) == serialize(gen_random_per_pair(*args))
+
+    @pytest.mark.parametrize("n, directed", [(300, True), (363, False)])
+    @pytest.mark.parametrize("index", [None, CHUNK - 1, CHUNK])
+    def test_draws_across_a_chunk_boundary(self, n, directed, index):
+        assert CHUNK < pair_count(n, directed) < 2 * CHUNK
+        if index is None:
+            edge_prob = 3 / n
+        else:  # a pair on either side of the boundary sits on the exact test's edge
+            rng = random.Random(n)
+            edge_prob = math.nextafter([rng.random() for _ in range(index + 1)][-1], 1)
+        args = (n, edge_prob, directed, 8, 8, 0, n)
+        assert serialize(gen_random(*args)) == serialize(gen_random_per_pair(*args))
+
+
+# The two CPython facts the bulk read rests on, on this interpreter.
+class TestRandomStream:
+    @given(st.integers(0, 2**64), st.integers(0, 300))
+    @example(0, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_randbytes_holds_the_outputs_random_reads(self, seed, count):
+        # random() is x / 2^53 with x = (a >> 5) << 26 | b >> 6 for the next
+        # two 32-bit outputs a, b; randbytes(8 * c) holds the next 2c outputs,
+        # little-endian, and leaves the state that c random() calls leave
+        bulk, calls = random.Random(seed), random.Random(seed)
+        draws = bulk.randbytes(8 * count)
+        for a, b in struct.iter_unpack("<2I", draws):
+            assert calls.random() == (a >> 5 << 26 | b >> 6) / 2**53
+        assert bulk.getstate() == calls.getstate()
+        assert bulk.random() == calls.random()
+
+
+# SHA-256 of "<stem>\n<serialize(instance)>" over every pool member of the
+# four benchmark workloads, in perfbench's order, recorded with the per-pair
+# generator.  perfbench/reference.json and calibration.json describe exactly
+# these instances.
+POOL_DIGEST = "d2775b7277a32fbe8b539cb623b83781f60c4994e7b562c65074e2208fe94edf"
+
+
+def test_benchmark_pools_are_unchanged():
+    digest, members = hashlib.sha256(), 0
+    for workload in load_perfbench("workloads").WORKLOADS:
+        for stem, text, _constraint, _variant in perfbench_pool(workload):
+            digest.update(f"{stem}\n{text}".encode())
+            members += 1
+    assert (members, digest.hexdigest()) == (728, POOL_DIGEST)
 
 
 class TestGenMaxKCover:
