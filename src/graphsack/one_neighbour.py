@@ -26,7 +26,8 @@ from .oracle import exact_1n
 from .solution import ONE_NEIGHBOUR, Solution, make_solution
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
 
-StarOracle = Callable[[Instance, int, Fraction], Optional[Star]]
+ProfitOracle = Callable[[Instance, int, Fraction], Optional[Star]]
+RatioOracle = Callable[[Instance, int, Fraction, Optional[int]], Optional[Star]]
 
 
 def _require_uniform(instance: Instance, algorithm: str) -> None:
@@ -41,8 +42,8 @@ def greedy_guarantee(eps: Fraction) -> str:
 
 
 def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
-                       profit_oracle: StarOracle = best_profit_viable_star,
-                       ratio_oracle: StarOracle = best_ratio_viable_star,
+                       profit_oracle: ProfitOracle = best_profit_viable_star,
+                       ratio_oracle: RatioOracle = best_ratio_viable_star,
                        ) -> Solution:
     """Greedy selection of viable stars and boundary vertices.
 
@@ -51,6 +52,9 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
     already has a neighbour in the knapsack; the final answer is the better
     of the accumulated set and the best-profit star of the whole instance.
     Alternative oracle pairs over other viable families can be plugged in.
+    The ratio oracle's fourth argument, ``floor``, is the vertex's ratio key
+    (or None): a star below it cannot win, so the oracle may return None for
+    it, or ignore ``floor``.
     """
     if instance.directed:
         raise UnsupportedVariantError(
@@ -67,14 +71,15 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
     s_max = profit_oracle(instance, k, eps)                # S_max
     iterations: list[dict] = []
     while True:
-        sub, ids = instance.induced(alive)
-        star = ratio_oracle(sub, remaining, eps)
-        if star is not None:
-            star = Star(ids[star.center], tuple(ids[u] for u in star.leaves))
         # of equal ratios, max keeps the first vertex (Z is sorted) and the star wins
         node = max((v for v in boundary if weights[v] <= remaining),
                    key=lambda v: ratio_key(profits[v], weights[v]), default=None)
-        if node is not None and (star is None or ratio_key(profits[node], weights[node])
+        floor = None if node is None else ratio_key(profits[node], weights[node])
+        sub, ids = instance.induced(alive)
+        star = ratio_oracle(sub, remaining, eps, floor)
+        if star is not None:
+            star = Star(ids[star.center], tuple(ids[u] for u in star.leaves))
+        if node is not None and (star is None or floor
                                  > ratio_key(instance.total_profit(star.vertices),
                                              instance.total_weight(star.vertices))):
             pick, kind = (node,), "vertex"

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import ValidationError
-from .graphs import Instance, _bfs_layers, is_1_neighbour_set
+from .graphs import Instance, _bfs_layers, _is_int, is_1_neighbour_set
 from .knapsack import Item, ProfitTable, _check_capacity, eps_fraction, ratio_key
 
 
@@ -99,16 +99,17 @@ class _StarSearch:
     the best key's: no star of that center or a later one can reach it.  When
     a table is exact (divisor 1), a level's profit and weight are known before
     its witness is walked, so :meth:`offer_levels` walks only a level that can
-    win or tie.
+    win or tie.  The best key starts at ``(floor, -1)``, with no star, so both
+    prunes apply to ``floor`` too; keys' first parts are never negative.
     """
 
-    def __init__(self, instance: Instance, capacity: int, eps, key):
+    def __init__(self, instance: Instance, capacity: int, eps, key, floor: int = -1):
         if instance.directed:
             raise ValidationError("star oracles require an undirected instance")
         self.eps = eps_fraction(eps)
         _check_capacity(capacity)
         self.instance, self.capacity, self.key = instance, capacity, key
-        self.best_key = self.best = None
+        self.best_key, self.best = (floor, -1), None
 
     def centers(self, bound):
         """``(v, fitting leaves)`` per center, in descending ``bound(v, leaves)``
@@ -129,7 +130,7 @@ class _StarSearch:
                     ranked.append((bound(v, leaves), v, leaves))
         ranked.sort(key=itemgetter(0), reverse=True)
         for b, v, leaves in ranked:
-            if self.best_key is not None and b < self.best_key[0]:
+            if b < self.best_key[0]:
                 return
             if leaves:
                 yield v, leaves
@@ -140,7 +141,7 @@ class _StarSearch:
         """Offer the star ``center`` plus the sorted ``leaves``, of that profit
         and weight."""
         key, best = self.key(profit, weight, center), self.best
-        if best is None or key > self.best_key or (
+        if key > self.best_key or (
                 key == self.best_key and (center, leaves) < (best.center, best.leaves)):
             self.best_key, self.best = key, Star(center, leaves)
 
@@ -213,7 +214,8 @@ def _center_bound(profits, weights, keys, center: int, leaves):
     return key
 
 
-def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[Star]:
+def best_ratio_viable_star(instance: Instance, capacity: int, eps,
+                           floor: Optional[int] = None) -> Optional[Star]:
     """Feasible star with ratio >= (1 - eps) * best feasible star ratio.
 
     The objective is the full star ratio (center included).  Candidates per
@@ -229,9 +231,13 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps) -> Optional[S
     center plus any subset of its fitting leaves.  A center with one fitting
     leaf builds no table: that leaf is its one non-empty leaf set, already
     offered as a single, and its forced-leaf table would be empty.  The
-    search is :class:`_StarSearch`.
+    search is :class:`_StarSearch`.  Given an int ``floor``, it returns that
+    star if its ratio key is at least ``floor``, else None, pruning below it.
     """
-    search = _StarSearch(instance, capacity, eps, lambda p, w, v: (ratio_key(p, w), p))
+    if floor is not None and not _is_int(floor):
+        raise ValidationError(f"floor must be an integer or None, got {floor!r}")
+    search = _StarSearch(instance, capacity, eps, lambda p, w, v: (ratio_key(p, w), p),
+                         -1 if floor is None else floor)
     weights, profits = instance.weights, instance.profits
     keys = [ratio_key(p, w) for p, w in zip(profits, weights)]
     offer, offer_levels = search.offer, search.offer_levels

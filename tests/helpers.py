@@ -562,6 +562,31 @@ def best_ratio_viable_star_full_scan(instance: Instance, capacity: int, eps) -> 
     return best[0] if best else None
 
 
+def star_ratio_key(instance: Instance, star: Star) -> int:
+    """The :func:`ratio_key` of ``star``'s vertices, center included."""
+    return ratio_key(instance.total_profit(star.vertices), instance.total_weight(star.vertices))
+
+
+def ignoring_floor(oracle: Callable) -> Callable:
+    """The 4-argument ratio oracle that greedy-1n calls, made from a
+    3-argument ``oracle``: it ignores the floor, as the contract allows."""
+    def call(instance: Instance, capacity: int, eps, floor: Optional[int]) -> Optional[Star]:
+        return oracle(instance, capacity, eps)
+    return call
+
+
+def applying_floor(oracle: Callable) -> Callable:
+    """The 4-argument ratio oracle made from a 3-argument ``oracle`` that
+    applies the floor after the fact: None when the star's :func:`ratio_key`
+    is below it."""
+    def call(instance: Instance, capacity: int, eps, floor: Optional[int]) -> Optional[Star]:
+        star = oracle(instance, capacity, eps)
+        if star is None or floor is None or star_ratio_key(instance, star) >= floor:
+            return star
+        return None
+    return call
+
+
 # The directed all-neighbour PTAS as it was before its ready heap: a closure
 # for every SCC, and a rescan of the light list after each absorption.  It
 # still tries every pick that fits the budget; its ``guesses`` counts them up

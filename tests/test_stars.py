@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from graphsack import (Instance, Star, ValidationError, best_profit_viable_star,
                        best_ratio_viable_star, gen_random, greedy_1_neighbour,
-                       is_1_neighbour_set, ratio_key, star_partition, stars, validate_star)
-from helpers import (best_profit_viable_star_full_scan, best_ratio_subset,
-                     best_ratio_viable_star_full_scan, item_star, random_instance, ratio_meets,
-                     star_partition_per_component, undirected_shapes)
+                       is_1_neighbour_set, parse, ratio_key, star_partition, stars,
+                       validate_star)
+from graphsack.knapsack import _RATIO_TOP
+from helpers import (applying_floor, best_profit_viable_star_full_scan, best_ratio_subset,
+                     best_ratio_viable_star_full_scan, ignoring_floor, item_star,
+                     perfbench_pool, random_instance, ratio_meets, star_partition_per_component,
+                     star_ratio_key, undirected_shapes)
 
 
 def undirected(n, edges, weights=None, profits=None, k=10):
@@ -336,15 +339,22 @@ class TestPruningMatchesFullScan:
         assert best_ratio_viable_star(inst, capacity, eps) \
             == best_ratio_viable_star_full_scan(inst, capacity, eps)
 
+    @staticmethod
+    def assert_greedy_matches_full_scan(inst, k, eps):
+        # The full scan takes no floor: one reference ignores it, the other
+        # applies it to the scan's star; both give the floored greedy's answer.
+        got = greedy_1_neighbour(inst, k, eps)
+        for adapt in (ignoring_floor, applying_floor):
+            ref = greedy_1_neighbour(inst, k, eps,
+                                     profit_oracle=best_profit_viable_star_full_scan,
+                                     ratio_oracle=adapt(best_ratio_viable_star_full_scan))
+            assert got.chosen == ref.chosen, adapt.__name__
+            assert got.trace == ref.trace, adapt.__name__
+
     @given(star_instances(max_n=9), st.integers(0, 24), EPSILONS)
     @settings(max_examples=150, deadline=None)
     def test_greedy(self, inst, k, eps):
-        got = greedy_1_neighbour(inst, k, eps)
-        ref = greedy_1_neighbour(inst, k, eps,
-                                 profit_oracle=best_profit_viable_star_full_scan,
-                                 ratio_oracle=best_ratio_viable_star_full_scan)
-        assert got.chosen == ref.chosen
-        assert got.trace == ref.trace
+        self.assert_greedy_matches_full_scan(inst, k, eps)
 
     @pytest.mark.parametrize("n", [24, 32, 40, 50])
     @pytest.mark.parametrize("d", [3, 6])
@@ -352,12 +362,64 @@ class TestPruningMatchesFullScan:
         # Degrees the small instances above rarely reach, as in the
         # star-greedy benchmark pool.
         inst = gen_random(n, d / n, False, 8, 8, 2 * n, seed=100 * n + d)
-        got = greedy_1_neighbour(inst, None, Fraction(1, 10))
-        ref = greedy_1_neighbour(inst, None, Fraction(1, 10),
-                                 profit_oracle=best_profit_viable_star_full_scan,
-                                 ratio_oracle=best_ratio_viable_star_full_scan)
-        assert got.chosen == ref.chosen
-        assert got.trace == ref.trace
+        self.assert_greedy_matches_full_scan(inst, None, Fraction(1, 10))
+
+
+class TestRatioFloor:
+    """``best_ratio_viable_star`` with a floor is its unfloored star, or None
+    when that star's ratio key is below the floor."""
+
+    # Floors from the vertices' keys and the star's own, and one either side
+    # of the star's, so that ties with the floor come up; 0, 1 and the
+    # zero-weight class's key are the edges of the key range.
+    @given(star_instances(), st.integers(0, 20), EPSILONS, st.integers(0, 1 << 16))
+    @settings(max_examples=400, deadline=None)
+    @example(undirected(3, [(0, 1), (0, 2)], weights=[0, 0, 2], profits=[0, 0, 5]),
+             0, Fraction(1, 10), 0)
+    @example(undirected(3, [(0, 1), (1, 2)], weights=[1, 0, 0], profits=[1000, 0, 7]),
+             0, Fraction(1, 100), 1)
+    @example(undirected(4, [(0, 1), (0, 2), (0, 3)], weights=[1, 2, 2, 3],
+                        profits=[1000, 990, 610, 400]), 5, Fraction(1, 100), 2)
+    def test_floor_filters_the_unfloored_star(self, inst, capacity, eps, pick):
+        s = best_ratio_viable_star(inst, capacity, eps)
+        floors = [ratio_key(p, w) for p, w in zip(inst.profits, inst.weights)] + [0, 1, _RATIO_TOP]
+        if s is not None:
+            key = star_ratio_key(inst, s)
+            floors = [key, key - 1, key + 1] + floors
+        f = floors[pick % len(floors)]
+        expected = s if s is not None and star_ratio_key(inst, s) >= f else None
+        assert best_ratio_viable_star(inst, capacity, eps, f) == expected
+
+    @pytest.mark.parametrize("floor", [True, 1.5, "3"])
+    def test_floor_must_be_an_int(self, floor):
+        inst = undirected(2, [(0, 1)])
+        with pytest.raises(ValidationError):
+            best_ratio_viable_star(inst, 2, 0.1, floor)
+
+    def test_floor_above_every_bound_builds_no_table(self, monkeypatch):
+        inst = undirected(4, [(0, 1), (0, 2), (0, 3)], weights=[1, 1, 1, 1],
+                          profits=[5, 4, 3, 2])
+        built = count_tables(monkeypatch)
+        # the winner's own key as the floor: same star, same table
+        assert best_ratio_viable_star(inst, 4, 0.1, ratio_key(9, 2)) == Star(0, (1,))
+        assert built == [(1, 2, 3)]
+        built.clear()
+        # above center 0's bound, its ratio 5 alone: no center is scanned
+        assert best_ratio_viable_star(inst, 4, 0.1, ratio_key(5, 1) + 1) is None
+        assert built == []
+
+
+def test_greedy_tables_built_over_the_star_greedy_pool(monkeypatch):
+    # A work pin, with no timing: one greedy-1n pass at eps 1/10 over every
+    # star-greedy pool member.  The boundary vertex's ratio key floors the
+    # ratio oracle, which then builds no table for a center that cannot beat
+    # it; without the floor the pass builds 5,483 tables.
+    members = perfbench_pool("star-greedy")
+    assert len(members) == 128
+    built = count_tables(monkeypatch)
+    for _stem, text, _constraint, _variant in members:
+        greedy_1_neighbour(parse(text), None, Fraction(1, 10))
+    assert len(built) <= 4201
 
 
 def ratio_on_item_star(pairs, capacity, eps=0.3):
