@@ -106,10 +106,10 @@ class Instance:
         return len(self.adj[v])
 
     def total_weight(self, vertices: Iterable[int]) -> int:
-        return sum(self.weights[v] for v in vertices)
+        return sum(map(self.weights.__getitem__, vertices))
 
     def total_profit(self, vertices: Iterable[int]) -> int:
-        return sum(self.profits[v] for v in vertices)
+        return sum(map(self.profits.__getitem__, vertices))
 
     def check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
         """Normalize to a strictly increasing vertex tuple, validating ids."""

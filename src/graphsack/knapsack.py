@@ -134,20 +134,21 @@ class ProfitTable:
     else :class:`ValidationError` before any row is built.
 
     Row ``i`` covers ``items[i:]`` and ends at the highest level they reach
-    within the capacity; heavier cells hold ``capacity + 1``.  It is built
-    from row ``i + 1`` by a few whole-row int operations on packed cells
-    (SWAR; Lamport, CACM 18(8), 1975).  A packed cell holds the slack
-    ``capacity + 1 - weight`` under a guard bit, so taking item ``i`` is a
-    saturating subtraction of its weight, shifted up its adjusted profit, and
-    the new row is the fieldwise maximum of the two.  Each row is then decoded
-    once into min weights: ``bytes`` for one-byte cells, a ``memoryview`` for
-    cells of 2 to 8 bytes, else a list.
+    within the capacity.  It is built from row ``i + 1`` by a few whole-row
+    int operations on packed cells (SWAR; Lamport, CACM 18(8), 1975).  A
+    packed cell holds the slack ``capacity + 1 - weight`` under a guard bit,
+    and a level no subset reaches within the capacity holds 0, so taking
+    item ``i`` is a saturating subtraction of its weight, shifted up its
+    adjusted profit, and the new row is the fieldwise maximum of the two.  The
+    guard mask of the row's length is carried from item to item.  Rows are
+    stored as those slacks, ``bytes`` for one-byte cells, a ``memoryview``
+    for cells of 2 to 8 bytes, else a list, and a cell reads as the weight
+    ``capacity + 1 - slack``.
 
-    A fitting cell is a minimum over lighter cells of row ``i + 1``, and the
-    scan and the witness walk read only fitting cells or compare a cell plus a
-    weight with a fitting weight.  The walk's ``rem_p`` fits in row ``i`` (in
-    row ``i + 1`` or by taking item ``i``), so ``rem_p - a`` is inside row
-    ``i + 1``.
+    A fitting cell is a non-zero one.  The scan and the witness walk read
+    only fitting cells, or compare a cell with a fitting slack plus a weight.
+    The walk's ``rem_p`` fits in row ``i`` (in row ``i + 1`` or by taking
+    item ``i``), so ``rem_p - a`` is inside row ``i + 1``.
     """
 
     def __init__(self, items: Iterable[Item], capacity: int, eps=None):
@@ -174,66 +175,63 @@ class ProfitTable:
             size = 1 << (size - 1).bit_length()  # a memoryview format's width
         bits, top = 8 * size, 8 * size - 1
         guard = (1 << top).to_bytes(size, "little")
-        row, length = absent, 1
-        cells, guards = 1, 1 << top  # the guard bits of ``cells`` cells
-        rows = [row]
+        row, length, cells = absent, 1, 1
+        guards = h = 1 << top  # the guard bits of ``cells`` cells, and h of ``length``
+        rows = [row.to_bytes(size, "little")]
         for it, a in zip(reversed(self.items), reversed(self.adjusted)):
             # take: each slack less the weight, saturating at 0, moved up a cells
-            h = guards >> (cells - length) * bits
             d = (row | h) - (h >> top) * it.weight
             g = d & h
             take = (d & (g - (g >> top))) << a * bits
-            length = -(-max(row.bit_length(), take.bit_length()) // bits)
-            if length > cells:
-                cells = max(length, 2 * cells)
-                guards = int.from_bytes(guard * cells, "little")
+            if take.bit_length() > length * bits:  # h changes only as the row grows
+                length = -(-take.bit_length() // bits)
+                if length > cells:
+                    cells = max(length, 2 * cells)
+                    guards = int.from_bytes(guard * cells, "little")
+                h = guards >> (cells - length) * bits
             # the fieldwise max: a guard bit survives where row >= take
-            h = guards >> (cells - length) * bits
             g = ((row | h) - take) & h
             row = take ^ ((row ^ take) & (g - (g >> top)))
-            rows.append(row)
+            rows.append(row.to_bytes(length * size, "little"))
         rows.reverse()
-        # decode each row once into min weights, absent - slack in every cell
-        full = absent * (guards >> top)
-        fmt = _CELL_FORMATS.get(size) if sys.byteorder == "little" else None
-        for i, row in enumerate(rows):
-            m = -(-row.bit_length() // bits)
-            buf = ((full >> (cells - m) * bits) - row).to_bytes(m * size, "little")
-            if size > 1:  # bytes index as one-byte cells
-                buf = (memoryview(buf).cast(fmt) if fmt else
-                       [int.from_bytes(buf[j:j + size], "little") for j in range(0, m * size, size)])
-            rows[i] = buf
+        if size > 1:  # bytes index as one-byte cells
+            fmt = _CELL_FORMATS.get(size) if sys.byteorder == "little" else None
+            rows = [memoryview(buf).cast(fmt) if fmt else
+                    [int.from_bytes(buf[j:j + size], "little") for j in range(0, len(buf), size)]
+                    for buf in rows]
         self._rows, self.level_count = rows, length
 
     def true_profit(self, ids: Iterable[int]) -> int:
         return sum(self._profit[i] for i in ids)
 
     def min_weight(self, p: int) -> Optional[int]:
-        if 0 <= p < self.level_count and self._rows[0][p] < self._absent:
-            return self._rows[0][p]
+        if not (type(p) is int or _is_int(p)):
+            raise ValidationError(f"level must be an integer, got {p!r}")
+        if 0 <= p < self.level_count and (slack := self._rows[0][p]):
+            return self._absent - slack
         return None
 
     def levels(self) -> Iterator[tuple[int, int]]:
         """``(p, min_weight(p))`` for each level within the capacity, highest first."""
         row, absent = self._rows[0], self._absent
-        return ((p, row[p]) for p in range(self.level_count - 1, -1, -1) if row[p] < absent)
+        return ((p, absent - row[p]) for p in range(self.level_count - 1, -1, -1) if row[p])
 
     def witness(self, p: int) -> Optional[tuple[int, ...]]:
         """The smallest id set among the minimum-weight subsets at level ``p``."""
-        rem_p, rem_w = p, self.min_weight(p)
-        if rem_w is None:
+        if self.min_weight(p) is None:
             return None
         ids: list[int] = []
-        rows, adjusted = self._rows, self.adjusted
+        rows, adjusted, absent = self._rows, self.adjusted, self._absent
+        rem_p, rem_s = p, rows[0][p]  # rem_s: absent less the weight left to walk
         for i, it in enumerate(self.items):
-            if rem_p == 0 and rem_w == 0:
+            if rem_p == 0 and rem_s == absent:
                 break
             a = adjusted[i]
-            if a <= rem_p and it.weight + rows[i + 1][rem_p - a] == rem_w:
+            if a <= rem_p and rows[i + 1][rem_p - a] == rem_s + it.weight:
                 ids.append(it.id)
                 rem_p -= a
-                rem_w -= it.weight
-        assert rem_p == 0 and rem_w == 0, "table walk out of sync"
+                rem_s += it.weight
+        assert rem_p == 0 and rem_s == absent, "table walk out of sync"
         return tuple(ids)
 
 

@@ -1,6 +1,7 @@
 """Knapsack primitives against enumeration, plus the exact ratio order."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from functools import partial
@@ -449,11 +450,20 @@ class TestProfitTable:
         with pytest.raises(ValidationError):
             ProfitTable([Item(1, 1, 1), Item(1, 2, 2)], 3)
 
+    @pytest.mark.parametrize("level", [True, 1.0, "1"])
+    def test_rejects_a_level_that_is_not_an_int(self, level):
+        # A bool would read level 1, and a float or a string would fail
+        # inside the row lookup with a TypeError.
+        table = ProfitTable(items_of((1, 1), (2, 3)), 3)
+        for query in (table.min_weight, table.witness):
+            with pytest.raises(ValidationError, match="level must be an integer"):
+                query(level)
+
 
 def assert_list_kernel_rows(table):
-    """``table`` holds the list kernel's rows, cell for cell."""
+    """``table`` holds the list kernel's rows, cell for cell, as slacks."""
     ref = list_kernel_rows(table.items, table.adjusted, table._absent)
-    assert [list(row) for row in table._rows] == ref
+    assert [[table._absent - cell for cell in row] for row in table._rows] == ref
     assert table.level_count == len(ref[0])
 
 
@@ -486,6 +496,21 @@ class TestPackedRows:
         table = ProfitTable(items, capacity)
         assert_list_kernel_rows(table)
         assert {type(row) for row in table._rows} == {decoded}
+
+    @pytest.mark.parametrize("capacity", [127, 2 ** 15 - 1, 2 ** 31 - 1])
+    def test_big_endian_decode(self, monkeypatch, capacity):
+        # Without a little-endian memoryview format, cells of 2, 4 and 8
+        # bytes are read one by one through int.from_bytes.
+        items = items_of((0, 5), (3, 2), (capacity - 2, 7), (capacity, 4),
+                         (capacity + 1, 9), (1, 3))
+        monkeypatch.setattr(sys, "byteorder", "big")
+        table = ProfitTable(items, capacity)
+        assert {type(row) for row in table._rows} == {list}
+        assert_list_kernel_rows(table)
+        ref = BruteProfitTable(fitting(items, capacity))
+        assert list(table.levels()) == ref.levels_within(capacity)
+        for p, _ in ref.levels_within(capacity):
+            assert table.witness(p) == ref.witness(p)
 
     def test_component_dp_pool(self):
         # The tables gua-fptas builds on every component-dp pool member.
