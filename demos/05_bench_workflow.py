@@ -12,33 +12,34 @@ from pathlib import Path
 from graphsack import Instance, gen_random, serialize
 from graphsack.cli import main as graphsack_cli
 
-workdir = Path(tempfile.mkdtemp(prefix="graphsack-demo-"))
-corpus = workdir / "corpus"
-corpus.mkdir()
+with tempfile.TemporaryDirectory(prefix="graphsack-demo-") as tmp:
+    workdir = Path(tmp)
+    corpus = workdir / "corpus"
+    corpus.mkdir()
 
-print(f"writing a 30-instance corpus under {corpus}")
-for seed in range(30):
-    directed = seed % 2 == 0
-    inst = gen_random(n=6 + seed % 4, edge_prob=0.35, directed=directed,
-                      w_max=3, p_max=4, k=5, seed=seed)
-    if seed % 3 == 0:  # mix in uniform instances so every solver shows up
-        inst = Instance(directed, inst.n, inst.edges, [1] * inst.n,
-                        [1] * inst.n, 5)
-    (corpus / f"rand{seed:02d}.gsk").write_text(serialize(inst))
+    print(f"writing a 30-instance corpus under {corpus}")
+    for seed in range(30):
+        directed = seed % 2 == 0
+        inst = gen_random(n=6 + seed % 4, edge_prob=0.35, directed=directed,
+                          w_max=3, p_max=4, k=5, seed=seed)
+        if seed % 3 == 0:  # mix in uniform instances so every solver shows up
+            inst = Instance(directed, inst.n, inst.edges, [1] * inst.n,
+                            [1] * inst.n, 5)
+        (corpus / f"rand{seed:02d}.gsk").write_text(serialize(inst))
 
-out = workdir / "results.csv"
-print("running: graphsack bench --dir", corpus, "--epsilon 0.25 --out", out)
-code = graphsack_cli(["bench", "--dir", str(corpus), "--epsilon", "0.25",
-                      "--out", str(out), "--jobs", "2"])
-assert code == 0
+    out = workdir / "results.csv"
+    print("running: graphsack bench --dir", corpus, "--epsilon 0.25 --out", out)
+    code = graphsack_cli(["bench", "--dir", str(corpus), "--epsilon", "0.25",
+                          "--out", str(out), "--jobs", "2"])
+    assert code == 0
 
-print()
-print("per-variant summary (achieved ratio = profit / exhaustive optimum):")
-ratios = defaultdict(list)
-with out.open() as fh:
-    for row in csv.DictReader(fh):
-        if row["ratio"]:
-            ratios[row["variant"]].append(float(row["ratio"]))
+    print()
+    print("per-variant summary (achieved ratio = profit / exhaustive optimum):")
+    ratios = defaultdict(list)
+    with out.open() as fh:
+        for row in csv.DictReader(fh):
+            if row["ratio"]:
+                ratios[row["variant"]].append(float(row["ratio"]))
 for variant in sorted(ratios):
     values = ratios[variant]
     print(f"  {variant:14s} rows={len(values):3d} "

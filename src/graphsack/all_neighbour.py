@@ -17,11 +17,10 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Optional
 
-from .errors import UnsupportedVariantError
 from .graphs import Condensation, Instance, condense, connected_components, descendants
 from .knapsack import (Item, _check_capacity, eps_fraction, fitting_picks, knapsack_fptas,
                        subset_sum_max)
-from .solution import ALL_NEIGHBOUR, Solution, make_solution
+from .solution import ALL_NEIGHBOUR, Solution, make_solution, require
 
 
 def closure_catalog(cond: Condensation, eps, k: int) -> dict[int, frozenset[int]]:
@@ -45,11 +44,7 @@ def uniform_directed_alln_ptas(instance: Instance, k: Optional[int] = None,
     a heap, with Kahn's count of missing successors per SCC; one that does
     not fit is dropped, as the weight only grows.
     """
-    if not instance.directed:
-        raise UnsupportedVariantError("uda-ptas requires a directed instance")
-    if instance.weights != instance.profits:
-        raise UnsupportedVariantError(
-            "uda-ptas requires weight(v) == profit(v) for every vertex")
+    require("uda-ptas", instance)
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
 
@@ -107,10 +102,7 @@ def uniform_undirected_alln(instance: Instance, k: Optional[int] = None) -> Solu
     Whole components are the only selectable units, so this is subset sum
     over the component sizes.
     """
-    if instance.directed:
-        raise UnsupportedVariantError("uua-subsetsum requires an undirected instance")
-    if not instance.is_uniform():
-        raise UnsupportedVariantError("uua-subsetsum requires unit weights and profits")
+    require("uua-subsetsum", instance)
     k = instance.solver_budget(k)
     comps = connected_components(instance)
     indices, _total = subset_sum_max([len(c) for c in comps], k)
@@ -126,8 +118,7 @@ def general_undirected_alln_fptas(instance: Instance, k: Optional[int] = None,
     One knapsack item per connected component; zero-weight components are
     always included afterwards since they are free.
     """
-    if instance.directed:
-        raise UnsupportedVariantError("gua-fptas requires an undirected instance")
+    require("gua-fptas", instance)
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
     comps = connected_components(instance)

@@ -27,7 +27,8 @@ from .knapsack import eps_fraction
 from .one_neighbour import (greedy_1_neighbour, uniform_directed_1n_ptas,
                             uniform_undirected_1n)
 from .oracle import DEFAULT_MAX_N, exact_1n, exact_alln
-from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution
+from .solution import (ALL_NEIGHBOUR, ANY, ONE_NEIGHBOUR, REQUIREMENTS, UNIT, Solution,
+                       refusal, require)
 from .stars import star_partition
 
 CSV_HEADER = ["instance", "variant", "algorithm", "epsilon", "n", "m", "k",
@@ -36,34 +37,38 @@ CSV_HEADER = ["instance", "variant", "algorithm", "epsilon", "n", "m", "k",
 
 
 class Variant(NamedTuple):
-    """A solver variant: the constraint it solves, whether it reads
-    ``--epsilon``, and ``run(instance, epsilon, oracle_max_n, k)``, where a
-    ``k`` of None is the instance's budget."""
-    constraint: str
+    """A solver variant: its name, a key of ``REQUIREMENTS``, whether it
+    reads ``--epsilon``, and ``run(instance, epsilon, oracle_max_n, k)``,
+    where a ``k`` of None is the instance's budget."""
+    name: str
     reads_epsilon: bool
     run: Callable[[Instance, float, int, Optional[int]], Solution]
+    constraint = property(lambda self: REQUIREMENTS[self.name].constraint)
 
 
 # Each run looks its solver up by module-level name at call time, so a wrapper
 # re-bound on that name (a tracer, a test's counter) sees every call.
-VARIANTS = {
-    "exact-1n": Variant(ONE_NEIGHBOUR, False,
-                        lambda g, eps, max_n, k: exact_1n(g, k, max_n=max_n)),
-    "exact-all": Variant(ALL_NEIGHBOUR, False,
-                         lambda g, eps, max_n, k: exact_alln(g, k, max_n=max_n)),
-    "greedy-1n": Variant(ONE_NEIGHBOUR, True, lambda g, eps, _, k: greedy_1_neighbour(g, k, eps)),
-    "gua-fptas": Variant(ALL_NEIGHBOUR, True,
-                         lambda g, eps, _, k: general_undirected_alln_fptas(g, k, eps)),
-    "uda-ptas": Variant(ALL_NEIGHBOUR, True,
-                        lambda g, eps, _, k: uniform_directed_alln_ptas(g, k, eps)),
-    "ud1n-ptas": Variant(ONE_NEIGHBOUR, True,
-                         lambda g, eps, _, k: uniform_directed_1n_ptas(g, k, eps)),
-    "uu1n-linear": Variant(ONE_NEIGHBOUR, False, lambda g, eps, _, k: uniform_undirected_1n(g, k)),
-    "uua-subsetsum": Variant(ALL_NEIGHBOUR, False,
-                             lambda g, eps, _, k: uniform_undirected_alln(g, k)),
-}
+VARIANTS = {variant.name: variant for variant in (
+    Variant("exact-1n", False, lambda g, eps, max_n, k: exact_1n(g, k, max_n=max_n)),
+    Variant("exact-all", False, lambda g, eps, max_n, k: exact_alln(g, k, max_n=max_n)),
+    Variant("greedy-1n", True, lambda g, eps, _, k: greedy_1_neighbour(g, k, eps)),
+    Variant("gua-fptas", True, lambda g, eps, _, k: general_undirected_alln_fptas(g, k, eps)),
+    Variant("uda-ptas", True, lambda g, eps, _, k: uniform_directed_alln_ptas(g, k, eps)),
+    Variant("ud1n-ptas", True, lambda g, eps, _, k: uniform_directed_1n_ptas(g, k, eps)),
+    Variant("uu1n-linear", False, lambda g, eps, _, k: uniform_undirected_1n(g, k)),
+    Variant("uua-subsetsum", False, lambda g, eps, _, k: uniform_undirected_alln(g, k)),
+)}
 
 CONSTRAINT_NAMES = {"one": ONE_NEIGHBOUR, "all": ALL_NEIGHBOUR}
+
+# route_auto's order of (variant, a value class that must also hold), and the
+# hardness of the class none accepts; unit goes to uda-ptas before the n test
+ROUTES = {
+    ONE_NEIGHBOUR: ((("uu1n-linear", ANY), ("greedy-1n", ANY), ("ud1n-ptas", ANY),
+                     ("exact-1n", ANY)), "1/Omega(log^(1-eps) n)"),
+    ALL_NEIGHBOUR: ((("uua-subsetsum", ANY), ("gua-fptas", ANY), ("uda-ptas", UNIT),
+                     ("exact-all", ANY), ("uda-ptas", ANY)), "2^(log^d n)"),
+}
 
 # the first class an error is an instance of gives the exit code
 # (ParseError is a ValidationError; every class is a GraphsackError)
@@ -72,36 +77,18 @@ EXIT_CODES = ((ValidationError, 2), (UnsupportedVariantError, 3),
 
 
 def route_auto(constraint: str, instance: Instance, oracle_max_n: int) -> str:
-    """Pick the variant for (constraint, direction, weights and profits).
-
-    Directed non-unit instances go to the exhaustive oracle when small
-    enough; above that, weight = profit all-neighbour ones go to uda-ptas
-    and the rest, hard to approximate, are refused.
-    """
-    uniform = instance.is_uniform()
-    if constraint == ONE_NEIGHBOUR:
-        if not instance.directed:
-            return "uu1n-linear" if uniform else "greedy-1n"
-        if uniform:
-            return "ud1n-ptas"
-        if instance.n <= oracle_max_n:
-            return "exact-1n"
-        raise UnsupportedVariantError(
-            "general directed one-neighbour instances have no approximation "
-            "variant (the problem is 1/Omega(log^(1-eps) n)-hard to "
-            f"approximate); the exhaustive search is limited to n <= {oracle_max_n}")
-    if not instance.directed:
-        return "uua-subsetsum" if uniform else "gua-fptas"
-    if uniform:
-        return "uda-ptas"
-    if instance.n <= oracle_max_n:
-        return "exact-all"
-    if instance.weights == instance.profits:
-        return "uda-ptas"
+    """The first variant of ``ROUTES[constraint]`` whose requirements hold, with
+    ``oracle_max_n`` as the exhaustive oracles' bound; else a hardness refusal."""
+    if constraint not in ROUTES:
+        raise ValidationError(f"unknown constraint {constraint!r}")
+    order, hardness = ROUTES[constraint]
+    for variant, (holds, _) in order:
+        if holds(instance) and refusal(variant, instance, oracle_max_n) is None:
+            return variant
     raise UnsupportedVariantError(
-        "general directed all-neighbour instances have no approximation "
-        "variant (the problem is 2^(log^d n)-hard to approximate); the "
-        f"exhaustive search is limited to n <= {oracle_max_n}")
+        f"general directed {constraint} instances have no approximation variant (the "
+        f"problem is {hardness}-hard to approximate); the exhaustive search is limited "
+        f"to n <= {oracle_max_n}")
 
 
 def _verify(instance: Instance, solution: Solution, k: int) -> None:
@@ -151,10 +138,8 @@ def cmd_solve(args) -> int:
     variant = args.variant
     if variant == "auto":
         variant = route_auto(constraint, instance, args.oracle_max_n)
-    elif VARIANTS[variant].constraint != constraint:
-        raise UnsupportedVariantError(
-            f"variant {variant} solves the {VARIANTS[variant].constraint} "
-            f"constraint, not {constraint}")
+    else:
+        require(variant, instance, args.oracle_max_n, constraint)
     solution = VARIANTS[variant].run(instance, args.epsilon, args.oracle_max_n, k)
     _verify(instance, solution, k)
 
@@ -162,21 +147,13 @@ def cmd_solve(args) -> int:
         csv.writer(sys.stdout, lineterminator="\n").writerow(
             _solution_row(args.input, variant, instance, k, solution, args.epsilon, None, 0))
         return 0
-    print(f"instance: {args.input}")
-    print(f"n: {instance.n}")
-    print(f"m: {instance.m}")
-    print(f"k: {k}")
-    print(f"constraint: {args.constraint}")
-    print(f"variant: {variant}")
-    print(f"algorithm: {solution.algorithm}")
-    if VARIANTS[variant].reads_epsilon:
-        print(f"epsilon: {args.epsilon:g}")
-    print(f"chosen: {' '.join(map(str, solution.chosen))}")
-    print(f"count: {solution.size}")
-    print(f"profit: {solution.total_profit}")
-    print(f"weight: {solution.total_weight}")
-    print("feasible: true")
-    print(f"guarantee: {solution.guarantee}")
+    lines = {"instance": args.input, "n": instance.n, "m": instance.m, "k": k,
+             "constraint": args.constraint, "variant": variant, "algorithm": solution.algorithm,
+             "epsilon": f"{args.epsilon:g}" if VARIANTS[variant].reads_epsilon else None,
+             "chosen": " ".join(map(str, solution.chosen)), "count": solution.size,
+             "profit": solution.total_profit, "weight": solution.total_weight,
+             "feasible": "true", "guarantee": solution.guarantee}
+    print(*(f"{key}: {value}" for key, value in lines.items() if value is not None), sep="\n")
     return 0
 
 
@@ -201,15 +178,14 @@ def cmd_check(args) -> int:
 
 
 def _bench_instance(path: str, eps: float, oracle_max_n: int, timing: bool) -> list[list[str]]:
-    """A row per variant whose solver's guard, which runs before any work,
-    accepts the instance's class and, for the exhaustive oracles, its n."""
+    """A row per variant whose ``REQUIREMENTS`` hold, ``oracle_max_n`` bounding n."""
     rows: list[list[str]] = []
     try:
         instance = _read_instance(path)
     except GraphsackError as exc:
         return [_csv_row(instance=path, error=exc)]
     opts: dict[str, int] = {}  # constraint -> optimum, from the exact-* rows, which sort first
-    for variant in sorted(VARIANTS):
+    for variant in (v for v in sorted(VARIANTS) if refusal(v, instance, oracle_max_n) is None):
         try:
             start = time.perf_counter()
             solution = VARIANTS[variant].run(instance, eps, oracle_max_n, None)
@@ -219,8 +195,6 @@ def _bench_instance(path: str, eps: float, oracle_max_n: int, timing: bool) -> l
             _verify(instance, solution, instance.budget)
             rows.append(_solution_row(path, variant, instance, instance.budget, solution, eps,
                                       opts.get(solution.constraint), ms))
-        except (UnsupportedVariantError, OracleScaleError):
-            continue
         except GraphsackError as exc:
             rows.append(_csv_row(instance=path, variant=variant, n=instance.n,
                                  m=instance.m, k=instance.budget, error=exc))

@@ -18,22 +18,15 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from .errors import UnsupportedVariantError
 from .graphs import (Instance, _bfs_layers, _smallest_cycle_in_scc, condense,
                      connected_components, in_boundary)
 from .knapsack import eps_fraction, fitting_picks, ratio_key
 from .oracle import exact_1n
-from .solution import ONE_NEIGHBOUR, Solution, make_solution
+from .solution import ONE_NEIGHBOUR, Solution, make_solution, require
 from .stars import Star, best_profit_viable_star, best_ratio_viable_star
 
 ProfitOracle = Callable[[Instance, int, Fraction], Optional[Star]]
 RatioOracle = Callable[[Instance, int, Fraction, Optional[int]], Optional[Star]]
-
-
-def _require_uniform(instance: Instance, algorithm: str) -> None:
-    if not instance.is_uniform():
-        raise UnsupportedVariantError(
-            f"{algorithm} requires unit weights and profits everywhere")
 
 
 def greedy_guarantee(eps: Fraction) -> str:
@@ -56,10 +49,7 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
     (or None): a star below it cannot win, so the oracle may return None for
     it, or ignore ``floor``.
     """
-    if instance.directed:
-        raise UnsupportedVariantError(
-            "greedy-1n supports undirected instances only (no viable-family "
-            "oracles exist for directed graphs)")
+    require("greedy-1n", instance)
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
 
@@ -113,9 +103,7 @@ def uniform_undirected_1n(instance: Instance, k: Optional[int] = None) -> Soluti
     component that does not fit contributes a breadth-first prefix, with
     three corrective cases when that prefix would be a single vertex.
     """
-    if instance.directed:
-        raise UnsupportedVariantError("uu1n-linear requires an undirected instance")
-    _require_uniform(instance, "uu1n-linear")
+    require("uu1n-linear", instance)
     k = instance.solver_budget(k)
 
     def done(vertices) -> Solution:
@@ -170,9 +158,7 @@ def uniform_directed_1n_ptas(instance: Instance, k: Optional[int] = None,
     Each SCC's smallest cycle is computed at most once: to class an SCC of
     more than eps * k vertices, or for a guessed SCC or a candidate sink.
     """
-    if not instance.directed:
-        raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
-    _require_uniform(instance, "ud1n-ptas")
+    require("ud1n-ptas", instance)
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
     if eps * k <= 1:

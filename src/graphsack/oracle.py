@@ -17,20 +17,10 @@ from itertools import accumulate
 from operator import or_
 from typing import Optional
 
-from .errors import OracleScaleError, ValidationError
-from .graphs import Instance, _is_int, condense
-from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
+from .graphs import Instance, condense
+from .solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution, require
 
 DEFAULT_MAX_N = 22
-
-
-def _check_scale(instance: Instance, k, max_n: int) -> int:
-    if not _is_int(max_n) or max_n < 0:
-        raise ValidationError(f"max_n must be a non-negative integer, got {max_n!r}")
-    if instance.n > max_n:
-        raise OracleScaleError(
-            f"oracle-scale-exceeded: n={instance.n} above the bound {max_n}")
-    return instance.solver_budget(k)
 
 
 def exact_1n(instance: Instance, k: Optional[int] = None,
@@ -61,7 +51,8 @@ def exact_1n(instance: Instance, k: Optional[int] = None,
     is already B's; if B ties A's profit, ``need <= 0`` there and (b) never
     runs.  All other prunes cut only nodes that no completion can win.
     """
-    k = _check_scale(instance, k, max_n)
+    require("exact-1n", instance, max_n)
+    k = instance.solver_budget(k)
     n = instance.n
     weights, profits = instance.weights, instance.profits
     adj_mask = [sum(1 << u for u in nbrs) for nbrs in instance.adj]
@@ -131,7 +122,8 @@ def exact_alln(instance: Instance, k: Optional[int] = None,
     is below the best is pruned: no completion can win, and ties still reach
     the full-key comparison.
     """
-    k = _check_scale(instance, k, max_n)
+    require("exact-all", instance, max_n)
+    k = instance.solver_budget(k)
     cond = condense(instance)
     units, weights = cond.scc_vertices, cond.scc_weight
     succ = [sum(1 << w for w in nbrs) for nbrs in cond.dag_adjacency]

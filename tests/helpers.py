@@ -30,9 +30,8 @@ from graphsack import (Condensation, Instance, Item, Star,
                        connected_components, descendants, oracle, ratio_key)
 from graphsack.graphs import _bfs_layers, _smallest_cycle_in_scc, is_1_neighbour_set
 from graphsack.knapsack import _check_items, eps_fraction, fitting_picks
-from graphsack.one_neighbour import _require_uniform
-from graphsack.oracle import DEFAULT_MAX_N, _check_scale
-from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution
+from graphsack.oracle import DEFAULT_MAX_N
+from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution, require
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -595,12 +594,7 @@ def applying_floor(oracle: Callable) -> Callable:
 
 def uniform_directed_alln_ptas_rescan(instance: Instance, k: Optional[int] = None,
                                       eps=0.25) -> Solution:
-    if not instance.directed:
-        raise UnsupportedVariantError("uda-ptas requires a directed instance")
-    for v in range(instance.n):
-        if instance.weights[v] != instance.profits[v]:
-            raise UnsupportedVariantError(
-                "uda-ptas requires weight(v) == profit(v) for every vertex")
+    require("uda-ptas", instance)
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
 
@@ -953,9 +947,7 @@ def uniform_undirected_1n_bfs_parents(instance: Instance, k: Optional[int] = Non
     component that does not fit contributes a breadth-first prefix, with
     three corrective cases when that prefix would be a single vertex.
     """
-    if instance.directed:
-        raise UnsupportedVariantError("uu1n-linear requires an undirected instance")
-    _require_uniform(instance, "uu1n-linear")
+    require("uu1n-linear", instance)
     k = instance.solver_budget(k)
 
     def done(vertices) -> Solution:
@@ -1005,7 +997,8 @@ def exact_alln_mask_scan(instance: Instance, k: Optional[int] = None,
     condensation (connected components in the undirected case), so the
     enumeration runs over closed SCC subsets, not vertex subsets.
     """
-    k = _check_scale(instance, k, max_n)
+    require("exact-all", instance, max_n)
+    k = instance.solver_budget(k)
     if instance.directed:
         cond = condense(instance)
         units = list(cond.scc_vertices)
@@ -1054,7 +1047,8 @@ def exact_1n_support_scan(instance: Instance, k: Optional[int] = None,
     Ties break toward smaller weight, then the lexicographically smallest
     vertex tuple.
     """
-    k = _check_scale(instance, k, max_n)
+    require("exact-1n", instance, max_n)
+    k = instance.solver_budget(k)
     n = instance.n
     adj_mask = [0] * n
     radj_mask = [0] * n
@@ -1118,7 +1112,8 @@ def exact_1n_profit_bound(instance: Instance, k: Optional[int] = None,
     no completion can then win or be feasible, so both prunes are exact.  Ties
     break toward smaller weight, then the lexicographically smallest tuple.
     """
-    k = _check_scale(instance, k, max_n)
+    require("exact-1n", instance, max_n)
+    k = instance.solver_budget(k)
     n = instance.n
     adj_mask = [sum(1 << u for u in nbrs) for nbrs in instance.adj]
     radj_mask = [sum(1 << u for u in nbrs) for nbrs in instance.radj]
@@ -1220,9 +1215,7 @@ def uniform_directed_1n_ptas_all_cycles(instance: Instance, k: Optional[int] = N
     candidate sink was taken (the branch where the result is provably
     optimal).
     """
-    if not instance.directed:
-        raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
-    _require_uniform(instance, "ud1n-ptas")
+    require("ud1n-ptas", instance)
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
     if k == 0:
@@ -1293,9 +1286,7 @@ def uniform_directed_1n_ptas_all_cycles(instance: Instance, k: Optional[int] = N
 def uniform_directed_1n_combinations(instance: Instance, k: Optional[int] = None,
                                      eps=0.25) -> Solution:
     """Exact answer for unit weights/profits on directed graphs, eps * k <= 1."""
-    if not instance.directed:
-        raise UnsupportedVariantError("ud1n-ptas requires a directed instance")
-    _require_uniform(instance, "ud1n-ptas")
+    require("ud1n-ptas", instance)
     eps = eps_fraction(eps)
     k = instance.solver_budget(k)
     assert eps * k <= 1, "the combinations search is the eps * k <= 1 branch only"
@@ -1369,3 +1360,40 @@ def gen_random_per_pair(n: int, edge_prob: float, directed: bool, w_max: int, p_
     prov = (f"gen_random n={n} edge_prob={edge_prob} directed={directed} "
             f"w_max={w_max} p_max={p_max} k={k} seed={seed}")
     return Instance(directed, n, edges, weights, profits, k, provenance=prov)
+
+
+# ``graphsack.cli.route_auto`` as it was before it read the requirements
+# table: its own ``if`` tree over the instance classes, copied unchanged.
+# Differential reference for the table-driven routing.
+
+def route_auto_if_tree(constraint: str, instance: Instance, oracle_max_n: int) -> str:
+    """Pick the variant for (constraint, direction, weights and profits).
+
+    Directed non-unit instances go to the exhaustive oracle when small
+    enough; above that, weight = profit all-neighbour ones go to uda-ptas
+    and the rest, hard to approximate, are refused.
+    """
+    uniform = instance.is_uniform()
+    if constraint == ONE_NEIGHBOUR:
+        if not instance.directed:
+            return "uu1n-linear" if uniform else "greedy-1n"
+        if uniform:
+            return "ud1n-ptas"
+        if instance.n <= oracle_max_n:
+            return "exact-1n"
+        raise UnsupportedVariantError(
+            "general directed one-neighbour instances have no approximation "
+            "variant (the problem is 1/Omega(log^(1-eps) n)-hard to "
+            f"approximate); the exhaustive search is limited to n <= {oracle_max_n}")
+    if not instance.directed:
+        return "uua-subsetsum" if uniform else "gua-fptas"
+    if uniform:
+        return "uda-ptas"
+    if instance.n <= oracle_max_n:
+        return "exact-all"
+    if instance.weights == instance.profits:
+        return "uda-ptas"
+    raise UnsupportedVariantError(
+        "general directed all-neighbour instances have no approximation "
+        "variant (the problem is 2^(log^d n)-hard to approximate); the "
+        f"exhaustive search is limited to n <= {oracle_max_n}")

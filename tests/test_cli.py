@@ -7,12 +7,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsack import Instance, cli, gen_random, serialize
 from graphsack.cli import CSV_HEADER, VARIANTS, main, route_auto
 from graphsack.errors import (GraphsackError, OracleScaleError, ParseError,
                               UnsupportedVariantError, ValidationError)
-from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, make_solution
+from graphsack.solution import (ALL_NEIGHBOUR, ANY, ONE_NEIGHBOUR, REQUIREMENTS, UNIT,
+                                WEIGHT_IS_PROFIT, make_solution, refusal)
+from helpers import route_auto_if_tree
 
 
 def write_instance(path, inst):
@@ -64,6 +68,51 @@ def routing_instance(directed, uniform, n, weight_is_profit=False):
     return Instance(directed, n, [], weights, profits, n)
 
 
+VALUE_CLASSES = ("unit", "weight = profit", "general")  # each in no later one
+# the table's value classes that hold on each of them
+HOLDING = {"unit": {UNIT, WEIGHT_IS_PROFIT, ANY}, "weight = profit": {WEIGHT_IS_PROFIT, ANY},
+           "general": {ANY}}
+
+
+def class_instance(directed, values, n):
+    """``n`` isolated vertices (at least one, unless unit) of one value class."""
+    weights = [1] * n if values == "unit" else [2 + v % 3 for v in range(n)]
+    profits = [w + 1 for w in weights] if values == "general" else weights
+    return Instance(directed, n, [], weights, profits, n)
+
+
+# (directed, value class, n, oracle_max_n): n at the oracle bound and one above it
+CLASS_CASES = [(directed, values, n, max_n) for directed in (False, True)
+               for values in VALUE_CLASSES for max_n in (0, 1, 22)
+               for n in (max_n, max_n + 1) if n or values == "unit"]
+
+
+@st.composite
+def routing_cases(draw):
+    """(constraint, instance, oracle_max_n) over every class of ``CLASS_CASES``,
+    with values drawn from 0 to 9."""
+    oracle_max_n = draw(st.sampled_from([0, 1, 22]))
+    n = draw(st.sampled_from([oracle_max_n, oracle_max_n + 1]))
+    values = draw(st.sampled_from(VALUE_CLASSES if n else VALUE_CLASSES[:1]))
+    numbers = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    if values == "unit":
+        weights = profits = [1] * n
+    elif values == "weight = profit":
+        weights = profits = draw(numbers.filter(lambda ws: ws != [1] * n))
+    else:
+        weights, profits = draw(st.tuples(numbers, numbers).filter(lambda wp: wp[0] != wp[1]))
+    inst = Instance(draw(st.booleans()), n, [], weights, profits, n)
+    return draw(st.sampled_from([ONE_NEIGHBOUR, ALL_NEIGHBOUR])), inst, oracle_max_n
+
+
+def outcome(route, case):
+    """A route's variant, or the class and message of its refusal."""
+    try:
+        return route(*case)
+    except GraphsackError as exc:
+        return type(exc), str(exc)
+
+
 class TestRouting:
     @pytest.mark.parametrize("constraint,directed,uniform,expected", [
         (ONE_NEIGHBOUR, False, True, "uu1n-linear"),
@@ -98,6 +147,40 @@ class TestRouting:
             == "exact-1n"
         with pytest.raises(UnsupportedVariantError, match="hard to"):
             route_auto(ONE_NEIGHBOUR, routing_instance(True, False, 23, True), 22)
+
+    @pytest.mark.parametrize("constraint", ["bogus", "one", "all", ""])
+    def test_unknown_constraint_is_rejected(self, constraint):
+        # "one" and "all" are the CLI's spellings, not constraint names
+        with pytest.raises(ValidationError, match=f"unknown constraint {constraint!r}"):
+            route_auto(constraint, routing_instance(True, True, 4), 22)
+
+    @given(routing_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_routes_match_the_if_tree(self, case):
+        assert outcome(route_auto, case) == outcome(route_auto_if_tree, case)
+
+
+class TestRequirements:
+    """Each solver refuses an instance exactly where ``REQUIREMENTS`` does,
+    with the guard's error, and before it validates epsilon or the budget."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_each_solver_refuses_exactly_where_the_table_does(self, variant):
+        req = REQUIREMENTS[variant]
+        for directed, values, n, max_n in CLASS_CASES:
+            inst = class_instance(directed, values, n)
+            refused = (req.directed not in (None, directed) or req.values not in HOLDING[values]
+                       or req.bounded and n > max_n)
+            expected = refusal(variant, inst, max_n)
+            assert (expected is not None) == refused, (directed, values, n, max_n)
+            # epsilon 2 and budget -1 are both invalid: a solver that accepts
+            # the instance raises ValidationError on one of them
+            with pytest.raises(GraphsackError) as info:
+                VARIANTS[variant].run(inst, 2, max_n, -1)
+            if refused:
+                assert (type(info.value), str(info.value)) == (type(expected), str(expected))
+            else:
+                assert type(info.value) is ValidationError
 
 
 class TestSolve:
@@ -447,24 +530,21 @@ class TestBench:
 
     def test_each_exact_oracle_runs_once_per_instance(self, tmp_path, monkeypatch):
         directory = self.make_corpus(tmp_path)  # n = 5, 6, 7
-        # each oracle is asked once per instance, and runs on the four with n <= 6
-        asked = {"exact_1n": 0, "exact_alln": 0}
-        calls = dict(asked)
+        # bench asks the requirements table first, so each oracle is called
+        # once on each of the four instances with n <= 6, and never on the others
+        calls = {"exact_1n": 0, "exact_alln": 0}
 
         def counting(name):
             solver = getattr(cli, name)
 
             def count(*args, **kwargs):
-                asked[name] += 1
-                solution = solver(*args, **kwargs)
                 calls[name] += 1
-                return solution
+                return solver(*args, **kwargs)
             return count
         for name in calls:
             monkeypatch.setattr(cli, name, counting(name))
         assert main(["bench", "--dir", str(directory), "--out", str(tmp_path / "o.csv"),
                      "--oracle-max-n", "6"]) == 0
-        assert asked == {"exact_1n": 6, "exact_alln": 6}
         assert calls == {"exact_1n": 4, "exact_alln": 4}
 
     @pytest.mark.parametrize("eps", ["0.25", "1.5"])  # 1.5: solver error rows

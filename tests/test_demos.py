@@ -1,7 +1,9 @@
 """Each demo script runs to completion against the sources under ``src``.
 
 Demos with a file under ``demo_output`` must print exactly that file's bytes.
-Demo 05 has none: it prints the path of a fresh temporary directory.
+Demo 05 has none: it prints the path of a fresh temporary directory.  Each
+demo runs with ``TMPDIR`` set to the test's own directory, which must be
+empty when the demo exits: demo 05 removes its temporary directory.
 """
 
 import os
@@ -19,11 +21,12 @@ DEMOS = ["01_constraints_and_feasibility.py", "02_star_oracles_and_greedy.py",
 
 
 @pytest.mark.parametrize("demo", DEMOS)
-def test_demo_exits_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH="src")
+def test_demo_exits_cleanly(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH="src", TMPDIR=str(tmp_path))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
                             env=env, capture_output=True, timeout=300)
     assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert not any(tmp_path.iterdir())
     golden = GOLDEN / f"{Path(demo).stem}.txt"
     if golden.exists():
         assert result.stdout == golden.read_bytes()

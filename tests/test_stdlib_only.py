@@ -83,3 +83,27 @@ def test_package_defines_nothing_unread():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name not in read and not node.name.startswith("cmd_")}
     assert unread == set()
+
+
+REFUSALS = {"UnsupportedVariantError", "OracleScaleError"}
+
+
+def refusal_sites(tree):
+    """The module-level definitions of one module (``<module>`` for loose
+    statements) that build or raise an ``UnsupportedVariantError`` or an
+    ``OracleScaleError``."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            made = node.func if isinstance(node, ast.Call) else \
+                node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(made, ast.Name) and made.id in REFUSALS:
+                yield getattr(top, "name", "<module>")
+
+
+def test_only_the_guard_and_route_auto_refuse():
+    """A solver refuses an instance through ``solution.refusal``, which reads
+    the requirements table; only ``cli.route_auto`` adds its hardness
+    refusal.  No solver grows a guard of its own."""
+    sites = {(stem, name) for stem, tree in package_trees().items()
+             for name in refusal_sites(tree)}
+    assert sites == {("solution", "refusal"), ("cli", "route_auto")}
