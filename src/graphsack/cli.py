@@ -28,7 +28,7 @@ from .one_neighbour import (greedy_1_neighbour, uniform_directed_1n_ptas,
                             uniform_undirected_1n)
 from .oracle import DEFAULT_MAX_N, exact_1n, exact_alln
 from .solution import (ALL_NEIGHBOUR, ANY, ONE_NEIGHBOUR, REQUIREMENTS, UNIT, Solution,
-                       refusal, require)
+                       max_n_error, refusal, require)
 from .stars import star_partition
 
 CSV_HEADER = ["instance", "variant", "algorithm", "epsilon", "n", "m", "k",
@@ -78,7 +78,10 @@ EXIT_CODES = ((ValidationError, 2), (UnsupportedVariantError, 3),
 
 def route_auto(constraint: str, instance: Instance, oracle_max_n: int) -> str:
     """The first variant of ``ROUTES[constraint]`` whose requirements hold, with
-    ``oracle_max_n`` as the exhaustive oracles' bound; else a hardness refusal."""
+    ``oracle_max_n`` as the exhaustive oracles' bound; else a hardness refusal.
+    A bad bound is refused first, as the oracles refuse it."""
+    if (error := max_n_error(oracle_max_n)) is not None:
+        raise error
     if constraint not in ROUTES:
         raise ValidationError(f"unknown constraint {constraint!r}")
     order, hardness = ROUTES[constraint]

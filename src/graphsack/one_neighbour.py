@@ -54,17 +54,18 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
     k = instance.solver_budget(k)
 
     weights, profits = instance.weights, instance.profits
+    keys = [ratio_key(p, w) for p, w in zip(profits, weights)]
     chosen: set[int] = set()                               # U
     remaining = k                                          # K
-    boundary: tuple[int, ...] = ()                         # Z = N^-(U)
+    boundary: set[int] = set()                             # Z = N^-(U)
     alive = set(range(instance.n))                         # V(G')
     s_max = profit_oracle(instance, k, eps)                # S_max
     iterations: list[dict] = []
     while True:
-        # of equal ratios, max keeps the first vertex (Z is sorted) and the star wins
-        node = max((v for v in boundary if weights[v] <= remaining),
-                   key=lambda v: ratio_key(profits[v], weights[v]), default=None)
-        floor = None if node is None else ratio_key(profits[node], weights[node])
+        # of equal ratios, max keeps the first vertex (the lowest id) and the star wins
+        node = max((v for v in sorted(boundary) if weights[v] <= remaining),
+                   key=keys.__getitem__, default=None)
+        floor = None if node is None else keys[node]
         sub, ids = instance.induced(alive)
         star = ratio_oracle(sub, remaining, eps, floor)
         if star is not None:
@@ -80,7 +81,9 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
         chosen.update(pick)
         remaining -= instance.total_weight(pick)
         alive.difference_update(pick)
-        boundary = in_boundary(instance, chosen)
+        # Z' = (Z | N^-(pick)) - U', as Z already misses U
+        boundary.difference_update(pick)
+        boundary.update([u for u in in_boundary(instance, pick) if u not in chosen])
         iterations.append({"index": len(iterations) + 1, "kind": kind,
                            "vertices": tuple(sorted(pick))})
 

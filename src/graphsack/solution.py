@@ -75,6 +75,14 @@ REQUIREMENTS = {
 }
 
 
+def max_n_error(max_n) -> Optional[ValidationError]:
+    """The error an exhaustive oracle's bound ``max_n`` is refused with, None if
+    it is a non-negative int."""
+    if _is_int(max_n) and max_n >= 0:
+        return None
+    return ValidationError(f"max_n must be a non-negative integer, got {max_n!r}")
+
+
 def refusal(variant: str, instance: Instance, max_n: Optional[int] = None,
             constraint: Optional[str] = None) -> Optional[GraphsackError]:
     """The error ``variant``'s solver refuses ``instance`` with, None if none.  In
@@ -82,8 +90,8 @@ def refusal(variant: str, instance: Instance, max_n: Optional[int] = None,
     direction, the values, then n against ``max_n``."""
     req = REQUIREMENTS[variant]
     holds, wording = req.values
-    if req.bounded and not (_is_int(max_n) and max_n >= 0):
-        return ValidationError(f"max_n must be a non-negative integer, got {max_n!r}")
+    if req.bounded and (error := max_n_error(max_n)) is not None:
+        return error
     if constraint is not None and constraint != req.constraint:
         return UnsupportedVariantError(
             f"variant {variant} solves the {req.constraint} constraint, not {constraint}")

@@ -111,18 +111,21 @@ class _StarSearch:
         self.instance, self.capacity, self.key = instance, capacity, key
         self.best_key, self.best = (floor, -1), None
 
-    def centers(self, bound):
+    def centers(self, bound, among=None):
         """``(v, fitting leaves)`` per center, in descending ``bound(v, leaves)``
         order, until a bound falls strictly below the best key's first part.
 
         A center fits when its weight is within the capacity; its fitting
         leaves are the neighbours that fit beside it.  A non-isolated center
         with no fitting leaf has no feasible star and is left out; an isolated
-        one's only star, the bare center, is offered here.
+        one's only star, the bare center, is offered here.  Given ``among``,
+        ascending ids, only those centers are ranked: the caller vouches that
+        every other center's bound is below the best key's first part, so the
+        scan would stop before it, and the order of the rest is unchanged.
         """
         g, weights = self.instance, self.instance.weights
         ranked = []
-        for v in range(g.n):
+        for v in range(g.n) if among is None else among:
             budget = self.capacity - weights[v]
             if budget >= 0:
                 leaves = [u for u in g.adj[v] if weights[u] <= budget]
@@ -233,20 +236,40 @@ def best_ratio_viable_star(instance: Instance, capacity: int, eps,
     offered as a single, and its forced-leaf table would be empty.  The
     search is :class:`_StarSearch`.  Given an int ``floor``, it returns that
     star if its ratio key is at least ``floor``, else None, pruning below it.
+
+    A set's ratio is at most its best member's (the mediant inequality), so
+    neither a center's bound nor a single's key exceeds the largest member
+    key.  Hence a single whose two keys are below the best key's first part
+    is not offered, and under a floor only two kinds of center are ranked: a
+    fitting vertex whose key reaches the floor, and a neighbour that fits
+    beside one.  Every other center's members all key below the floor.
     """
     if floor is not None and not _is_int(floor):
         raise ValidationError(f"floor must be an integer or None, got {floor!r}")
     search = _StarSearch(instance, capacity, eps, lambda p, w, v: (ratio_key(p, w), p),
                          -1 if floor is None else floor)
-    weights, profits = instance.weights, instance.profits
+    weights, profits, adj = instance.weights, instance.profits, instance.adj
     keys = [ratio_key(p, w) for p, w in zip(profits, weights)]
+    among = None
+    if floor is not None:
+        among = set()
+        for u in [u for u, key in enumerate(keys) if key >= floor]:
+            budget = capacity - weights[u]
+            if budget >= 0:
+                among.add(u)
+                among.update([v for v in adj[u] if weights[v] <= budget])
+        among = sorted(among)
     offer, offer_levels = search.offer, search.offer_levels
-    for v, leaves in search.centers(partial(_center_bound, profits, weights, keys)):
-        wv, pv, leaf_budget = weights[v], profits[v], capacity - weights[v]
+    for v, leaves in search.centers(partial(_center_bound, profits, weights, keys), among):
+        wv, pv, kv, leaf_budget = weights[v], profits[v], keys[v], capacity - weights[v]
+        gate = search.best_key[0]  # it only rises, so a stale gate skips no single that wins
+        for u in leaves:
+            if kv >= gate or keys[u] >= gate:
+                offer(pv + profits[u], wv + weights[u], v, (u,))
+        if len(leaves) < 2:
+            continue
         items = [Item(u, weights[u], profits[u]) for u in leaves]
-        for it in items:
-            offer(pv + it.profit, wv + it.weight, v, (it.id,))
-        if len(items) > 1 and offer_levels(v, items, leaf_budget).divisor > 1:
+        if offer_levels(v, items, leaf_budget).divisor > 1:
             for guess in items:
                 rest_budget = leaf_budget - guess.weight
                 others = [it for it in items if it.id != guess.id and it.profit <= guess.profit]

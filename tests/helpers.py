@@ -28,10 +28,12 @@ import graphsack.cli
 from graphsack import (Condensation, Instance, Item, Star,
                        UnsupportedVariantError, ValidationError, condense,
                        connected_components, descendants, oracle, ratio_key)
-from graphsack.graphs import _bfs_layers, _smallest_cycle_in_scc, is_1_neighbour_set
+from graphsack.graphs import _bfs_layers, _smallest_cycle_in_scc, in_boundary, is_1_neighbour_set
 from graphsack.knapsack import _check_items, eps_fraction, fitting_picks
+from graphsack.one_neighbour import ProfitOracle, RatioOracle, greedy_guarantee
 from graphsack.oracle import DEFAULT_MAX_N
 from graphsack.solution import ALL_NEIGHBOUR, ONE_NEIGHBOUR, Solution, make_solution, require
+from graphsack.stars import best_profit_viable_star, best_ratio_viable_star
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -584,6 +586,73 @@ def applying_floor(oracle: Callable) -> Callable:
             return star
         return None
     return call
+
+
+# greedy-1n as it was before it kept its ratio keys and its boundary across
+# rounds: a ratio key per boundary vertex per round, and ``in_boundary`` over
+# the whole chosen set each round.  Differential reference for the greedy loop
+# of ``graphsack.one_neighbour``; the oracles are the package's.
+
+def greedy_1_neighbour_rescan(instance: Instance, k: Optional[int] = None, eps=0.1,
+                              profit_oracle: ProfitOracle = best_profit_viable_star,
+                              ratio_oracle: RatioOracle = best_ratio_viable_star,
+                              ) -> Solution:
+    """Greedy selection of viable stars and boundary vertices.
+
+    Each round takes the better (by exact ratio order) of the best-ratio
+    feasible star of the remaining graph and the best-ratio vertex that
+    already has a neighbour in the knapsack; the final answer is the better
+    of the accumulated set and the best-profit star of the whole instance.
+    Alternative oracle pairs over other viable families can be plugged in.
+    The ratio oracle's fourth argument, ``floor``, is the vertex's ratio key
+    (or None): a star below it cannot win, so the oracle may return None for
+    it, or ignore ``floor``.
+    """
+    require("greedy-1n", instance)
+    eps = eps_fraction(eps)
+    k = instance.solver_budget(k)
+
+    weights, profits = instance.weights, instance.profits
+    chosen: set[int] = set()                               # U
+    remaining = k                                          # K
+    boundary: tuple[int, ...] = ()                         # Z = N^-(U)
+    alive = set(range(instance.n))                         # V(G')
+    s_max = profit_oracle(instance, k, eps)                # S_max
+    iterations: list[dict] = []
+    while True:
+        # of equal ratios, max keeps the first vertex (Z is sorted) and the star wins
+        node = max((v for v in boundary if weights[v] <= remaining),
+                   key=lambda v: ratio_key(profits[v], weights[v]), default=None)
+        floor = None if node is None else ratio_key(profits[node], weights[node])
+        sub, ids = instance.induced(alive)
+        star = ratio_oracle(sub, remaining, eps, floor)
+        if star is not None:
+            star = Star(ids[star.center], tuple(ids[u] for u in star.leaves))
+        if node is not None and (star is None or floor
+                                 > ratio_key(instance.total_profit(star.vertices),
+                                             instance.total_weight(star.vertices))):
+            pick, kind = (node,), "vertex"
+        elif star is not None:
+            pick, kind = star.vertices, "star"
+        else:
+            break
+        chosen.update(pick)
+        remaining -= instance.total_weight(pick)
+        alive.difference_update(pick)
+        boundary = in_boundary(instance, chosen)
+        iterations.append({"index": len(iterations) + 1, "kind": kind,
+                           "vertices": tuple(sorted(pick))})
+
+    result = sorted(chosen)
+    returned = "greedy-set"
+    if s_max is not None and \
+            instance.total_profit(s_max.vertices) > instance.total_profit(result):
+        result = list(s_max.vertices)
+        returned = "best-profit-star"
+    trace = {"iterations": iterations, "returned": returned,
+             "best_profit_star": None if s_max is None else s_max.vertices}
+    return make_solution(instance, result, ONE_NEIGHBOUR, "greedy-1n",
+                         greedy_guarantee(eps), k, trace)
 
 
 # The directed all-neighbour PTAS as it was before its ready heap: a closure

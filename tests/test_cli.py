@@ -154,6 +154,18 @@ class TestRouting:
         with pytest.raises(ValidationError, match=f"unknown constraint {constraint!r}"):
             route_auto(constraint, routing_instance(True, True, 4), 22)
 
+    @pytest.mark.parametrize("constraint", [ONE_NEIGHBOUR, ALL_NEIGHBOUR])
+    @pytest.mark.parametrize("oracle_max_n", [-1, "x", True, 1.5])
+    def test_bad_oracle_bound_is_refused_as_the_oracles_refuse_it(self, constraint,
+                                                                  oracle_max_n):
+        # an undirected unit instance routes without an oracle, and is still refused
+        message = f"max_n must be a non-negative integer, got {oracle_max_n!r}"
+        for inst in routing_instance(False, True, 4), routing_instance(True, False, 4):
+            with pytest.raises(ValidationError) as caught:
+                route_auto(constraint, inst, oracle_max_n)
+            assert str(caught.value) == message
+        assert str(refusal("exact-1n", inst, oracle_max_n)) == message
+
     @given(routing_cases())
     @settings(max_examples=300, deadline=None)
     def test_routes_match_the_if_tree(self, case):

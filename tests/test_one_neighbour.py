@@ -7,15 +7,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphsack import (Instance, UnsupportedVariantError, ValidationError, condense,
                        gen_max_k_cover, graphs, greedy_1_neighbour, is_1_neighbour_set,
                        one_neighbour, parse, smallest_cycle, uniform_directed_1n_ptas,
                        uniform_undirected_1n)
-from helpers import (brute_force_profit, grow_1n_passes, opt_at, perfbench_pool,
-                     planted_cycle_graphs, pool_answers_match_reference,
+from helpers import (brute_force_profit, greedy_1_neighbour_rescan, grow_1n_passes, opt_at,
+                     perfbench_pool, planted_cycle_graphs, pool_answers_match_reference,
                      profit_for_every_budget, random_instance, random_uniform,
                      undirected_shapes, uniform_directed_1n_combinations,
                      uniform_directed_1n_ptas_all_cycles, uniform_undirected_1n_bfs_parents)
@@ -106,6 +106,40 @@ class TestGreedyRoundTieBreaks:
             {"index": 1, "kind": "star", "vertices": (0, 1)},
             {"index": 2, "kind": "vertex", "vertices": (3,)}]
         assert sol.chosen == (0, 1, 3) and sol.trace["returned"] == "greedy-set"
+
+
+@st.composite
+def greedy_cases(draw, max_n=12):
+    """(instance, budget) pairs: undirected graphs with isolated vertices, zero
+    weights and zero profits.  A profit is free or 0, 1 or 2 times its weight,
+    so many boundary vertices tie on their ratio keys."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    profits = [draw(st.one_of(st.sampled_from([0, w, 2 * w]), st.integers(0, 9),
+                              st.integers(0, 1000))) for w in weights]
+    return Instance(False, n, edges, weights, profits, 0), draw(st.integers(0, sum(weights) + 2))
+
+
+class TestGreedyLoopMatchesRescan:
+    """greedy-1n keeps its ratio keys and its boundary across rounds; the loop
+    that recomputed both every round chose the same sets, round by round."""
+
+    @given(greedy_cases(), st.fractions(Fraction(1, 100), Fraction(1, 2), max_denominator=100))
+    @settings(max_examples=300, deadline=None)
+    # vertices 2 and 3 tie on the boundary at ratio 3 (TestGreedyRoundTieBreaks)
+    @example((undirected(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5)],
+                         weights=[1, 1, 1, 1, 100, 100], profits=[10, 10, 3, 3, 0, 0]), 3),
+             Fraction(1, 10))
+    # zero weights everywhere, and a zero-profit isolated vertex
+    @example((undirected(5, [(0, 1), (1, 2), (2, 3)], weights=[0] * 5,
+                         profits=[0, 5, 0, 5, 0]), 0), Fraction(1, 2))
+    def test_matches_the_rescan_loop(self, case, eps):
+        inst, k = case
+        got, ref = greedy_1_neighbour(inst, k, eps), greedy_1_neighbour_rescan(inst, k, eps)
+        assert got.chosen == ref.chosen
+        assert got.trace == ref.trace
 
 
 def test_star_greedy_pool_matches_the_benchmark_reference(tmp_path):

@@ -409,6 +409,31 @@ class TestRatioFloor:
         assert built == []
 
 
+    def test_floor_equal_to_a_vertex_key_ranks_that_vertex(self, monkeypatch):
+        # Each pair 0-1 and 2-3 has one star; 0 and 1 key exactly at the floor,
+        # so they and their star are kept, and the pair 2-3 is never ranked.
+        inst = undirected(4, [(0, 1), (2, 3)], weights=[1, 1, 1, 1], profits=[4, 4, 1, 1])
+        ranked = count_center_bounds(monkeypatch)
+        assert best_ratio_viable_star(inst, 4, 0.1, ratio_key(4, 1)) == Star(0, (1,))
+        assert ranked == [0, 1]
+        ranked.clear()
+        assert best_ratio_viable_star(inst, 4, 0.1, ratio_key(4, 1) + 1) is None
+        assert ranked == []
+
+    def test_center_whose_only_floor_member_does_not_fit_beside_it(self, monkeypatch):
+        # Vertex 1 (w3, p30) reaches the floor and fits alone, but not beside
+        # its one neighbour 0 (w1), so center 0 is not ranked; its one star,
+        # {0, 2} at ratio 1, is below the floor anyway.  Vertex 1 has no leaf
+        # that fits beside it, so it has no star and no bound either.
+        inst = undirected(3, [(0, 1), (0, 2)], weights=[1, 3, 1], profits=[1, 30, 1])
+        ranked = count_center_bounds(monkeypatch)
+        assert best_ratio_viable_star(inst, 3, 0.1) == Star(0, (2,))
+        assert sorted(ranked) == [0, 2]
+        ranked.clear()
+        assert best_ratio_viable_star(inst, 3, 0.1, ratio_key(30, 3)) is None
+        assert ranked == []
+
+
 def test_greedy_tables_built_over_the_star_greedy_pool(monkeypatch):
     # A work pin, with no timing: one greedy-1n pass at eps 1/10 over every
     # star-greedy pool member.  The boundary vertex's ratio key floors the
@@ -420,6 +445,30 @@ def test_greedy_tables_built_over_the_star_greedy_pool(monkeypatch):
     for _stem, text, _constraint, _variant in members:
         greedy_1_neighbour(parse(text), None, Fraction(1, 10))
     assert len(built) <= 4201
+
+
+def count_center_bounds(monkeypatch) -> list[int]:
+    """The center of every ``_center_bound`` call the ratio oracle makes from now on."""
+    ranked = []
+
+    def counting(profits, weights, keys, center, leaves):
+        ranked.append(center)
+        return bound(profits, weights, keys, center, leaves)
+
+    bound = stars._center_bound
+    monkeypatch.setattr(stars, "_center_bound", counting)
+    return ranked
+
+
+def test_greedy_center_bounds_over_the_star_greedy_pool(monkeypatch):
+    # A work pin, with no timing, over the same pass.  Under the boundary
+    # vertex's floor the ratio oracle ranks only the fitting vertices keyed at
+    # the floor or above and their neighbours that fit beside them; ranking
+    # every fitting center takes 49,145 bounds.
+    ranked = count_center_bounds(monkeypatch)
+    for _stem, text, _constraint, _variant in perfbench_pool("star-greedy"):
+        greedy_1_neighbour(parse(text), None, Fraction(1, 10))
+    assert len(ranked) <= 22879
 
 
 def ratio_on_item_star(pairs, capacity, eps=0.3):
