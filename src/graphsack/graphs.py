@@ -32,16 +32,18 @@ def _is_int(x) -> bool:
 class Instance:
     """A dependency graph with vertex weights/profits and a budget.
 
-    Vertices are ``0..n-1``.  ``edges`` are unordered pairs for undirected
-    instances (stored with the smaller endpoint first) and ordered arcs
+    Vertices are ``0..n-1``.  The graph is stored once, as the ascending
+    (out-)neighbour lists ``adj`` and in-neighbour lists ``radj`` (``adj``
+    itself when undirected); ``edges`` is read off ``adj``: sorted unordered
+    pairs, smaller endpoint first, for undirected instances and ordered arcs
     ``(tail, head)`` for directed ones.  Self-loops and duplicate edges are
     rejected; the vertex count, vertex ids, weights, profits and the budget
     must be integers (not bools), and weights, profits and the budget
     non-negative and below 2**63.
     """
 
-    __slots__ = ("directed", "n", "weights", "profits", "edges", "budget",
-                 "adj", "radj", "provenance")
+    __slots__ = ("directed", "n", "weights", "profits", "budget", "adj", "radj",
+                 "provenance")
 
     def __init__(self, directed: bool, n: int, edges: Iterable[tuple[int, int]],
                  weights: Sequence[int], profits: Sequence[int], budget: int,
@@ -84,13 +86,12 @@ class Instance:
         # norm keeps the input order: parsed canonical edges arrive sorted,
         # and sorting a sorted list takes one linear pass.
         norm.sort()
-        self.edges = tuple(norm)
 
         # One walk over the sorted edges appends every list in ascending
         # order; undirected, the lower neighbours (y, x) precede (x, z).
         adj: list[list[int]] = [[] for _ in range(n)]
         radj = [[] for _ in range(n)] if self.directed else adj
-        for u, v in self.edges:
+        for u, v in norm:
             adj[u].append(v)
             radj[v].append(u)
         self.adj = tuple(map(tuple, adj))
@@ -98,8 +99,15 @@ class Instance:
         self.provenance = provenance
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges in sorted order, read off the ascending ``adj`` lists."""
+        directed = self.directed
+        return tuple([(i, j) for i, nbrs in enumerate(self.adj) for j in nbrs
+                      if directed or i < j])
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // (1 if self.directed else 2)
 
     def degree(self, v: int) -> int:
         """Degree (undirected) or out-degree (directed) of ``v``."""
@@ -124,8 +132,7 @@ class Instance:
 
         The sub-instance is filled from this instance's validated fields and
         not validated again.  The id map increases, so the filtered neighbour
-        lists stay ascending, and the edges read off them in order come out
-        normalised and sorted.  Every tuple is built from a list, which keeps
+        lists stay ascending.  Every tuple is built from a list, which keeps
         peak memory down over the many rounds of greedy-1n.
         """
         keep = self.check_vertices(vertices)
@@ -141,8 +148,6 @@ class Instance:
         sub.profits = tuple([self.profits[v] for v in keep])
         sub.adj = restrict(self.adj)
         sub.radj = restrict(self.radj) if directed else sub.adj
-        sub.edges = tuple([(i, j) for i, nbrs in enumerate(sub.adj) for j in nbrs
-                           if directed or i < j])
         return sub, keep
 
     def solver_budget(self, k) -> int:
@@ -160,7 +165,7 @@ class Instance:
         if not isinstance(other, Instance):
             return NotImplemented
         return (self.directed == other.directed and self.n == other.n
-                and self.edges == other.edges and self.weights == other.weights
+                and self.adj == other.adj and self.weights == other.weights
                 and self.profits == other.profits and self.budget == other.budget)
 
     def __repr__(self) -> str:

@@ -200,6 +200,15 @@ def gen_random(n: int, edge_prob: float, directed: bool, w_max: int, p_max: int,
     return Instance(directed, n, edges, weights, profits, k, provenance=prov)
 
 
+def _elements(j: int, subset: Iterable[int], n_elements: int) -> list[int]:
+    """The distinct elements of covering set ``j``, ascending, each checked."""
+    members = list(subset)
+    for s in members:
+        if not (_is_int(s) and 0 <= s < n_elements):
+            raise ValidationError(f"set {j} names invalid element {s!r}")
+    return sorted(set(members))
+
+
 def gen_max_k_cover(n_elements: int, subsets: Sequence[Iterable[int]], k: int,
                     element_profits: Optional[Sequence[int]] = None,
                     set_weights: Optional[Sequence[int]] = None) -> Instance:
@@ -213,8 +222,8 @@ def gen_max_k_cover(n_elements: int, subsets: Sequence[Iterable[int]], k: int,
     """
     if not subsets:
         raise ValidationError("at least one covering set is required")
-    if n_elements < 0:
-        raise ValidationError("n_elements must be non-negative")
+    if not _is_int(n_elements) or n_elements < 0:
+        raise ValidationError(f"n_elements must be a non-negative integer, got {n_elements!r}")
     n_sets = len(subsets)
     if element_profits is None:
         element_profits = [1] * n_elements
@@ -222,12 +231,8 @@ def gen_max_k_cover(n_elements: int, subsets: Sequence[Iterable[int]], k: int,
         set_weights = [1] * n_sets
     if len(element_profits) != n_elements or len(set_weights) != n_sets:
         raise ValidationError("profit/weight overrides must match the set system")
-    edges = []
-    for j, subset in enumerate(subsets):
-        for s in sorted(set(subset)):
-            if not 0 <= s < n_elements:
-                raise ValidationError(f"set {j} names invalid element {s}")
-            edges.append((s, n_elements + j))
+    edges = [(s, n_elements + j) for j, subset in enumerate(subsets)
+             for s in _elements(j, subset, n_elements)]
     weights = [0] * n_elements + list(set_weights)
     profits = list(element_profits) + [0] * n_sets
     prov = f"gen_max_k_cover n_elements={n_elements} n_sets={n_sets} k={k}"
@@ -246,24 +251,17 @@ def gen_set_cover_cycles(n_elements: int, subsets: Sequence[Iterable[int]],
     """
     if not subsets:
         raise ValidationError("at least one covering set is required")
-    if t < 1:
-        raise ValidationError("t must be at least 1")
-    if n_elements < 0:
-        raise ValidationError("n_elements must be non-negative")
+    if not _is_int(t) or t < 1:
+        raise ValidationError(f"t must be an integer of at least 1, got {t!r}")
+    if not _is_int(n_elements) or n_elements < 0:
+        raise ValidationError(f"n_elements must be a non-negative integer, got {n_elements!r}")
     m_cycle = n_elements + 1
     n_sets = len(subsets)
-    edges = []
-    for j in range(n_sets):
-        base = j * m_cycle
-        for step in range(m_cycle):
-            edges.append((base + step, base + (step + 1) % m_cycle))
     element_base = n_sets * m_cycle
+    edges = [(base + step, base + (step + 1) % m_cycle)
+             for base in range(0, element_base, m_cycle) for step in range(m_cycle)]
     for j, subset in enumerate(subsets):
-        entry = j * m_cycle
-        for s in sorted(set(subset)):
-            if not 0 <= s < n_elements:
-                raise ValidationError(f"set {j} names invalid element {s}")
-            edges.append((element_base + s, entry))
+        edges += [(element_base + s, j * m_cycle) for s in _elements(j, subset, n_elements)]
     n = element_base + n_elements
     k = t * m_cycle + n_elements
     prov = f"gen_set_cover_cycles n_elements={n_elements} n_sets={n_sets} t={t}"
@@ -281,31 +279,30 @@ def gen_network_budget(n_vertices: int, topology: Sequence[tuple[int, int]],
     then forces selecting activated structure next to it.  Each topology edge
     must join two distinct vertices of ``0..n_vertices-1``.
     """
-    if not 0 <= sink < n_vertices:
+    if not _is_int(n_vertices) or n_vertices < 0:
+        raise ValidationError(f"n_vertices must be a non-negative integer, got {n_vertices!r}")
+    if not (_is_int(sink) and 0 <= sink < n_vertices):
         raise ValidationError("sink must be a topology vertex")
     if len(edge_costs) != len(topology):
         raise ValidationError("edge_costs must align with the topology edges")
     profits = [0] * n_vertices
     for v, p in customer_profits.items():
-        if not 0 <= v < n_vertices:
-            raise ValidationError(f"customer {v} is not a topology vertex")
+        if not (_is_int(v) and 0 <= v < n_vertices):
+            raise ValidationError(f"customer {v!r} is not a topology vertex")
         if v == sink:
             raise ValidationError("the sink cannot be a customer")
-        if p < 0:
-            raise ValidationError("customer profits must be non-negative")
+        if not _is_int(p) or p < 0:
+            raise ValidationError(f"customer profits must be non-negative integers, got {p!r}")
         profits[v] = p
-    weights = [0] * n_vertices
     edges = []
-    for j, (u, v) in enumerate(topology):
-        if not 0 <= u < n_vertices or not 0 <= v < n_vertices or u == v:
+    for mid, ((u, v), cost) in enumerate(zip(topology, edge_costs), n_vertices):
+        if not all(_is_int(x) and 0 <= x < n_vertices for x in (u, v)) or u == v:
             raise ValidationError(f"topology edge ({u}, {v}) needs two distinct topology vertices")
-        if edge_costs[j] < 0:
-            raise ValidationError("edge costs must be non-negative")
-        mid = n_vertices + j
-        weights.append(edge_costs[j])
-        profits.append(0)
-        edges.append((min(u, mid), max(u, mid)))
-        edges.append((min(v, mid), max(v, mid)))
+        if not _is_int(cost) or cost < 0:
+            raise ValidationError(f"edge costs must be non-negative integers, got {cost!r}")
+        edges += [(u, mid), (v, mid)]
+    weights = [0] * n_vertices + list(edge_costs)
+    profits += [0] * len(topology)
     prov = (f"gen_network_budget n={n_vertices} m={len(topology)} sink={sink} "
             f"k={k}")
     return Instance(False, n_vertices + len(topology), edges, weights, profits,

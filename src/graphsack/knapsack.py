@@ -15,8 +15,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
@@ -25,24 +23,22 @@ from .graphs import _is_int
 PROFIT_TABLE_BOUND = 1 << 40
 _ONE = Fraction(1)
 _CELL_FORMATS = {2: "H", 4: "I", 8: "Q"}  # memoryview formats by cell size
-_ITEM_FIELDS = attrgetter("id", "weight", "profit")
 
 
 @dataclass(frozen=True)
 class Item:
-    """One knapsack item.  ``id`` must be unique within an item list."""
+    """One knapsack item: int (not bool) fields, the weight and profit
+    non-negative.  ``id`` must be unique within an item list."""
 
     id: int
     weight: int
     profit: int
 
     def __post_init__(self):
-        try:
-            negative = self.weight < 0 or self.profit < 0
-        except TypeError:  # the message of ``_check_items``
-            raise ValidationError(
-                f"item {self.id!r}: id, weight and profit must be integers") from None
-        if negative:
+        if not (type(self.id) is type(self.weight) is type(self.profit) is int
+                or all(map(_is_int, (self.id, self.weight, self.profit)))):
+            raise ValidationError(f"item {self.id!r}: id, weight and profit must be integers")
+        if self.weight < 0 or self.profit < 0:
             raise ValidationError(f"item {self.id}: negative weight or profit")
 
 
@@ -80,17 +76,18 @@ def ratio_key(profit: int, weight: int) -> int:
     them in C.
 
     A positive weight gives ``(profit << 256) // weight``.  Both values must
-    be below 2**128, else :class:`ValidationError`: then two different ratios
-    differ by at least ``1 / (w1 * w2) > 2**-256``, so their scaled values
-    differ by more than 1 and their floors differ in the same direction,
-    while equal ratios scale to equal floors.  A positive ratio is at least
+    be ints in [0, 2**128), else :class:`ValidationError`: then two different
+    ratios differ by at least ``1 / (w1 * w2) > 2**-256``, so their scaled
+    values differ by more than 1 and their floors differ in the same
+    direction, while equal ratios scale to equal floors.  A positive ratio is at least
     ``2**256 / 2**128 > 1``, above (0, 0)'s key 1 and (0, w>0)'s key 0, and
     every finite key is below ``2**128 << 256``, the zero-weight class's key.
     Every total of an :class:`~graphsack.graphs.Instance` is below
     ``n * 2**63``, well inside the domain.
     """
-    if profit >= _RATIO_LIMIT or weight >= _RATIO_LIMIT:
-        raise ValidationError("ratio_key needs profit and weight below 2^128")
+    if not ((type(profit) is int is type(weight) or _is_int(profit) and _is_int(weight))
+            and 0 <= profit < _RATIO_LIMIT and 0 <= weight < _RATIO_LIMIT):
+        raise ValidationError("ratio_key needs integer profit and weight in [0, 2^128)")
     if weight:
         return (profit << 256) // weight
     return _RATIO_TOP if profit else 1
@@ -104,12 +101,9 @@ def _check_capacity(capacity, name: str = "capacity") -> None:
 
 
 def _check_items(items: Iterable[Item]) -> list[Item]:
+    """The items sorted by id, refused if two share one; each ``Item`` has
+    checked its own fields."""
     out = list(items)
-    # plain ints pass at C speed; the loop names the first bad item
-    if not {*map(type, chain.from_iterable(map(_ITEM_FIELDS, out)))} <= {int}:
-        for it in out:
-            if not all(map(_is_int, _ITEM_FIELDS(it))):
-                raise ValidationError(f"item {it.id!r}: id, weight and profit must be integers")
     out.sort(key=lambda it: it.id)
     for a, b in zip(out, out[1:]):
         if a.id == b.id:

@@ -58,7 +58,6 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
     chosen: set[int] = set()                               # U
     remaining = k                                          # K
     boundary: set[int] = set()                             # Z = N^-(U)
-    alive = set(range(instance.n))                         # V(G')
     s_max = profit_oracle(instance, k, eps)                # S_max
     iterations: list[dict] = []
     while True:
@@ -66,7 +65,7 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
         node = max((v for v in sorted(boundary) if weights[v] <= remaining),
                    key=keys.__getitem__, default=None)
         floor = None if node is None else keys[node]
-        sub, ids = instance.induced(alive)
+        sub, ids = instance.induced(v for v in range(instance.n) if v not in chosen)  # G'
         star = ratio_oracle(sub, remaining, eps, floor)
         if star is not None:
             star = Star(ids[star.center], tuple(ids[u] for u in star.leaves))
@@ -80,7 +79,6 @@ def greedy_1_neighbour(instance: Instance, k: Optional[int] = None, eps=0.1,
             break
         chosen.update(pick)
         remaining -= instance.total_weight(pick)
-        alive.difference_update(pick)
         # Z' = (Z | N^-(pick)) - U', as Z already misses U
         boundary.difference_update(pick)
         boundary.update([u for u in in_boundary(instance, pick) if u not in chosen])

@@ -473,6 +473,79 @@ class TestInduced:
             inst.induced([0, bad, 2])
 
 
+@st.composite
+def edge_lists(draw, directed, n):
+    """A shuffled edge list on ``n`` vertices, each undirected pair given
+    either way round."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u < v or directed and u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return [(v, u) if not directed and draw(st.booleans()) else (u, v) for u, v in edges]
+
+
+def normalised(directed, edges):
+    return tuple(sorted(e if directed else (min(e), max(e)) for e in edges))
+
+
+def fieldwise(directed, n, edges, weights, budget):
+    """The fields ``Instance.__eq__`` compared when it stored the edges."""
+    return directed, n, normalised(directed, edges), tuple(weights), tuple(weights), budget
+
+
+@st.composite
+def spec_pairs(draw):
+    """Two ``(directed, n, edges, weights, budget)`` specs on at most 12
+    vertices: the same graph reshuffled, or one field changed."""
+    directed, n = draw(st.booleans()), draw(st.integers(0, 12))
+    edges = draw(edge_lists(directed, n))
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    budget = draw(st.integers(0, 2))
+    a = (directed, n, edges, weights, budget)
+    change = draw(st.sampled_from(["same", "edges", "directed", "weights", "budget"]))
+    if change == "edges":
+        edges = draw(edge_lists(directed, n))
+    elif change == "directed":  # pairs that are valid either way
+        edges = sorted({(min(e), max(e)) for e in edges})
+        a, directed = (directed, n, edges, weights, budget), not directed
+    elif change == "weights" and n:
+        weights = weights[:-1] + [weights[-1] + 1]
+    elif change == "budget":
+        budget += 1
+    return a, (directed, n, draw(st.permutations(edges)), weights, budget)
+
+
+class TestEdgesReadOffAdj:
+    """``edges``, ``m`` and ``==`` read the one stored graph, ``adj``, and
+    agree with the edge list an ``Instance`` was built from."""
+
+    @given(spec_pairs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edges_m_and_equality_match_the_input(self, specs, data):
+        insts, refs = [], []
+        keep = data.draw(st.lists(st.integers(0, 11), max_size=12))
+        for directed, n, edges, weights, budget in specs:
+            inst = Instance(directed, n, edges, weights, weights, budget)
+            assert inst.edges == normalised(directed, edges)
+            assert inst.m == len(inst.edges) == len(edges)
+            kept = sorted({v for v in keep if v < n})
+            index = {v: i for i, v in enumerate(kept)}
+            sub_edges = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+            sub, _ = inst.induced(kept)
+            assert sub.edges == normalised(directed, sub_edges)
+            assert sub.m == len(sub.edges)
+            insts.append((inst, sub))
+            refs.append((fieldwise(directed, n, edges, weights, budget),
+                         fieldwise(directed, len(kept), sub_edges,
+                                   [weights[v] for v in kept], budget)))
+        (a, a_sub), (b, b_sub) = insts
+        assert (a == b) == (refs[0][0] == refs[1][0])
+        assert (a_sub == b_sub) == (refs[0][1] == refs[1][1])
+
+    def test_an_instance_is_not_equal_to_another_type(self):
+        inst = undirected(2, [(0, 1)])
+        assert inst.__eq__(object()) is NotImplemented
+        assert inst != object() and not inst == object()
+
+
 class TestBoundary:
     def test_path_middle(self):
         inst = undirected(3, [(0, 1), (1, 2)])

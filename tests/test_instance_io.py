@@ -389,7 +389,7 @@ class TestGenMaxKCover:
             gen_max_k_cover(2, [], 1)
 
     def test_rejects_negative_element_count(self):
-        with pytest.raises(ValidationError, match="n_elements must be non-negative"):
+        with pytest.raises(ValidationError, match="n_elements must be a non-negative integer"):
             gen_max_k_cover(-1, [[]], 1)
 
     @pytest.mark.parametrize("overrides", [{"element_profits": [1]},
@@ -448,7 +448,7 @@ class TestGenSetCoverCycles:
             gen_set_cover_cycles(2, [], 1)
         with pytest.raises(ValidationError):
             gen_set_cover_cycles(2, [[0]], 0)
-        with pytest.raises(ValidationError, match="n_elements must be non-negative"):
+        with pytest.raises(ValidationError, match="n_elements must be a non-negative integer"):
             gen_set_cover_cycles(-1, [[]], 1)
 
     @pytest.mark.parametrize("element", [2, -1])
@@ -498,6 +498,22 @@ class TestGenNetworkBudget:
     def test_rejects_bad_arguments(self, args, message):
         with pytest.raises(ValidationError, match=message):
             gen_network_budget(*args)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_network_budget(3, [(0, 1)], 0, [1], {1.5: 3}, 5),
+     "customer 1.5 is not a topology vertex"),
+    (lambda: gen_network_budget(3, [(0, 1)], 0, [1], {"1": 3}, 5),
+     "customer '1' is not a topology vertex"),
+    (lambda: gen_network_budget(3, [(0, 1)], True, [1], {2: 3}, 5),
+     "sink must be a topology vertex"),
+    (lambda: gen_max_k_cover(2.5, [[0]], 1), "n_elements must be a non-negative integer"),
+    (lambda: gen_max_k_cover(2, [["0"]], 1), "set 0 names invalid element '0'"),
+    (lambda: gen_set_cover_cycles("2", [[0]], 1), "n_elements must be a non-negative integer"),
+])
+def test_generators_refuse_arguments_that_are_not_ints(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 def test_generator_outputs_pass_validation_and_reserialize():

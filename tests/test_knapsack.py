@@ -66,6 +66,11 @@ def test_solvers_reject_negative_capacity(solve):
     (lambda: subset_sum_max([1, 2], True), "k must be an integer, got True"),
     (lambda: subset_sum_max([True], 1), "sizes must be positive integers"),
     (lambda: Item(0, "3", 1), "item 0: id, weight and profit must be integers"),
+    # an Item checks its own fields, so these no longer wait for a table
+    (lambda: Item(0, 1.5, 1), "item 0: id, weight and profit must be integers"),
+    (lambda: Item(True, 1, 1), "item True: id, weight and profit must be integers"),
+    (lambda: Item(0, 1, 2.0), "item 0: id, weight and profit must be integers"),
+    (lambda: Item(0, -1.5, 1), "item 0: id, weight and profit must be integers"),
 ])
 def test_knapsack_layer_rejects_values_that_are_not_ints(call, message):
     with pytest.raises(ValidationError, match=message):
@@ -123,11 +128,17 @@ class TestRatioKey:
         assert sorted(pairs, key=lambda t: ratio_key(*t)) \
             == sorted(pairs, key=lambda t: ratio_key_reference(*t))
 
+    DOMAIN_ERROR = r"^ratio_key needs integer profit and weight in \[0, 2\^128\)$"
+
     @pytest.mark.parametrize("profit, weight", [
         (1 << 128, 1), (1, 1 << 128), (1 << 128, 0), (0, 1 << 128), (1 << 130, 1 << 129)])
     def test_refuses_values_from_2_128(self, profit, weight):
-        message = r"^ratio_key needs profit and weight below 2\^128$"
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=self.DOMAIN_ERROR):
+            ratio_key(profit, weight)
+
+    @pytest.mark.parametrize("profit, weight", [(-1, 2), (1.5, 2), (3, 1.5), (True, 2), (2, False)])
+    def test_refuses_negative_and_non_int_values(self, profit, weight):
+        with pytest.raises(ValidationError, match=self.DOMAIN_ERROR):
             ratio_key(profit, weight)
 
     def test_foreign_objects_are_unequal(self):
