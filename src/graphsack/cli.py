@@ -14,7 +14,6 @@ import functools
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional
 
 from .all_neighbour import (general_undirected_alln_fptas, uniform_directed_alln_ptas,
@@ -213,14 +212,12 @@ def cmd_bench(args) -> int:
         fh = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from exc
-    with fh, ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with fh:
         paths = sorted(path for name in os.listdir(args.dir)
                        if os.path.isfile(path := os.path.join(args.dir, name))
                        and not os.path.samefile(path, args.out))
-        grouped = list(pool.map(
-            lambda p: _bench_instance(p, args.epsilon, args.oracle_max_n, args.timing),
-            paths))
-        rows = [row for group in grouped for row in group]
+        rows = [row for path in paths
+                for row in _bench_instance(path, args.epsilon, args.oracle_max_n, args.timing)]
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
@@ -268,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--epsilon", type=float, default=0.1)
     bench.add_argument("--oracle-max-n", type=_int_option("--oracle-max-n"), default=DEFAULT_MAX_N)
     bench.add_argument("--out", required=True)
-    bench.add_argument("--jobs", type=_int_option("--jobs"), default=1)
+    bench.add_argument("--jobs", type=_int_option("--jobs"), default=1,
+                       help="at most this many solves at a time (at least 1); the "
+                            "solves hold the GIL, so they run one after another")
     bench.add_argument("--timing", action="store_true",
                        help="record wall time in the ms column (breaks "
                             "byte-for-byte reproducibility)")

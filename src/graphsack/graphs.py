@@ -52,7 +52,11 @@ class Instance:
         if not _is_int(n) or n < 0:
             raise ValidationError("vertex count must be a non-negative integer")
         self.n = n
-        if len(weights) != n or len(profits) != n:
+        try:
+            sized = len(weights) == n == len(profits)
+        except TypeError:  # None, say, has no length
+            sized = False
+        if not sized:
             raise ValidationError("weights/profits must have one entry per vertex")
         for name, values in (("weight", weights), ("profit", profits)):
             # plain ints in range pass at C speed; the loop names the first bad vertex
@@ -72,17 +76,20 @@ class Instance:
 
         norm: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not ((type(u) is int is type(v) or _is_int(u) and _is_int(v))
-                    and 0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u}, {v}) names an invalid vertex")
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            key = (u, v) if self.directed else (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            norm.append(key)
+        try:
+            for u, v in edges:
+                if not ((type(u) is int is type(v) or _is_int(u) and _is_int(v))
+                        and 0 <= u < n and 0 <= v < n):
+                    raise ValidationError(f"edge ({u}, {v}) names an invalid vertex")
+                if u == v:
+                    raise ValidationError(f"self-loop at vertex {u}")
+                key = (u, v) if self.directed else (min(u, v), max(u, v))
+                if key in seen:
+                    raise ValidationError(f"duplicate edge ({u}, {v})")
+                seen.add(key)
+                norm.append(key)
+        except (TypeError, ValueError) as exc:  # edges not iterable, or not all pairs
+            raise ValidationError(f"edges must be pairs of vertex ids: {exc}") from exc
         # norm keeps the input order: parsed canonical edges arrive sorted,
         # and sorting a sorted list takes one linear pass.
         norm.sort()

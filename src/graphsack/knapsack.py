@@ -101,9 +101,12 @@ def _check_capacity(capacity, name: str = "capacity") -> None:
 
 
 def _check_items(items: Iterable[Item]) -> list[Item]:
-    """The items sorted by id, refused if two share one; each ``Item`` has
-    checked its own fields."""
+    """The items sorted by id, refused if one is not an ``Item`` or two share
+    an id; each ``Item`` has checked its own fields."""
     out = list(items)
+    for it in out:
+        if not isinstance(it, Item):
+            raise ValidationError(f"not an Item: {it!r}")
     out.sort(key=lambda it: it.id)
     for a, b in zip(out, out[1:]):
         if a.id == b.id:

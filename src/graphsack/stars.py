@@ -37,7 +37,9 @@ class Star:
 
 def validate_star(instance: Instance, star: Star) -> None:
     """Raise unless ``star`` satisfies all star invariants for ``instance``."""
-    instance.check_vertices(star.vertices)
+    if not isinstance(star.leaves, tuple):
+        raise ValidationError(f"leaves must be a tuple, got {star.leaves!r}")
+    instance.check_vertices((star.center,) + star.leaves)  # before ``vertices`` sorts them
     if any(a >= b for a, b in zip(star.leaves, star.leaves[1:])):
         raise ValidationError(f"leaves {star.leaves} are not strictly increasing")
     for leaf in star.leaves:

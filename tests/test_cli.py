@@ -4,6 +4,7 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -499,6 +500,18 @@ class TestBench:
         main(["bench", "--dir", str(directory), "--out", str(seq)])
         main(["bench", "--dir", str(directory), "--out", str(par),
               "--jobs", "4"])
+        assert seq.read_bytes() == par.read_bytes()
+
+    def test_jobs_start_no_thread(self, tmp_path, monkeypatch):
+        # the solves hold the GIL, so bench runs them in the calling thread
+        directory = self.make_corpus(tmp_path)
+        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
+        assert main(["bench", "--dir", str(directory), "--out", str(seq), "--jobs", "1"]) == 0
+
+        def refuse(thread):
+            raise AssertionError(f"bench started a thread: {thread.name}")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["bench", "--dir", str(directory), "--out", str(par), "--jobs", "2"]) == 0
         assert seq.read_bytes() == par.read_bytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsack import graphs
-from graphsack import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, ValidationError,
+from graphsack import (ALL_NEIGHBOUR, ONE_NEIGHBOUR, Instance, ProfitTable, ValidationError,
                        condense, connected_components, descendants, first_violation,
                        in_boundary, is_1_neighbour_set, is_all_neighbour_set,
-                       parse, smallest_cycle)
+                       knapsack_exact, knapsack_fptas, parse, smallest_cycle)
 from helpers import (condense_tarjan, connected_components_bfs, perfbench_pool,
                      planted_cycle_graphs, random_instance, smallest_cycle_full_scan)
 
@@ -111,6 +111,26 @@ class TestInstanceValidation:
     def test_is_uniform(self, weights, profits, uniform):
         inst = Instance(False, len(weights), [], weights, profits, 3)
         assert inst.is_uniform() is uniform
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Instance(False, 3, [(0, 1, 2)], [1] * 3, [1] * 3, 1),
+     "edges must be pairs of vertex ids"),
+    (lambda: Instance(False, 3, [5], [1] * 3, [1] * 3, 1),
+     "edges must be pairs of vertex ids"),
+    (lambda: Instance(False, 2, None, [1, 1], [1, 1], 1),
+     "edges must be pairs of vertex ids"),
+    (lambda: Instance(False, 2, [], None, [1, 1], 1),
+     "weights/profits must have one entry per vertex"),
+    (lambda: ProfitTable([(0, 1, 2)], 5), "not an Item: (0, 1, 2)"),
+    (lambda: knapsack_exact([(0, 1, 2)], 5), "not an Item: (0, 1, 2)"),
+    (lambda: knapsack_fptas([{"id": 0}], 5, 0.1), "not an Item: {'id': 0}"),
+])
+def test_entry_types_refuse_malformed_input(call, message):
+    """``Instance`` and ``ProfitTable`` raise ``ValidationError``, not the
+    ``TypeError``, ``ValueError`` or ``AttributeError`` of the first bad use."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 class TestConnectedComponents:

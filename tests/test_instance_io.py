@@ -486,6 +486,9 @@ class TestGenNetworkBudget:
             gen_network_budget(2, [(0, 1), (1, 1)], 0, [5, 7], {1: 3}, 10)
 
     @pytest.mark.parametrize("args, message", [
+        ((-1, [], 0, [], {}, 5), "n_vertices must be a non-negative integer, got -1"),
+        ((2.5, [(0, 1)], 0, [5], {1: 7}, 5), "n_vertices must be a non-negative integer"),
+        ((True, [], 0, [], {}, 5), "n_vertices must be a non-negative integer, got True"),
         ((2, [(0, 1)], 2, [5], {1: 7}, 5), "sink must be a topology vertex"),
         ((2, [(0, 1)], -1, [5], {1: 7}, 5), "sink must be a topology vertex"),
         ((2, [(0, 1)], 0, [5, 6], {1: 7}, 5), "edge_costs must align with the topology"),

@@ -1,6 +1,7 @@
 """Star partition and the two viable-star oracles against exhaustive search."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -98,6 +99,17 @@ class TestValidateStar:
     def test_rejects_bare_center_of_positive_degree(self):
         with pytest.raises(ValidationError, match="bare center with positive degree"):
             validate_star(undirected(2, [(0, 1)]), Star(0, ()))
+
+    @pytest.mark.parametrize("star, message", [
+        (Star(0, ("1",)), "invalid vertex id '1'"),
+        (Star(0, None), "leaves must be a tuple, got None"),
+        (Star(0, [1]), "leaves must be a tuple, got [1]"),
+    ])
+    def test_rejects_malformed_leaves(self, star, message):
+        # ``Star.vertices`` sorts the ids, so they are checked before it runs
+        inst = gen_random(6, 0.5, False, 5, 5, 8, seed=1)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate_star(inst, star)
 
     def test_rejects_star_that_is_not_a_1_neighbour_set(self):
         # directed 0 -> 1 -> 2: leaf 1 needs its own out-neighbour 2
